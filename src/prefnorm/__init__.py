@@ -8,10 +8,10 @@ region-of-interest quality indicators, and a seeded campaign harness.
 
 __version__ = "0.1.0"
 
-from .algorithms import (ALGORITHMS, AlgorithmParams, aasf, algorithm_names,
-                         epsilon_clear, run_moead_nums, run_nsga2,
-                         run_r2nsga2, run_rnsga2, weighted_ref_distance)
-from .core import Individual, derive_run_seed, make_engine
+from .algorithms import (ALGORITHMS, AlgorithmParams, aasf, epsilon_clear,
+                         run_moead_nums, run_nsga2, run_r2nsga2, run_rnsga2,
+                         weighted_ref_distance)
+from .core import derive_run_seed, make_engine
 from .harness import (DEFAULT_CHECKPOINTS, ConfigError, ExperimentConfig,
                       RunTrace, execute_campaign, friedman_average_ranks,
                       friedman_ranks_from_means, load_config,
@@ -20,30 +20,27 @@ from .indicators import (DEFAULT_ROI_RADIUS, RoiReferenceSet,
                          build_roi_reference_set, e_ideal, e_nadir,
                          igd_plus_c, ore)
 from .normalization import (KINDS, NormalizationState, TrueScaler,
-                            init_state, normalize_value,
-                            update_bounded_archive, update_state)
+                            init_state, normalize_value, update_state)
 from .problems import Problem, get_problem, problem_names
-from .ranking import (crowding_distance, dominates, nondominated_mask,
-                      nondominated_sort, r_dominance_compare,
-                      weakly_dominates)
+from .ranking import crowding_distance, nondominated_mask, nondominated_sort
 from .refpoints import default_reference_point
 from .weights import das_dennis_lattice, nums_shift, uniform_simplex_set
 
 __all__ = [
     "ALGORITHMS", "AlgorithmParams", "ConfigError", "DEFAULT_CHECKPOINTS",
-    "DEFAULT_ROI_RADIUS", "ExperimentConfig", "Individual", "KINDS",
+    "DEFAULT_ROI_RADIUS", "ExperimentConfig", "KINDS",
     "NormalizationState", "Problem", "RoiReferenceSet", "RunTrace",
-    "TrueScaler", "aasf", "algorithm_names", "build_roi_reference_set",
+    "TrueScaler", "aasf", "build_roi_reference_set",
     "crowding_distance", "das_dennis_lattice", "default_reference_point",
-    "derive_run_seed", "dominates", "e_ideal", "e_nadir",
+    "derive_run_seed", "e_ideal", "e_nadir",
     "epsilon_clear", "execute_campaign", "friedman_average_ranks",
     "friedman_ranks_from_means", "get_problem", "igd_plus_c",
     "init_state", "load_config",
     "make_engine", "nondominated_mask", "nondominated_sort",
     "normalize_value", "nums_shift", "ore",
-    "problem_names", "r_dominance_compare", "rank_from_results",
+    "problem_names", "rank_from_results",
     "run_moead_nums", "run_nsga2", "run_r2nsga2", "run_rnsga2",
-    "uniform_simplex_set", "update_bounded_archive", "update_state",
-    "validate_config", "weakly_dominates", "weighted_ref_distance",
+    "uniform_simplex_set", "update_state",
+    "validate_config", "weighted_ref_distance",
     "write_results",
 ]

@@ -83,16 +83,18 @@ def weighted_ref_distance(objs: np.ndarray, z: np.ndarray, w: np.ndarray,
 
 
 def aasf(f: np.ndarray, z: np.ndarray, w: np.ndarray, z_lb: np.ndarray,
-         z_ub: np.ndarray, rho: float = AASF_RHO) -> float:
-    """Augmented achievement scalarizing value of one objective vector.
+         z_ub: np.ndarray, rho: float = AASF_RHO) -> float | np.ndarray:
+    """Augmented achievement scalarizing value of objective vectors.
 
-    Both ``f`` and ``z`` pass through the current normalization bounds
-    first; identity bounds leave them untouched.
+    ``f`` is one vector or an array of them along the last axis, and ``w``
+    broadcasts against it; one value comes back per vector.  Both ``f`` and
+    ``z`` pass through the current normalization bounds first; identity
+    bounds leave them untouched.
     """
     fn = normalize_value(f, z_lb, z_ub)
     zn = normalize_value(z, z_lb, z_ub)
     diff = fn - zn
-    return float(np.max(w * diff) + rho * np.sum(diff))
+    return np.max(w * diff, axis=-1) + rho * np.sum(diff, axis=-1)
 
 
 def _binary_tournament(primary: np.ndarray, secondary: np.ndarray,
@@ -121,16 +123,14 @@ def epsilon_clear(points: np.ndarray, epsilon: float,
     kept: list[int] = []
     reserve: list[int] = []
     kept_pts = np.empty_like(points)
-    k = 0
     for pos in order:
-        if k:
-            d2 = np.sum((kept_pts[:k] - points[pos]) ** 2, axis=1)
+        if kept:
+            d2 = np.sum((kept_pts[:len(kept)] - points[pos]) ** 2, axis=1)
             if np.min(d2) < epsilon * epsilon:
                 reserve.append(pos)
                 continue
-        kept_pts[k] = points[pos]
+        kept_pts[len(kept)] = points[pos]
         kept.append(pos)
-        k += 1
     return np.asarray(kept, dtype=int), np.asarray(reserve, dtype=int)
 
 
@@ -165,87 +165,106 @@ def _dist_weights(params: AlgorithmParams, m: int) -> np.ndarray:
     return w
 
 
-def _check_ga_setup(mu: int, budget: int, m: int) -> None:
-    if mu < 4 or mu % 2:
-        raise ValueError(f"mu must be even and >= 4, got {mu}")
+def _check_setup(mu: int, budget: int, m: int) -> None:
+    if mu < 4:
+        raise ValueError(f"mu must be >= 4, got {mu}")
     if mu < 2 * m:
         raise ValueError(f"mu must be at least 2m = {2 * m}, got {mu}")
     if budget < mu:
         raise ValueError(f"budget {budget} smaller than one population {mu}")
 
 
-def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
-              budget: int, engine: np.random.Generator,
-              params: AlgorithmParams | None = None,
-              recorder: Recorder | None = None) -> np.ndarray:
-    """Plain NSGA-II; ``z`` is ignored, the state is tracked for recording.
+def _level_ranks(fronts: list[list[int]], n: int) -> np.ndarray:
+    """Level index of each of ``n`` members of a level partition."""
+    rank = np.empty(n, dtype=int)
+    for level, front in enumerate(fronts):
+        rank[np.asarray(front, dtype=int)] = level
+    return rank
 
-    Returns the final (mu, m) population objectives.
+
+def _crowding_truncation(uf: np.ndarray, fronts: list[list[int]], mu: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank+crowding truncation of the union to mu members.
+
+    Whole levels are taken while they fit; the level that overflows gives
+    up its least crowded members.  Returns the survivors with their levels
+    and their crowding distances within their level.
     """
-    params = params or AlgorithmParams()
-    _check_ga_setup(mu, budget, problem.m)
+    keep: list[int] = []
+    crowd = np.empty(uf.shape[0])
+    for front in fronts:
+        room = mu - len(keep)
+        if room <= 0:
+            break
+        idx = np.asarray(front, dtype=int)
+        crowd[idx] = crowding_distance(uf[idx])
+        if idx.size > room:
+            idx = idx[np.argsort(-crowd[idx], kind="stable")[:room]]
+        keep.extend(idx.tolist())
+    keep_arr = np.asarray(keep, dtype=int)
+    return (keep_arr, _level_ranks(fronts, uf.shape[0])[keep_arr],
+            crowd[keep_arr])
+
+
+def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
+                      engine: np.random.Generator, params: AlgorithmParams,
+                      recorder: Recorder | None,
+                      select: Callable) -> np.ndarray:
+    """The NSGA-II generational loop with a pluggable survivor selection.
+
+    ``select(union_objs, state)`` returns the positions of the mu survivors
+    and their primary and secondary tournament keys (lower wins).  Returns
+    the final (mu, m) population objectives.
+    """
+    if mu % 2:
+        raise ValueError(f"mu must be even, got {mu}")
+    _check_setup(mu, budget, problem.m)
     xs = _random_population(problem, mu, engine)
     fs = problem.evaluate_batch(xs)
     evals = mu
     state = init_state(kind, problem.m)
     update_state(state, fs)
-    rank, crowd = _rank_and_crowding(fs)
+    # the initial population keys itself through the same selection; every
+    # member survives, so only the selection's reordering is undone
+    keep, primary, secondary = select(fs, state)
+    back = np.argsort(keep)
+    primary, secondary = primary[back], secondary[back]
     if recorder:
         recorder(evals, fs, state)
     while evals + mu <= budget:
-        winners = _binary_tournament(rank, -crowd, mu, engine)
+        winners = _binary_tournament(primary, secondary, mu, engine)
         child_x = _ga_offspring(xs, winners, problem, params, engine)
         child_f = problem.evaluate_batch(child_x)
         evals += mu
         update_state(state, fs, child_f)
         ux = np.vstack([xs, child_x])
         uf = np.vstack([fs, child_f])
-        keep, rank, crowd = _nsga2_select(uf, mu)
+        keep, primary, secondary = select(uf, state)
         xs, fs = ux[keep], uf[keep]
         if recorder:
             recorder(evals, fs, state)
     return fs
 
 
-def _rank_and_crowding(fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    fronts = nondominated_sort(fs)
-    rank = np.empty(fs.shape[0], dtype=int)
-    crowd = np.empty(fs.shape[0])
-    for level, front in enumerate(fronts):
-        idx = np.asarray(front, dtype=int)
-        rank[idx] = level
-        crowd[idx] = crowding_distance(fs[idx])
-    return rank, crowd
+def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
+              budget: int, engine: np.random.Generator,
+              params: AlgorithmParams | None = None,
+              recorder: Recorder | None = None) -> np.ndarray:
+    """Plain NSGA-II; ``z`` is ignored, the state is tracked for recording."""
+    def select(uf, state):
+        keep, rank, crowd = _crowding_truncation(uf, nondominated_sort(uf),
+                                                 mu)
+        return keep, rank, -crowd
 
-
-def _nsga2_select(uf: np.ndarray, mu: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank+crowding truncation of the union to mu members."""
-    fronts = nondominated_sort(uf)
-    keep: list[int] = []
-    keep_rank: list[int] = []
-    keep_crowd: list[float] = []
-    for level, front in enumerate(fronts):
-        idx = np.asarray(front, dtype=int)
-        crowd = crowding_distance(uf[idx])
-        room = mu - len(keep)
-        if room <= 0:
-            break
-        if idx.size <= room:
-            chosen = np.arange(idx.size)
-        else:
-            chosen = np.argsort(-crowd, kind="stable")[:room]
-        keep.extend(idx[chosen].tolist())
-        keep_rank.extend([level] * chosen.size)
-        keep_crowd.extend(crowd[chosen].tolist())
-    return (np.asarray(keep, dtype=int), np.asarray(keep_rank, dtype=int),
-            np.asarray(keep_crowd))
+    return _run_generational(problem, kind, mu, budget, engine,
+                             params or AlgorithmParams(), recorder, select)
 
 
 def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
                                    mu: int, epsilon: float,
                                    z_lb: np.ndarray, z_ub: np.ndarray,
-                                   engine: np.random.Generator) -> np.ndarray:
+                                   engine: np.random.Generator
+                                   ) -> tuple[np.ndarray, np.ndarray]:
     """Reference-distance selection of mu union members.
 
     Non-domination level is the primary criterion.  Inside the level that
@@ -253,6 +272,8 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
     epsilon-clearing in the normalized objective space; cleared-away members
     re-enter (still by ascending distance) only when the level's survivors
     cannot fill the remaining room, so a level is never skipped over.
+    Returns the survivors and their levels; every level before the last
+    one taken survives whole, so these are also the survivors' own levels.
     """
     fronts = nondominated_sort(uf)
     norm = normalize_value(uf, z_lb, z_ub)
@@ -272,7 +293,8 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
         ordered += [idx[pos] for pos in
                     sorted(reserve, key=lambda p: (dists[idx[p]], p))]
         keep.extend(ordered[:room])
-    return np.asarray(keep, dtype=int)
+    keep_arr = np.asarray(keep, dtype=int)
+    return keep_arr, _level_ranks(fronts, uf.shape[0])[keep_arr]
 
 
 def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
@@ -281,44 +303,18 @@ def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
                recorder: Recorder | None = None) -> np.ndarray:
     """Reference-distance R-NSGA-II."""
     params = params or AlgorithmParams()
-    _check_ga_setup(mu, budget, problem.m)
     z = np.asarray(z, dtype=float)
     w = _dist_weights(params, problem.m)
-    xs = _random_population(problem, mu, engine)
-    fs = problem.evaluate_batch(xs)
-    evals = mu
-    state = init_state(kind, problem.m)
-    update_state(state, fs)
-    rank = _pareto_ranks(fs)
-    dist = weighted_ref_distance(fs, z, w, state.z_lb, state.z_ub)
-    if recorder:
-        recorder(evals, fs, state)
-    while evals + mu <= budget:
-        winners = _binary_tournament(rank, dist, mu, engine)
-        child_x = _ga_offspring(xs, winners, problem, params, engine)
-        child_f = problem.evaluate_batch(child_x)
-        evals += mu
-        update_state(state, fs, child_f)
-        ux = np.vstack([xs, child_x])
-        uf = np.vstack([fs, child_f])
-        udist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
-        keep = rnsga2_environmental_selection(
-            uf, udist, mu, params.epsilon_clear, state.z_lb, state.z_ub,
+
+    def select(uf, state):
+        dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
+        keep, rank = rnsga2_environmental_selection(
+            uf, dist, mu, params.epsilon_clear, state.z_lb, state.z_ub,
             engine)
-        xs, fs = ux[keep], uf[keep]
-        rank = _pareto_ranks(fs)
-        dist = udist[keep]
-        if recorder:
-            recorder(evals, fs, state)
-    return fs
+        return keep, rank, dist[keep]
 
-
-def _pareto_ranks(fs: np.ndarray) -> np.ndarray:
-    fronts = nondominated_sort(fs)
-    rank = np.empty(fs.shape[0], dtype=int)
-    for level, front in enumerate(fronts):
-        rank[np.asarray(front, dtype=int)] = level
-    return rank
+    return _run_generational(problem, kind, mu, budget, engine, params,
+                             recorder, select)
 
 
 def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
@@ -327,58 +323,18 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
                 recorder: Recorder | None = None) -> np.ndarray:
     """NSGA-II with the r-dominance relation replacing Pareto dominance."""
     params = params or AlgorithmParams()
-    _check_ga_setup(mu, budget, problem.m)
     z = np.asarray(z, dtype=float)
     w = _dist_weights(params, problem.m)
-    xs = _random_population(problem, mu, engine)
-    fs = problem.evaluate_batch(xs)
-    evals = mu
-    state = init_state(kind, problem.m)
-    update_state(state, fs)
-    dist = weighted_ref_distance(fs, z, w, state.z_lb, state.z_ub)
-    rank = _r_ranks(fs, dist, params.delta)
-    if recorder:
-        recorder(evals, fs, state)
-    while evals + mu <= budget:
-        winners = _binary_tournament(rank, dist, mu, engine)
-        child_x = _ga_offspring(xs, winners, problem, params, engine)
-        child_f = problem.evaluate_batch(child_x)
-        evals += mu
-        update_state(state, fs, child_f)
-        ux = np.vstack([xs, child_x])
-        uf = np.vstack([fs, child_f])
-        udist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
+
+    def select(uf, state):
+        dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
         fronts = fronts_from_matrix(
-            r_domination_matrix(uf, udist, params.delta))
-        keep: list[int] = []
-        rank_sel: list[int] = []
-        for level, front in enumerate(fronts):
-            room = mu - len(keep)
-            if room <= 0:
-                break
-            idx = np.asarray(front, dtype=int)
-            crowd = crowding_distance(uf[idx])
-            if idx.size <= room:
-                chosen = np.arange(idx.size)
-            else:
-                chosen = np.argsort(-crowd, kind="stable")[:room]
-            keep.extend(idx[chosen].tolist())
-            rank_sel.extend([level] * chosen.size)
-        keep_arr = np.asarray(keep, dtype=int)
-        xs, fs = ux[keep_arr], uf[keep_arr]
-        rank = np.asarray(rank_sel, dtype=int)
-        dist = udist[keep_arr]
-        if recorder:
-            recorder(evals, fs, state)
-    return fs
+            r_domination_matrix(uf, dist, params.delta))
+        keep, rank, _ = _crowding_truncation(uf, fronts, mu)
+        return keep, rank, dist[keep]
 
-
-def _r_ranks(fs: np.ndarray, dists: np.ndarray, delta: float) -> np.ndarray:
-    fronts = fronts_from_matrix(r_domination_matrix(fs, dists, delta))
-    rank = np.empty(fs.shape[0], dtype=int)
-    for level, front in enumerate(fronts):
-        rank[np.asarray(front, dtype=int)] = level
-    return rank
+    return _run_generational(problem, kind, mu, budget, engine, params,
+                             recorder, select)
 
 
 def moead_nums_replacement(trial_f: np.ndarray, fs: np.ndarray,
@@ -395,12 +351,13 @@ def moead_nums_replacement(trial_f: np.ndarray, fs: np.ndarray,
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     order = engine.permutation(nb.size)
-    zn = normalize_value(z, state.z_lb, state.z_ub)
-    tn = normalize_value(trial_f, state.z_lb, state.z_ub) - zn
-    pn = normalize_value(fs[nb], state.z_lb, state.z_ub) - zn
-    wn = weights[nb]
-    trial_vals = np.max(wn * tn, axis=1) + rho * np.sum(tn)
-    incumbent = np.max(wn * pn, axis=1) + rho * np.sum(pn, axis=1)
+    # row 0 holds the trial and row 1 the incumbents; both are scored under
+    # the weight of the neighbour whose slot is contested
+    scored = np.empty((2, nb.size, trial_f.size))
+    scored[0] = trial_f
+    scored[1] = fs[nb]
+    trial_vals, incumbent = aasf(scored, z, weights[nb], state.z_lb,
+                                 state.z_ub, rho)
     wins = trial_vals < incumbent
     replaced = []
     for pos in order:
@@ -417,13 +374,7 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
                    recorder: Recorder | None = None) -> np.ndarray:
     """Decomposition search on a weight set shifted toward ``z``."""
     params = params or AlgorithmParams()
-    if mu < 4:
-        raise ValueError(f"mu must be >= 4, got {mu}")
-    if mu < 2 * problem.m:
-        raise ValueError(f"mu must be at least 2m = {2 * problem.m}, "
-                         f"got {mu}")
-    if budget < mu:
-        raise ValueError(f"budget {budget} smaller than one population {mu}")
+    _check_setup(mu, budget, problem.m)
     z = np.asarray(z, dtype=float)
     weights = uniform_simplex_set(problem.m, mu, engine)
     weights = nums_shift(weights, z, params.tau)
@@ -466,7 +417,3 @@ ALGORITHMS: dict[str, Callable] = {
     "r2nsga2": run_r2nsga2,
     "moead-nums": run_moead_nums,
 }
-
-
-def algorithm_names() -> list[str]:
-    return list(ALGORITHMS)

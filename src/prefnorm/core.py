@@ -1,39 +1,12 @@
-"""Shared primitives: solution container, random engines, small geometry helpers."""
+"""Shared primitives: the random engine and per-run seed derivation."""
 from __future__ import annotations
 
 import logging
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class Individual:
-    """A candidate solution with its decision vector and objective vector.
-
-    Attributes
-    ----------
-    x : np.ndarray
-        Decision vector.
-    f : np.ndarray
-        Objective vector, always the evaluation of ``x`` on the owning problem.
-    rank : int | None
-        Non-domination level assigned by the last sort, if any.
-    score : float | None
-        Scratch scalar used by selection (e.g. reference-point distance or
-        crowding distance).
-    """
-
-    x: np.ndarray
-    f: np.ndarray
-    rank: int | None = None
-    score: float | None = None
-
-    def copy(self) -> "Individual":
-        return Individual(self.x.copy(), self.f.copy(), self.rank, self.score)
 
 
 def make_engine(seed: int) -> np.random.Generator:
@@ -52,44 +25,3 @@ def derive_run_seed(base_seed: int, cell_id: str, run_index: int) -> int:
     tag = zlib.crc32(cell_id.encode("utf-8"))
     ss = np.random.SeedSequence([int(base_seed), int(tag), int(run_index)])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def rng_uniform(engine: np.random.Generator, lo: float, hi: float) -> float:
-    """Draw one uniform sample from [lo, hi)."""
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    return float(engine.uniform(lo, hi))
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def objectives_of(population: list[Individual]) -> np.ndarray:
-    """Stack the objective vectors of a population into an (N, m) array."""
-    return np.array([ind.f for ind in population], dtype=float)
-
-
-def decisions_of(population: list[Individual]) -> np.ndarray:
-    """Stack the decision vectors of a population into an (N, n) array."""
-    return np.array([ind.x for ind in population], dtype=float)
-
-
-@dataclass
-class EvalBudget:
-    """Counts objective-function evaluations against a fixed budget."""
-
-    limit: int
-    used: int = 0
-
-    def charge(self, count: int) -> None:
-        self.used += int(count)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit

@@ -113,6 +113,10 @@ _KNOWN_KEYS = {"problems", "algorithms", "normalizations", "runs", "budget",
                "reference_setting", "reference_points", "params", "workers"}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_int(value, path: str, errors: list[str], minimum: int | None = None):
     if not isinstance(value, int) or isinstance(value, bool):
         errors.append(f"{path}: expected an integer, got {value!r}")
@@ -192,11 +196,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 for i, c in enumerate(checkpoints))):
         errors.append("checkpoints: expected a non-empty list of integers")
         checkpoints = list(DEFAULT_CHECKPOINTS)
-    elif sorted(checkpoints) != checkpoints:
-        errors.append("checkpoints: must be ascending")
+    elif any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
+        errors.append("checkpoints: must be strictly ascending")
 
     roi_radius = raw.get("roi_radius", DEFAULT_ROI_RADIUS)
-    if not isinstance(roi_radius, (int, float)) or roi_radius <= 0:
+    if not _is_number(roi_radius) or roi_radius <= 0:
         errors.append(f"roi_radius: expected a positive number, "
                       f"got {roi_radius!r}")
     pf_size = _as_int(raw.get("pf_size", 10000), "pf_size", errors,
@@ -214,8 +218,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         ref_overrides = {}
     else:
         for key, vec in ref_overrides.items():
-            if (not isinstance(vec, list) or
-                    not all(isinstance(v, (int, float)) for v in vec)):
+            if not isinstance(vec, list) or not all(map(_is_number, vec)):
                 errors.append(f"reference_points.{key}: expected a list of "
                               "numbers")
 
@@ -298,8 +301,8 @@ class RunTrace:
 
     @property
     def cell_id(self) -> str:
-        return (f"{self.problem}:m{self.m}:{self.algorithm}:"
-                f"{self.normalization}")
+        return cell_id(self.problem, self.m, self.algorithm,
+                       self.normalization)
 
     @property
     def treatment(self) -> str:
@@ -445,6 +448,52 @@ def friedman_ranks_from_means(mean_table: dict[str, dict[str, float]]
     return {t: float(s / len(problems)) for t, s in zip(treatments, sums)}
 
 
+INDICATORS = ("igd_plus_c", "e_ideal", "e_nadir", "ore")
+
+
+def _stats_table(traces: list[RunTrace]
+                 ) -> dict[tuple[str, int, str, int],
+                           dict[str, tuple[float, float]]]:
+    """Mean and std over runs of each indicator the records carry.
+
+    Keyed by (problem, m, treatment, checkpoint); runs enter in the order
+    of ``traces``.
+    """
+    groups: dict[tuple, list[dict]] = {}
+    for trace in traces:
+        for record in trace.records:
+            key = (trace.problem, trace.m, trace.treatment,
+                   record["checkpoint"])
+            groups.setdefault(key, []).append(record)
+    return {key: {name: _mean_std([r[name] for r in records])
+                  for name in INDICATORS if name in records[0]}
+            for key, records in groups.items()}
+
+
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    return float(np.mean(values)), float(np.std(values))
+
+
+def _instance_means(table: dict) -> dict[tuple[str, int, int],
+                                         dict[str, float]]:
+    """Mean IGD+-C of each treatment per (problem, m, checkpoint)."""
+    means: dict[tuple[str, int, int], dict[str, float]] = {}
+    for (prob, m, treatment, checkpoint), stats in table.items():
+        means.setdefault((prob, m, checkpoint),
+                         {})[treatment] = stats["igd_plus_c"][0]
+    return means
+
+
+def _suite_ranks(means: dict, suite: str, checkpoint: int
+                 ) -> dict[str, float]:
+    table = {f"{prob}:m{m}": row for (prob, m, cp), row in means.items()
+             if prob in SUITES[suite] and cp == checkpoint}
+    if not table:
+        raise ValueError(f"no traces for suite {suite!r} at checkpoint "
+                         f"{checkpoint}")
+    return friedman_ranks_from_means(table)
+
+
 def friedman_average_ranks(traces: list[RunTrace], suite: str,
                            checkpoint: int) -> dict[str, float]:
     """Average Friedman ranks over one problem suite at one checkpoint.
@@ -457,22 +506,8 @@ def friedman_average_ranks(traces: list[RunTrace], suite: str,
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"known: {', '.join(SUITES)}")
-    members = set(SUITES[suite])
-    values: dict[str, dict[str, list[float]]] = {}
-    for trace in traces:
-        if trace.problem not in members:
-            continue
-        for record in trace.records:
-            if record["checkpoint"] == checkpoint:
-                label = f"{trace.problem}:m{trace.m}"
-                values.setdefault(label, {}).setdefault(
-                    trace.treatment, []).append(record["igd_plus_c"])
-    if not values:
-        raise ValueError(f"no traces for suite {suite!r} at checkpoint "
-                         f"{checkpoint}")
-    table = {label: {t: float(np.mean(v)) for t, v in row.items()}
-             for label, row in values.items()}
-    return friedman_ranks_from_means(table)
+    return _suite_ranks(_instance_means(_stats_table(traces)), suite,
+                        checkpoint)
 
 
 def _fmt(value) -> str:
@@ -506,131 +541,7 @@ def write_results(traces: list[RunTrace], config: ExperimentConfig,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not traces:
-        manifest = {
-            "version": __version__,
-            "config": config.canonical(),
-            "config_hash": config.config_hash(),
-            "seeds": {},
-            "files": [],
-        }
-        with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return out
-    (out / "runs").mkdir(exist_ok=True)
-    traces = sorted(traces, key=lambda t: (t.problem, t.m, t.algorithm,
-                                           t.normalization, t.run_index))
-    files: list[str] = []
-    for trace in traces:
-        m = trace.m
-        stem = _trace_file_stem(trace)
-        header = (["checkpoint", "evals", "igd_plus_c", "e_ideal", "e_nadir",
-                   "ore"] + [f"z_lb_{i + 1}" for i in range(m)]
-                  + [f"z_ub_{i + 1}" for i in range(m)])
-        rows = [[r["checkpoint"], r["evals"], r["igd_plus_c"], r["e_ideal"],
-                 r["e_nadir"], r["ore"]] + list(r["z_lb"]) + list(r["z_ub"])
-                for r in trace.records]
-        _write_csv(out / "runs" / f"{stem}.csv", header, rows)
-        _write_csv(out / "runs" / f"{stem}_pop.csv",
-                   [f"f_{i + 1}" for i in range(m)],
-                   [list(row) for row in trace.final_objs])
-        files.append(f"runs/{stem}.csv")
-        files.append(f"runs/{stem}_pop.csv")
-
-    cells: dict[tuple, list[RunTrace]] = {}
-    for trace in traces:
-        cells.setdefault((trace.problem, trace.m, trace.treatment),
-                         []).append(trace)
-
-    def mean_at(group: list[RunTrace], checkpoint: int, key: str):
-        vals = [r[key] for t in group for r in t.records
-                if r["checkpoint"] == checkpoint]
-        if not vals:
-            return None
-        return float(np.mean(vals)), float(np.std(vals))
-
-    last_cp = max(config.checkpoints)
-    summary_rows = []
-    by_problem: dict[tuple[str, int], dict[str, float]] = {}
-    for (prob, m, treatment), group in sorted(cells.items()):
-        stats = mean_at(group, last_cp, "igd_plus_c")
-        if stats is None:
-            continue
-        by_problem.setdefault((prob, m), {})[treatment] = stats[0]
-        summary_rows.append([prob, m, treatment, stats[0], stats[1]])
-    ranks: dict[tuple[str, int], dict[str, float]] = {}
-    for key, table in by_problem.items():
-        values = np.array([table[t] for t in sorted(table)])
-        rk = rankdata(values, method="average")
-        ranks[key] = dict(zip(sorted(table), rk))
-    for row in summary_rows:
-        row.append(float(ranks[(row[0], row[1])][row[2]]))
-    _write_csv(out / "summary.csv",
-               ["problem", "m", "treatment", "mean_igdpc", "std_igdpc",
-                "rank"], summary_rows)
-    files.append("summary.csv")
-
-    cp_rows = []
-    for (prob, m, treatment), group in sorted(cells.items()):
-        for checkpoint in config.checkpoints:
-            cols = []
-            for key in ("igd_plus_c", "e_ideal", "e_nadir", "ore"):
-                stats = mean_at(group, checkpoint, key)
-                cols.extend(stats if stats else (None, None))
-            if cols[0] is None:
-                continue
-            cp_rows.append([prob, m, treatment, checkpoint] + cols)
-    _write_csv(out / "summary_checkpoints.csv",
-               ["problem", "m", "treatment", "checkpoint",
-                "mean_igdpc", "std_igdpc", "mean_e_ideal", "std_e_ideal",
-                "mean_e_nadir", "std_e_nadir", "mean_ore", "std_ore"],
-               cp_rows)
-    files.append("summary_checkpoints.csv")
-
-    # per-(problem, checkpoint) treatment ranks by mean indicator value
-    means_by_pc: dict[tuple, dict[str, float]] = {}
-    for (prob, m, treatment), group in sorted(cells.items()):
-        for checkpoint in config.checkpoints:
-            stats = mean_at(group, checkpoint, "igd_plus_c")
-            if stats is not None:
-                means_by_pc.setdefault((prob, m, checkpoint),
-                                       {})[treatment] = stats[0]
-    rank_rows = []
-    for (prob, m, checkpoint), table in sorted(means_by_pc.items()):
-        labels = sorted(table)
-        ranks_pc = rankdata([table[t] for t in labels], method="average")
-        for treatment, rk in zip(labels, ranks_pc):
-            rank_rows.append([prob, m, checkpoint, treatment,
-                              table[treatment], float(rk)])
-    _write_csv(out / "ranks.csv",
-               ["problem", "m", "checkpoint", "treatment", "mean_igdpc",
-                "rank"], rank_rows)
-    files.append("ranks.csv")
-
-    # suite-level Friedman average ranks per checkpoint
-    suite_rows = []
-    all_traces = traces
-    for suite in sorted(SUITES):
-        members = set(SUITES[suite])
-        if not any(t.problem in members for t in all_traces):
-            continue
-        for checkpoint in config.checkpoints:
-            try:
-                avg = friedman_average_ranks(all_traces, suite, checkpoint)
-            except ValueError:
-                continue
-            count = len({(t.problem, t.m) for t in all_traces
-                         if t.problem in members})
-            for treatment in sorted(avg):
-                suite_rows.append([suite, checkpoint, treatment,
-                                   avg[treatment], count])
-    if suite_rows:
-        _write_csv(out / "rank_summary.csv",
-                   ["suite", "checkpoint", "treatment", "avg_rank",
-                    "problems"], suite_rows)
-        files.append("rank_summary.csv")
-
+    files = _write_tables(traces, config, out) if traces else []
     seeds: dict[str, dict[str, int]] = {}
     for trace in traces:
         seeds.setdefault(trace.cell_id, {})[str(trace.run_index)] = trace.seed
@@ -645,6 +556,97 @@ def write_results(traces: list[RunTrace], config: ExperimentConfig,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
+
+
+def _write_tables(traces: list[RunTrace], config: ExperimentConfig,
+                  out: Path) -> list[str]:
+    """Per-run CSVs and the summary tables; returns their relative paths."""
+    (out / "runs").mkdir(exist_ok=True)
+    traces = sorted(traces, key=lambda t: (t.problem, t.m, t.algorithm,
+                                           t.normalization, t.run_index))
+    files: list[str] = []
+    for trace in traces:
+        m = trace.m
+        stem = _trace_file_stem(trace)
+        header = (["checkpoint", "evals", *INDICATORS]
+                  + [f"z_lb_{i + 1}" for i in range(m)]
+                  + [f"z_ub_{i + 1}" for i in range(m)])
+        rows = [[r["checkpoint"], r["evals"]] + [r[k] for k in INDICATORS]
+                + list(r["z_lb"]) + list(r["z_ub"]) for r in trace.records]
+        _write_csv(out / "runs" / f"{stem}.csv", header, rows)
+        _write_csv(out / "runs" / f"{stem}_pop.csv",
+                   [f"f_{i + 1}" for i in range(m)],
+                   [list(row) for row in trace.final_objs])
+        files.append(f"runs/{stem}.csv")
+        files.append(f"runs/{stem}_pop.csv")
+
+    table = _stats_table(traces)
+    means = _instance_means(table)
+    ranks: dict[tuple[str, int, int, str], float] = {}
+    for (prob, m, checkpoint), row in means.items():
+        labels = sorted(row)
+        for treatment, rk in zip(labels, rankdata([row[t] for t in labels],
+                                                  method="average")):
+            ranks[(prob, m, checkpoint, treatment)] = float(rk)
+    cells = sorted({(t.problem, t.m, t.treatment) for t in traces})
+
+    last_cp = max(config.checkpoints)
+    summary_rows = []
+    for prob, m, treatment in cells:
+        stats = table.get((prob, m, treatment, last_cp))
+        if stats is not None:
+            summary_rows.append([prob, m, treatment, *stats["igd_plus_c"],
+                                 ranks[(prob, m, last_cp, treatment)]])
+    _write_csv(out / "summary.csv",
+               ["problem", "m", "treatment", "mean_igdpc", "std_igdpc",
+                "rank"], summary_rows)
+    files.append("summary.csv")
+
+    cp_rows = []
+    for prob, m, treatment in cells:
+        for checkpoint in config.checkpoints:
+            stats = table.get((prob, m, treatment, checkpoint))
+            if stats is not None:
+                cp_rows.append([prob, m, treatment, checkpoint] + [
+                    v for name in INDICATORS for v in stats[name]])
+    _write_csv(out / "summary_checkpoints.csv",
+               ["problem", "m", "treatment", "checkpoint",
+                "mean_igdpc", "std_igdpc", "mean_e_ideal", "std_e_ideal",
+                "mean_e_nadir", "std_e_nadir", "mean_ore", "std_ore"],
+               cp_rows)
+    files.append("summary_checkpoints.csv")
+
+    # per-(problem, checkpoint) treatment ranks by mean indicator value
+    rank_rows = [[prob, m, checkpoint, treatment,
+                  means[(prob, m, checkpoint)][treatment], rk]
+                 for (prob, m, checkpoint, treatment), rk
+                 in sorted(ranks.items())]
+    _write_csv(out / "ranks.csv",
+               ["problem", "m", "checkpoint", "treatment", "mean_igdpc",
+                "rank"], rank_rows)
+    files.append("ranks.csv")
+
+    # suite-level Friedman average ranks per checkpoint
+    suite_rows = []
+    for suite in sorted(SUITES):
+        count = len({(t.problem, t.m) for t in traces
+                     if t.problem in SUITES[suite]})
+        if not count:
+            continue
+        for checkpoint in config.checkpoints:
+            try:
+                avg = _suite_ranks(means, suite, checkpoint)
+            except ValueError:
+                continue
+            for treatment in sorted(avg):
+                suite_rows.append([suite, checkpoint, treatment,
+                                   avg[treatment], count])
+    if suite_rows:
+        _write_csv(out / "rank_summary.csv",
+                   ["suite", "checkpoint", "treatment", "avg_rank",
+                    "problems"], suite_rows)
+        files.append("rank_summary.csv")
+    return files
 
 
 def rank_from_results(out_dir: str | Path, suite: str,

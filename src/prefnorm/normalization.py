@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Individual
 from .ranking import nondominated_mask
 
 logger = logging.getLogger(__name__)
@@ -83,25 +82,6 @@ def update_bounded_archive_objs(arch_objs: np.ndarray,
     survivors = pool[nondominated_mask(pool)]
     picks = np.argmax(survivors, axis=0)
     return survivors[picks]
-
-
-def update_bounded_archive(archive: list[Individual],
-                           new_solutions: list[Individual]
-                           ) -> list[Individual]:
-    """Bounded-archive step on solution objects (see the array variant).
-
-    The returned list has exactly m members; the same individual may fill
-    several slots.
-    """
-    pool = list(archive) + list(new_solutions)
-    if not pool:
-        raise ValueError("archive update needs at least one solution")
-    objs = np.array([ind.f for ind in pool], dtype=float)
-    mask = nondominated_mask(objs)
-    idx = np.flatnonzero(mask)
-    survivors = objs[mask]
-    picks = np.argmax(survivors, axis=0)
-    return [pool[idx[p]] for p in picks]
 
 
 def estimate_nadir_archive(arch_objs: np.ndarray) -> np.ndarray:

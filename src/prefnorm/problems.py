@@ -121,8 +121,14 @@ class Problem:
     def _front_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _objectives(self, x: np.ndarray) -> np.ndarray:
+    def _split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x[:, :self.m - 1], x[:, self.m - 1:]
+
+    def _g_and_f(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def _objectives(self, x: np.ndarray) -> np.ndarray:
+        return self._g_and_f(x)[1]
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Objective vector of a single decision vector (bounds checked)."""
@@ -152,23 +158,20 @@ class DTLZ1(Problem):
     def _front_box(self):
         return np.zeros(self.m), np.full(self.m, 0.5)
 
-    def _split(self, x):
-        return x[:, :self.m - 1], x[:, self.m - 1:]
-
     def _g_and_f(self, x):
         pos, xm = self._split(x)
         g = _g_rastrigin(xm)
         return g, _linear_objectives(pos, g)
 
-    def _objectives(self, x):
-        return self._g_and_f(x)[1]
-
     def sample_pf(self, count, engine):
         return 0.5 * uniform_simplex_set(self.m, count, engine)
 
 
-class _SphereFront(Problem):
-    """Common front box and sampler of DTLZ2/3/4 (unit-sphere front)."""
+class DTLZ2(Problem):
+    """Unit-sphere front; DTLZ3 and DTLZ4 change only g and the angles."""
+
+    family = 2
+    g_func = staticmethod(_g_sphere)
 
     def _front_box(self):
         return np.zeros(self.m), np.ones(self.m)
@@ -177,45 +180,26 @@ class _SphereFront(Problem):
         w = uniform_simplex_set(self.m, count, engine)
         return w / np.linalg.norm(w, axis=1, keepdims=True)
 
-    def _split(self, x):
-        return x[:, :self.m - 1], x[:, self.m - 1:]
-
-
-class DTLZ2(_SphereFront):
-    family = 2
+    def _angles(self, pos):
+        return pos * np.pi / 2.0
 
     def _g_and_f(self, x):
         pos, xm = self._split(x)
-        g = _g_sphere(xm)
-        return g, _spherical_objectives(pos * np.pi / 2.0, g)
-
-    def _objectives(self, x):
-        return self._g_and_f(x)[1]
+        g = self.g_func(xm)
+        return g, _spherical_objectives(self._angles(pos), g)
 
 
-class DTLZ3(_SphereFront):
+class DTLZ3(DTLZ2):
     family = 3
-
-    def _g_and_f(self, x):
-        pos, xm = self._split(x)
-        g = _g_rastrigin(xm)
-        return g, _spherical_objectives(pos * np.pi / 2.0, g)
-
-    def _objectives(self, x):
-        return self._g_and_f(x)[1]
+    g_func = staticmethod(_g_rastrigin)
 
 
-class DTLZ4(_SphereFront):
+class DTLZ4(DTLZ2):
     family = 4
     alpha = 100.0
 
-    def _g_and_f(self, x):
-        pos, xm = self._split(x)
-        g = _g_sphere(xm)
-        return g, _spherical_objectives(pos ** self.alpha * np.pi / 2.0, g)
-
-    def _objectives(self, x):
-        return self._g_and_f(x)[1]
+    def _angles(self, pos):
+        return pos ** self.alpha * np.pi / 2.0
 
 
 class _DegenerateCurve(Problem):
@@ -226,6 +210,8 @@ class _DegenerateCurve(Problem):
     exploits this when filtering.
     """
 
+    xm_opt: float  # distance-variable value at which g = 0
+
     def _front_box(self):
         m = self.m
         nadir = np.empty(m)
@@ -235,17 +221,11 @@ class _DegenerateCurve(Problem):
             nadir[j - 1] = 2.0 ** (-(m - j) / 2.0)
         return np.zeros(m), nadir
 
-    def _split(self, x):
-        return x[:, :self.m - 1], x[:, self.m - 1:]
-
-    def _g_min_value(self) -> float:
-        raise NotImplementedError
-
     def sample_pf(self, count, engine):
         pool_n = count if count >= 20000 else max(4 * count, 4000)
         x = np.full((pool_n, self.n), 0.5)
         x[:, 0] = np.linspace(0.0, 1.0, pool_n)
-        x[:, self.m - 1:] = self._g_min_value()
+        x[:, self.m - 1:] = self.xm_opt
         f = self.evaluate_batch(x)
         profile = f[:, [0, self.m - 1]]
         f = f[nondominated_mask(profile)]
@@ -254,32 +234,22 @@ class _DegenerateCurve(Problem):
 
 class DTLZ5(_DegenerateCurve):
     family = 5
-
-    def _g_min_value(self):
-        return 0.5
+    xm_opt = 0.5
 
     def _g_and_f(self, x):
         pos, xm = self._split(x)
         g = _g_sphere(xm)
         return g, _spherical_objectives(_dtlz5_theta(pos, g), g)
 
-    def _objectives(self, x):
-        return self._g_and_f(x)[1]
-
 
 class DTLZ6(_DegenerateCurve):
     family = 6
-
-    def _g_min_value(self):
-        return 0.0
+    xm_opt = 0.0
 
     def _g_and_f(self, x):
         pos, xm = self._split(x)
         g = np.sum(xm ** 0.1, axis=1)
         return g, _spherical_objectives(_dtlz5_theta(pos, g), g)
-
-    def _objectives(self, x):
-        return self._g_and_f(x)[1]
 
 
 def _dtlz7_efficient_grid(resolution: int = 200001) -> np.ndarray:
@@ -306,8 +276,7 @@ class DTLZ7(Problem):
 
     def _g_and_f(self, x):
         m = self.m
-        pos = x[:, :m - 1]
-        xm = x[:, m - 1:]
+        pos, xm = self._split(x)
         g = 1.0 + 9.0 / self.k * np.sum(xm, axis=1)
         f = np.empty((x.shape[0], m))
         f[:, :m - 1] = pos
@@ -315,9 +284,6 @@ class DTLZ7(Problem):
         h = m - np.sum(ratio * (1.0 + np.sin(3.0 * np.pi * pos)), axis=1)
         f[:, m - 1] = (1.0 + g) * h
         return g, f
-
-    def _objectives(self, x):
-        return self._g_and_f(x)[1]
 
     def sample_pf(self, count, engine):
         if DTLZ7._eff_grid is None:
@@ -339,10 +305,6 @@ class DTLZ7(Problem):
         return farthest_point_subsample(f, count, engine)
 
 
-def _scale_factors(m: int) -> np.ndarray:
-    return 10.0 ** np.arange(m)
-
-
 class _Scaled(Problem):
     """Objective i of the base problem multiplied by 10^(i-1)."""
 
@@ -351,15 +313,12 @@ class _Scaled(Problem):
     def __init__(self, name: str, m: int):
         self._base = self.base_cls(name, m)
         self.family = self._base.family
-        self.name = name
-        self.m = m
-        self.k = self._base.k
-        self.n = self._base.n
-        self.lower = self._base.lower
-        self.upper = self._base.upper
-        self._factors = _scale_factors(m)
-        self.true_ideal = self._base.true_ideal * self._factors
-        self.true_nadir = self._base.true_nadir * self._factors
+        self._factors = 10.0 ** np.arange(m)
+        super().__init__(name, m)
+
+    def _front_box(self):
+        return (self._base.true_ideal * self._factors,
+                self._base.true_nadir * self._factors)
 
     def _objectives(self, x):
         return self._base._objectives(x) * self._factors
@@ -384,33 +343,14 @@ class SDTLZ4(_Scaled):
     base_cls = DTLZ4
 
 
-class IDTLZ1(Problem):
-    """DTLZ1 with each objective flipped inside the attainable box:
-    f_i' = (1 + g)/2 - f_i."""
+class _Inverted(Problem):
+    """The base problem with each objective flipped inside its front box.
 
-    family = 1
-
-    def __init__(self, name: str, m: int):
-        self._base = DTLZ1(name, m)
-        super().__init__(name, m)
-
-    def _front_box(self):
-        return np.zeros(self.m), np.full(self.m, 0.5)
-
-    def _objectives(self, x):
-        g, f = self._base._g_and_f(x)
-        return (0.5 * (1.0 + g))[:, None] - f
-
-    def sample_pf(self, count, engine):
-        w = uniform_simplex_set(self.m, count, engine)
-        return 0.5 * (1.0 - w)
-
-
-class _InvertedSphere(Problem):
-    """DTLZ2/3/4 with f_i' = (1 + g) - f_i (inverted unit-sphere front)."""
+    f_i' = c (1 + g) - f_i, where c is the base front's nadir value (0.5
+    for DTLZ1, 1 for DTLZ2/3/4), so the front box maps onto itself.
+    """
 
     base_cls: type[Problem] = Problem
-    family = 2
 
     def __init__(self, name: str, m: int):
         self._base = self.base_cls(name, m)
@@ -418,26 +358,29 @@ class _InvertedSphere(Problem):
         super().__init__(name, m)
 
     def _front_box(self):
-        return np.zeros(self.m), np.ones(self.m)
+        return self._base.true_ideal, self._base.true_nadir
 
     def _objectives(self, x):
         g, f = self._base._g_and_f(x)
-        return (1.0 + g)[:, None] - f
+        return (self.true_nadir[0] * (1.0 + g))[:, None] - f
 
     def sample_pf(self, count, engine):
-        w = uniform_simplex_set(self.m, count, engine)
-        return 1.0 - w / np.linalg.norm(w, axis=1, keepdims=True)
+        return self.true_nadir - self._base.sample_pf(count, engine)
 
 
-class IDTLZ2(_InvertedSphere):
+class IDTLZ1(_Inverted):
+    base_cls = DTLZ1
+
+
+class IDTLZ2(_Inverted):
     base_cls = DTLZ2
 
 
-class IDTLZ3(_InvertedSphere):
+class IDTLZ3(_Inverted):
     base_cls = DTLZ3
 
 
-class IDTLZ4(_InvertedSphere):
+class IDTLZ4(_Inverted):
     base_cls = DTLZ4
 
 

@@ -8,20 +8,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
-def dominates(fa: np.ndarray, fb: np.ndarray) -> bool:
-    """Pareto dominance for minimization: fa <= fb everywhere, < somewhere."""
-    fa = np.asarray(fa, dtype=float)
-    fb = np.asarray(fb, dtype=float)
-    return bool(np.all(fa <= fb) and np.any(fa < fb))
-
-
-def weakly_dominates(fa: np.ndarray, fb: np.ndarray) -> bool:
-    """Weak Pareto dominance: fa <= fb in every objective."""
-    fa = np.asarray(fa, dtype=float)
-    fb = np.asarray(fb, dtype=float)
-    return bool(np.all(fa <= fb))
-
-
 def _all_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) matrix of ``a[i] <= b[j]`` in every objective.
 
@@ -185,44 +171,14 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     return dist
 
 
-def r_dominance_compare(fa: np.ndarray, fb: np.ndarray, d_a: float, d_b: float,
-                        d_min: float, d_max: float, delta: float) -> int:
-    """Compare two solutions under r-dominance.
-
-    ``d_a``/``d_b`` are the weighted reference-point distances of the two
-    solutions, ``d_min``/``d_max`` their extremes over the population the
-    comparison lives in.  Returns 1 if a r-dominates b, -1 if b r-dominates
-    a, 0 otherwise.
-
-    Parameters
-    ----------
-    delta : float
-        Non-r-dominance threshold in [0, 1].  delta=1 recovers plain Pareto
-        dominance; delta=0 orders every Pareto-incomparable pair by distance.
-    """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    if dominates(fa, fb):
-        return 1
-    if dominates(fb, fa):
-        return -1
-    rng = d_max - d_min
-    if rng <= 0.0:
-        return 0
-    diff = (d_a - d_b) / rng
-    if diff < -delta:
-        return 1
-    if diff > delta:
-        return -1
-    return 0
-
-
 def r_domination_matrix(objs: np.ndarray, dists: np.ndarray,
                         delta: float) -> np.ndarray:
     """Pairwise r-dominance over a population.
 
-    Distance extremes are taken over ``dists`` itself (the population being
-    sorted).  Vectorized counterpart of :func:`r_dominance_compare`.
+    Row i r-dominates row j when it Pareto-dominates j, or when the pair is
+    Pareto-incomparable and i's distance is lower by more than ``delta``
+    (in [0, 1]) times the range of ``dists``; a zero range, or delta = 1,
+    leaves plain Pareto dominance.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")

@@ -58,17 +58,6 @@ def sbx_batch(pa: np.ndarray, pb: np.ndarray, lower: np.ndarray,
     return ca, cb
 
 
-def sbx_crossover(parent_a: np.ndarray, parent_b: np.ndarray,
-                  lower: np.ndarray, upper: np.ndarray,
-                  engine: np.random.Generator, eta: float = 30.0,
-                  crossover_prob: float = 1.0
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """SBX on a single parent pair; see :func:`sbx_batch`."""
-    ca, cb = sbx_batch(parent_a[None, :], parent_b[None, :], lower, upper,
-                       engine, eta, crossover_prob)
-    return ca[0], cb[0]
-
-
 def polynomial_mutation_batch(x: np.ndarray, lower: np.ndarray,
                               upper: np.ndarray,
                               engine: np.random.Generator,

@@ -47,6 +47,27 @@ def oracle_sort(objs) -> list[np.ndarray]:
     return fronts
 
 
+def oracle_r_dominance(fa, fb, d_a, d_b, d_min, d_max, delta) -> int:
+    """Scalar r-dominance of one pair: 1 if a wins, -1 if b wins, else 0.
+
+    ``d_a``/``d_b`` are the pair's reference-point distances and
+    ``d_min``/``d_max`` the distance extremes of the population.
+    """
+    if oracle_dominates(fa, fb):
+        return 1
+    if oracle_dominates(fb, fa):
+        return -1
+    rng = d_max - d_min
+    if rng <= 0.0:
+        return 0
+    diff = (d_a - d_b) / rng
+    if diff < -delta:
+        return 1
+    if diff > delta:
+        return -1
+    return 0
+
+
 def oracle_igd_plus(reference, objs) -> float:
     """Double-loop IGD+ over an explicit reference set."""
     total = 0.0

@@ -168,17 +168,17 @@ class TestRnsga2Selection:
     def test_whole_levels_then_best_distance(self):
         # level 0 fits wholly; the one remaining slot goes to D, the
         # level-1 member closest to the reference point.
-        keep = rnsga2_environmental_selection(self.UF, self.dists(), 4,
-                                              1e-6, IDENT_LB, IDENT_UB,
-                                              make_engine(5))
+        keep, _ = rnsga2_environmental_selection(self.UF, self.dists(), 4,
+                                                 1e-6, IDENT_LB, IDENT_UB,
+                                                 make_engine(5))
         assert keep.tolist() == [0, 1, 2, 3]
 
     def test_distance_order_with_position_tiebreak(self):
         # level 0 overflows: C has the smallest distance, then A and B
         # tie and the earlier union position wins.
-        keep = rnsga2_environmental_selection(self.UF, self.dists(), 2,
-                                              1e-6, IDENT_LB, IDENT_UB,
-                                              make_engine(5))
+        keep, _ = rnsga2_environmental_selection(self.UF, self.dists(), 2,
+                                                 1e-6, IDENT_LB, IDENT_UB,
+                                                 make_engine(5))
         assert keep.tolist() == [2, 0]
 
     def test_clearing_drops_one_duplicate(self):
@@ -187,9 +187,9 @@ class TestRnsga2Selection:
                                       IDENT_LB, IDENT_UB)
         seen = set()
         for seed in range(10):
-            keep = rnsga2_environmental_selection(uf, dists, 3, 0.1,
-                                                  IDENT_LB, IDENT_UB,
-                                                  make_engine(seed))
+            keep, _ = rnsga2_environmental_selection(uf, dists, 3, 0.1,
+                                                     IDENT_LB, IDENT_UB,
+                                                     make_engine(seed))
             assert keep.size == 3
             dup = [k for k in keep if k in (0, 1)]
             assert len(dup) == 1
@@ -206,9 +206,9 @@ class TestRnsga2Selection:
         dists = weighted_ref_distance(uf, ORIGIN, HALF_W,
                                       IDENT_LB, IDENT_UB)
         for seed in range(10):
-            keep = rnsga2_environmental_selection(uf, dists, 3, 0.5,
-                                                  IDENT_LB, IDENT_UB,
-                                                  make_engine(seed))
+            keep, _ = rnsga2_environmental_selection(uf, dists, 3, 0.5,
+                                                     IDENT_LB, IDENT_UB,
+                                                     make_engine(seed))
             assert sorted(keep.tolist()) == [0, 1, 2]
 
     def test_never_skips_a_level(self):
@@ -217,9 +217,8 @@ class TestRnsga2Selection:
             uf = rng.random((24, 2))
             dists = weighted_ref_distance(uf, ORIGIN, HALF_W,
                                           IDENT_LB, IDENT_UB)
-            keep = rnsga2_environmental_selection(uf, dists, 10, 0.05,
-                                                  IDENT_LB, IDENT_UB,
-                                                  make_engine(trial))
+            keep, kept_rank = rnsga2_environmental_selection(
+                uf, dists, 10, 0.05, IDENT_LB, IDENT_UB, make_engine(trial))
             assert keep.size == 10
             assert len(set(keep.tolist())) == 10
             rank = np.empty(24, dtype=int)
@@ -227,11 +226,16 @@ class TestRnsga2Selection:
                 rank[np.asarray(front, dtype=int)] = level
             dropped = sorted(set(range(24)) - set(keep.tolist()))
             assert rank[keep].max() <= rank[dropped].min()
+            # the reported levels are the survivors' union levels, and
+            # also their levels when the survivors are sorted alone
+            assert np.array_equal(kept_rank, rank[keep])
+            for level, front in enumerate(nondominated_sort(uf[keep])):
+                assert np.all(kept_rank[np.asarray(front, dtype=int)] == level)
 
     def test_identity_when_union_fits(self):
-        keep = rnsga2_environmental_selection(self.UF, self.dists(), 6,
-                                              1e-6, IDENT_LB, IDENT_UB,
-                                              make_engine(0))
+        keep, _ = rnsga2_environmental_selection(self.UF, self.dists(), 6,
+                                                 1e-6, IDENT_LB, IDENT_UB,
+                                                 make_engine(0))
         assert sorted(keep.tolist()) == list(range(6))
 
 

@@ -1,10 +1,8 @@
-"""Engine construction, seed derivation, and small numeric helpers."""
+"""Engine construction and seed derivation."""
 import numpy as np
 import pytest
 
-from prefnorm.core import (EvalBudget, Individual, derive_run_seed,
-                           euclidean_distance, make_engine, objectives_of,
-                           rng_uniform)
+from prefnorm.core import derive_run_seed, make_engine
 
 
 def test_make_engine_is_deterministic():
@@ -40,45 +38,3 @@ def test_derive_run_seed_separates_cells_and_runs():
         derive_run_seed(1, "dtlz3:m3:nsga2:pp", 0),
     }
     assert len(seeds) == 5
-
-
-def test_rng_uniform_respects_bounds(engine):
-    draws = [rng_uniform(engine, 2.0, 5.0) for _ in range(50)]
-    assert all(2.0 <= d < 5.0 for d in draws)
-
-
-def test_rng_uniform_rejects_inverted_bounds(engine):
-    with pytest.raises(ValueError):
-        rng_uniform(engine, 1.0, 0.0)
-
-
-def test_euclidean_distance_matches_norm():
-    a = np.array([1.0, 2.0, 2.0])
-    b = np.zeros(3)
-    assert euclidean_distance(a, b) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        euclidean_distance(a, np.zeros(2))
-
-
-def test_objectives_of_stacks_rows():
-    pop = [Individual(x=np.zeros(2), f=np.array([1.0, 2.0])),
-           Individual(x=np.zeros(2), f=np.array([3.0, 4.0]))]
-    objs = objectives_of(pop)
-    assert objs.shape == (2, 2)
-    assert objs[1, 0] == 3.0
-
-
-def test_individual_copy_is_independent():
-    ind = Individual(x=np.array([0.5]), f=np.array([1.0]))
-    dup = ind.copy()
-    dup.x[0] = 9.0
-    assert ind.x[0] == 0.5
-
-
-def test_eval_budget_tracks_usage():
-    budget = EvalBudget(limit=100)
-    budget.charge(40)
-    assert budget.used == 40
-    assert not budget.exhausted
-    budget.charge(60)
-    assert budget.exhausted

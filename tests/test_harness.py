@@ -114,6 +114,16 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=re.escape(fragment)):
             validate_config(raw)
 
+    @pytest.mark.parametrize("raw,fragment", [
+        (minimal_raw(checkpoints=[200, 200, 400]), "strictly ascending"),
+        (minimal_raw(roi_radius=True), "roi_radius"),
+        (minimal_raw(reference_points={"dtlz2:2": [True, 0.5]}),
+         "reference_points.dtlz2:2: expected a list of numbers"),
+    ])
+    def test_rejects_malformed_values(self, raw, fragment):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            validate_config(raw)
+
     def test_error_messages_name_known_choices(self):
         with pytest.raises(ConfigError, match="nsga2"):
             validate_config(minimal_raw(algorithms=["spea2"]))

@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from prefnorm.core import Individual, make_engine
+from prefnorm.core import make_engine
 from prefnorm.normalization import (EPS_DENOM, KINDS, NormalizationState,
                                     estimate_ideal_best_so_far,
                                     estimate_ideal_population,
                                     estimate_nadir_archive,
                                     estimate_nadir_population, init_state,
-                                    normalize_value, update_bounded_archive,
+                                    normalize_value,
                                     update_bounded_archive_objs,
                                     update_state, TrueScaler)
 
@@ -99,14 +99,6 @@ class TestBoundedArchive:
         arch = update_bounded_archive_objs(np.empty((0, 2)), batch)
         # rows 0 and 2 tie on objective 2's max; slot keeps the first
         assert np.array_equal(arch[1], [0.0, 1.0])
-
-    def test_individual_level_wrapper_agrees(self):
-        engine = make_engine(13)
-        batch = random_objs(engine, 20, 3)
-        pop = [Individual(x=np.zeros(1), f=f.copy()) for f in batch]
-        arch = update_bounded_archive([], pop)
-        arr = update_bounded_archive_objs(np.empty((0, 3)), batch)
-        assert np.allclose(np.array([ind.f for ind in arch]), arr)
 
 
 def test_init_state_by_kind():

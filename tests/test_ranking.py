@@ -5,36 +5,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefnorm.core import make_engine
-from prefnorm.ranking import (crowding_distance, dominates,
-                              domination_matrix, fronts_from_matrix,
-                              nondominated_mask, nondominated_sort,
-                              r_dominance_compare, r_domination_matrix,
-                              weakly_dominates)
+from prefnorm.ranking import (_all_le, crowding_distance, domination_matrix,
+                              fronts_from_matrix, nondominated_mask,
+                              nondominated_sort, r_domination_matrix)
 
 from conftest import (oracle_dominates, oracle_nondominated_mask,
-                      oracle_sort, random_objs)
+                      oracle_r_dominance, oracle_sort, random_objs)
+
+
+def pair_dominates(a, b) -> bool:
+    """Pareto dominance of a over b, read off the pairwise matrix."""
+    return bool(domination_matrix(np.array([a, b]))[0, 1])
 
 
 def test_dominates_basic_cases():
-    assert dominates(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    assert dominates(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-    assert not dominates(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert not dominates(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+    assert pair_dominates([0.0, 0.0], [1.0, 1.0])
+    assert pair_dominates([0.0, 1.0], [0.0, 2.0])
+    assert not pair_dominates([0.0, 1.0], [1.0, 0.0])
+    assert not pair_dominates([1.0, 1.0], [1.0, 1.0])
 
 
 def test_weak_dominance_allows_equality():
-    assert weakly_dominates(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-    assert weakly_dominates(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-    assert not weakly_dominates(np.array([2.0, 0.0]), np.array([1.0, 1.0]))
+    def pair_weakly_dominates(a, b):
+        return bool(_all_le(np.array([a]), np.array([b]))[0, 0])
+
+    assert pair_weakly_dominates([1.0, 1.0], [1.0, 1.0])
+    assert pair_weakly_dominates([0.0, 1.0], [1.0, 1.0])
+    assert not pair_weakly_dominates([2.0, 0.0], [1.0, 1.0])
 
 
 @given(st.integers(2, 5), st.data())
 @settings(max_examples=100, deadline=None)
 def test_dominates_matches_oracle(m, data):
     levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
-    a = np.array(data.draw(st.lists(levels, min_size=m, max_size=m)))
-    b = np.array(data.draw(st.lists(levels, min_size=m, max_size=m)))
-    assert dominates(a, b) == oracle_dominates(a, b)
+    a = data.draw(st.lists(levels, min_size=m, max_size=m))
+    b = data.draw(st.lists(levels, min_size=m, max_size=m))
+    assert pair_dominates(a, b) == oracle_dominates(a, b)
 
 
 def test_domination_matrix_matches_pairwise(engine):
@@ -140,54 +146,61 @@ def test_r_dominance_delta_one_is_pareto(engine):
 
 
 def test_r_dominance_delta_zero_orders_incomparable_pairs():
-    fa = np.array([0.0, 1.0])
-    fb = np.array([1.0, 0.0])
-    # a is closer to the reference point, so with delta=0 it wins
-    assert r_dominance_compare(fa, fb, 0.2, 0.9, 0.1, 1.0, 0.0) == 1
-    assert r_dominance_compare(fb, fa, 0.9, 0.2, 0.1, 1.0, 0.0) == -1
+    objs = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # row 0 is closer to the reference point, so with delta=0 it wins
+    mat = r_domination_matrix(objs, np.array([0.2, 0.9]), 0.0)
+    assert mat.tolist() == [[False, True], [False, False]]
+    mat = r_domination_matrix(objs, np.array([0.9, 0.2]), 0.0)
+    assert mat.tolist() == [[False, False], [True, False]]
 
 
 def test_r_dominance_threshold_blocks_small_gaps():
-    fa = np.array([0.0, 1.0])
-    fb = np.array([1.0, 0.0])
+    # four mutually incomparable points; rows 2 and 3 pin the distance
+    # range to [0, 1]
+    objs = np.array([[0.0, 1.0], [1.0, 0.0], [0.2, 0.8], [0.8, 0.2]])
     # normalized distance gap is -0.2, not below -0.3
-    assert r_dominance_compare(fa, fb, 0.4, 0.6, 0.0, 1.0, 0.3) == 0
+    mat = r_domination_matrix(objs, np.array([0.4, 0.6, 0.0, 1.0]), 0.3)
+    assert not mat[0, 1] and not mat[1, 0]
     # gap -0.4 crosses the threshold
-    assert r_dominance_compare(fa, fb, 0.2, 0.6, 0.0, 1.0, 0.3) == 1
+    mat = r_domination_matrix(objs, np.array([0.2, 0.6, 0.0, 1.0]), 0.3)
+    assert mat[0, 1] and not mat[1, 0]
 
 
 def test_r_dominance_pareto_wins_regardless_of_distance():
-    fa = np.array([0.0, 0.0])
-    fb = np.array([1.0, 1.0])
-    # a dominates b even though b is much closer to the reference point
-    assert r_dominance_compare(fa, fb, 0.9, 0.0, 0.0, 1.0, 0.5) == 1
+    objs = np.array([[0.0, 0.0], [1.0, 1.0]])
+    # row 0 dominates row 1 even though row 1 is much closer to the
+    # reference point
+    mat = r_domination_matrix(objs, np.array([0.9, 0.0]), 0.5)
+    assert mat.tolist() == [[False, True], [False, False]]
 
 
 def test_r_dominance_zero_range_degenerates_to_pareto():
-    fa = np.array([0.0, 1.0])
-    fb = np.array([1.0, 0.0])
-    assert r_dominance_compare(fa, fb, 0.5, 0.5, 0.5, 0.5, 0.0) == 0
+    objs = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    mat = r_domination_matrix(objs, np.full(3, 0.5), 0.0)
+    assert np.array_equal(mat, domination_matrix(objs))
+    assert not mat[0, 1] and not mat[1, 0]
 
 
 def test_r_dominance_rejects_bad_delta():
-    fa = np.array([0.0, 1.0])
-    with pytest.raises(ValueError):
-        r_dominance_compare(fa, fa, 0.0, 0.0, 0.0, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        r_domination_matrix(np.zeros((2, 2)), np.zeros(2), -0.1)
+    for delta in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            r_domination_matrix(np.zeros((2, 2)), np.zeros(2), delta)
 
 
 @given(st.floats(0.0, 1.0), st.data())
 @settings(max_examples=80, deadline=None)
 def test_r_dominance_is_antisymmetric(delta, data):
     vals = st.floats(0.0, 1.0, allow_nan=False)
-    fa = np.array(data.draw(st.lists(vals, min_size=2, max_size=2)))
-    fb = np.array(data.draw(st.lists(vals, min_size=2, max_size=2)))
+    fa = data.draw(st.lists(vals, min_size=2, max_size=2))
+    fb = data.draw(st.lists(vals, min_size=2, max_size=2))
     d_a = data.draw(vals)
     d_b = data.draw(vals)
-    ab = r_dominance_compare(fa, fb, d_a, d_b, 0.0, 1.0, delta)
-    ba = r_dominance_compare(fb, fa, d_b, d_a, 0.0, 1.0, delta)
-    assert ab == -ba
+    # the last two rows pin the distance range to [0, 1]
+    objs = np.array([fa, fb, [2.0, 2.0], [3.0, 3.0]])
+    mat = r_domination_matrix(objs, np.array([d_a, d_b, 0.0, 1.0]), delta)
+    assert not np.any(mat & mat.T)
+    want = oracle_r_dominance(fa, fb, d_a, d_b, 0.0, 1.0, delta)
+    assert (mat[0, 1], mat[1, 0]) == (want == 1, want == -1)
 
 
 def test_r_domination_matrix_agrees_with_scalar_compare(engine):
@@ -198,6 +211,6 @@ def test_r_domination_matrix_agrees_with_scalar_compare(engine):
         mat = r_domination_matrix(objs, dists, delta)
         for i in range(15):
             for j in range(15):
-                want = r_dominance_compare(objs[i], objs[j], dists[i],
-                                           dists[j], d_min, d_max, delta)
+                want = oracle_r_dominance(objs[i], objs[j], dists[i],
+                                          dists[j], d_min, d_max, delta)
                 assert mat[i, j] == (want == 1)

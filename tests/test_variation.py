@@ -5,7 +5,7 @@ import pytest
 from prefnorm.core import make_engine
 from prefnorm.variation import (de_rand_1, polynomial_mutation,
                                 polynomial_mutation_batch, repair_clamp,
-                                sbx_batch, sbx_crossover)
+                                sbx_batch)
 
 LOWER2 = np.zeros(2)
 UPPER2 = np.ones(2)
@@ -52,14 +52,6 @@ def test_sbx_crossover_prob_zero_copies_parents():
     ca, cb = sbx_batch(pa, pb, np.zeros(3), np.ones(3), engine,
                        crossover_prob=0.0)
     assert np.array_equal(ca, pa) and np.array_equal(cb, pb)
-
-
-def test_sbx_single_pair_wrapper():
-    engine = make_engine(17)
-    a, b = sbx_crossover(np.array([0.2, 0.8]), np.array([0.6, 0.4]),
-                         LOWER2, UPPER2, engine)
-    assert a.shape == (2,) and b.shape == (2,)
-    assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
 
 def test_sbx_is_deterministic_under_seed():
