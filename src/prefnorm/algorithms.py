@@ -58,7 +58,6 @@ class AlgorithmParams:
     sbx_eta: float = 30.0
     pm_eta: float = 20.0
     mutation_prob: float | None = None
-    weights_w: np.ndarray | None = None          # distance weights, default uniform
     epsilon_clear: float = 0.001
     delta: float = 0.3
     tau: float = 0.3
@@ -154,15 +153,6 @@ def _ga_offspring(xs: np.ndarray, winners: np.ndarray, problem: Problem,
     return polynomial_mutation_batch(children, problem.lower, problem.upper,
                                      engine, params.pm_eta,
                                      params.mutation_prob)
-
-
-def _dist_weights(params: AlgorithmParams, m: int) -> np.ndarray:
-    if params.weights_w is None:
-        return np.full(m, 1.0 / m)
-    w = np.asarray(params.weights_w, dtype=float)
-    if w.shape != (m,) or np.any(w < 0.0):
-        raise ValueError("weights_w must be m non-negative values")
-    return w
 
 
 def _check_setup(mu: int, budget: int, m: int) -> None:
@@ -304,7 +294,7 @@ def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
     """Reference-distance R-NSGA-II."""
     params = params or AlgorithmParams()
     z = np.asarray(z, dtype=float)
-    w = _dist_weights(params, problem.m)
+    w = np.full(problem.m, 1.0 / problem.m)
 
     def select(uf, state):
         dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
@@ -324,7 +314,7 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
     """NSGA-II with the r-dominance relation replacing Pareto dominance."""
     params = params or AlgorithmParams()
     z = np.asarray(z, dtype=float)
-    w = _dist_weights(params, problem.m)
+    w = np.full(problem.m, 1.0 / problem.m)
 
     def select(uf, state):
         dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
@@ -350,6 +340,8 @@ def moead_nums_replacement(trial_f: np.ndarray, fs: np.ndarray,
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
+    if max_replace < 1:
+        raise ValueError(f"max_replace must be >= 1, got {max_replace}")
     order = engine.permutation(nb.size)
     # row 0 holds the trial and row 1 the incumbents; both are scored under
     # the weight of the neighbour whose slot is contested

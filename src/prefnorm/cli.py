@@ -54,9 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
+    for name, minimum in (("seed", 0), ("workers", 1)):
+        value = getattr(args, name)
+        if value is not None and value < minimum:
+            raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {args.seed}")
         config = dataclasses.replace(config, seed=args.seed)
     traces = execute_campaign(config, workers=args.workers)
     out = write_results(traces, config, args.out)

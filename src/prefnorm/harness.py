@@ -13,8 +13,9 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +45,6 @@ SUITES = {
     "idtlz": tuple(f"idtlz{i}" for i in range(1, 5)),
 }
 
-_PARAM_FIELDS = ("crossover_prob", "sbx_eta", "pm_eta", "mutation_prob",
-                 "epsilon_clear", "delta", "tau", "de_f", "de_cr",
-                 "neighborhood_t", "max_replace", "rho")
-
 
 class ConfigError(Exception):
     """Invalid experiment configuration; message lists offending fields."""
@@ -74,32 +71,14 @@ class ExperimentConfig:
 
     def canonical(self) -> dict:
         """JSON-stable form used for hashing and the manifest."""
-        return {
-            "problems": [[n, m] for n, m in self.problems],
-            "algorithms": list(self.algorithms),
-            "normalizations": list(self.normalizations),
-            "runs": self.runs,
-            "budget": self.budget,
-            "mu": self.mu,
-            "seed": self.seed,
-            "checkpoints": list(self.checkpoints),
-            "roi_radius": self.roi_radius,
-            "pf_size": self.pf_size,
-            "reference_setting": self.reference_setting,
-            "reference_points": {k: list(map(float, v)) for k, v in
-                                 sorted(self.reference_points.items())},
-            "params": {k: self.params[k] for k in sorted(self.params)},
-        }
+        data = asdict(self)
+        del data["workers"]
+        # the JSON round trip turns tuples into the lists a manifest holds
+        return json.loads(json.dumps(data))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    def algorithm_params(self, n_var: int) -> AlgorithmParams:
-        kwargs = dict(self.params)
-        if kwargs.get("mutation_prob") is None:
-            kwargs["mutation_prob"] = 1.0 / n_var
-        return AlgorithmParams(**kwargs)
 
     def reference_point_for(self, name: str, m: int) -> np.ndarray:
         key = f"{name}:{m}"
@@ -108,13 +87,10 @@ class ExperimentConfig:
         return default_reference_point(name, m, self.reference_setting)
 
 
-_KNOWN_KEYS = {"problems", "algorithms", "normalizations", "runs", "budget",
-               "mu", "seed", "checkpoints", "roi_radius", "pf_size",
-               "reference_setting", "reference_points", "params", "workers"}
-
-
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; a bool is not a number here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _as_int(value, path: str, errors: list[str], minimum: int | None = None):
@@ -130,6 +106,9 @@ def _as_int(value, path: str, errors: list[str], minimum: int | None = None):
 def validate_config(raw: dict) -> ExperimentConfig:
     """Turn a parsed config mapping into an ExperimentConfig.
 
+    The keys, their defaults and the operator parameter names are those of
+    :class:`ExperimentConfig` and :class:`AlgorithmParams`.
+
     Raises
     ------
     ConfigError
@@ -137,16 +116,18 @@ def validate_config(raw: dict) -> ExperimentConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root: expected a mapping")
-    errors: list[str] = []
-    for key in sorted(set(raw) - _KNOWN_KEYS):
-        errors.append(f"{key}: unknown key")
+    schema = fields(ExperimentConfig)
+    errors = [f"{key}: unknown key"
+              for key in sorted(set(raw) - {f.name for f in schema})]
+    # absent keys take the dataclass default; required ones stay MISSING
+    v = {f.name: raw.get(f.name, f.default if f.default_factory is MISSING
+                         else f.default_factory()) for f in schema}
 
     problems: list[tuple[str, int]] = []
-    raw_problems = raw.get("problems")
-    if not isinstance(raw_problems, list) or not raw_problems:
+    if not isinstance(v["problems"], list) or not v["problems"]:
         errors.append("problems: expected a non-empty list")
     else:
-        for i, entry in enumerate(raw_problems):
+        for i, entry in enumerate(v["problems"]):
             path = f"problems[{i}]"
             if isinstance(entry, str) and ":" in entry:
                 name, _, ms = entry.partition(":")
@@ -161,117 +142,113 @@ def validate_config(raw: dict) -> ExperimentConfig:
             m = _as_int(entry.get("m"), f"{path}.m", errors, minimum=2)
             if m is not None:
                 problems.append((name, m))
+    v["problems"] = problems
 
-    algorithms = raw.get("algorithms")
-    if not isinstance(algorithms, list) or not algorithms:
-        errors.append("algorithms: expected a non-empty list")
-        algorithms = []
-    for i, alg in enumerate(algorithms):
-        if alg not in ALGORITHMS:
-            errors.append(f"algorithms[{i}]: unknown algorithm {alg!r}; "
-                          f"known: {', '.join(ALGORITHMS)}")
-
-    normalizations = raw.get("normalizations")
-    if not isinstance(normalizations, list) or not normalizations:
-        errors.append("normalizations: expected a non-empty list")
-        normalizations = []
     # YAML 1.1 reads a bare `no` as boolean False; map it back to the kind.
-    normalizations = ["no" if kind is False else kind
-                      for kind in normalizations]
-    for i, kind in enumerate(normalizations):
-        if kind not in KINDS:
-            errors.append(f"normalizations[{i}]: unknown kind {kind!r}; "
-                          f"known: {', '.join(KINDS)}")
+    if isinstance(v["normalizations"], list):
+        v["normalizations"] = ["no" if kind is False else kind
+                               for kind in v["normalizations"]]
+    for key, what, known in (("algorithms", "algorithm", ALGORITHMS),
+                             ("normalizations", "kind", KINDS)):
+        if not isinstance(v[key], list) or not v[key]:
+            errors.append(f"{key}: expected a non-empty list")
+            v[key] = []
+        for i, item in enumerate(v[key]):
+            if item not in known:
+                errors.append(f"{key}[{i}]: unknown {what} {item!r}; "
+                              f"known: {', '.join(known)}")
 
-    runs = _as_int(raw.get("runs", 31), "runs", errors, minimum=1)
-    budget = _as_int(raw.get("budget", 50000), "budget", errors, minimum=1)
-    mu = _as_int(raw.get("mu", 100), "mu", errors, minimum=4)
+    for key, minimum in (("runs", 1), ("budget", 1), ("mu", 4), ("seed", 0),
+                         ("pf_size", 10)):
+        v[key] = _as_int(v[key], key, errors, minimum=minimum)
+    mu = v["mu"]
     if mu is not None and mu % 2:
         errors.append(f"mu: must be even, got {mu}")
-    seed = _as_int(raw.get("seed", 1), "seed", errors, minimum=0)
+    if v["workers"] is not None:
+        v["workers"] = _as_int(v["workers"], "workers", errors, minimum=1)
 
-    checkpoints = raw.get("checkpoints", list(DEFAULT_CHECKPOINTS))
-    if (not isinstance(checkpoints, list) or not checkpoints or
+    checkpoints = v["checkpoints"]
+    if (not isinstance(checkpoints, (list, tuple)) or not checkpoints or
             any(_as_int(c, f"checkpoints[{i}]", errors, minimum=1) is None
                 for i, c in enumerate(checkpoints))):
         errors.append("checkpoints: expected a non-empty list of integers")
-        checkpoints = list(DEFAULT_CHECKPOINTS)
     elif any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         errors.append("checkpoints: must be strictly ascending")
+    else:
+        v["checkpoints"] = tuple(checkpoints)
 
-    roi_radius = raw.get("roi_radius", DEFAULT_ROI_RADIUS)
-    if not _is_number(roi_radius) or roi_radius <= 0:
+    if not _is_number(v["roi_radius"]) or v["roi_radius"] <= 0:
         errors.append(f"roi_radius: expected a positive number, "
-                      f"got {roi_radius!r}")
-    pf_size = _as_int(raw.get("pf_size", 10000), "pf_size", errors,
-                      minimum=10)
+                      f"got {v['roi_radius']!r}")
+    else:
+        v["roi_radius"] = float(v["roi_radius"])
 
-    setting = raw.get("reference_setting", "balanced")
+    setting = v["reference_setting"]
     if setting not in SETTINGS:
         errors.append(f"reference_setting: unknown setting {setting!r}; "
                       f"known: {', '.join(SETTINGS)}")
 
-    ref_overrides = raw.get("reference_points", {})
-    if not isinstance(ref_overrides, dict):
+    refs = v["reference_points"]
+    if not isinstance(refs, dict):
         errors.append("reference_points: expected a mapping 'name:m' -> "
                       "list of floats")
-        ref_overrides = {}
     else:
-        for key, vec in ref_overrides.items():
+        for key, vec in refs.items():
             if not isinstance(vec, list) or not all(map(_is_number, vec)):
                 errors.append(f"reference_points.{key}: expected a list of "
                               "numbers")
 
-    params = raw.get("params", {})
+    params = v["params"]
     if not isinstance(params, dict):
         errors.append("params: expected a mapping")
         params = {}
-    for key in sorted(set(params) - set(_PARAM_FIELDS)):
-        errors.append(f"params.{key}: unknown parameter")
+    types = {f.name: f.type for f in fields(AlgorithmParams)}
+    for key in sorted(params):
+        value, kind = params[key], types.get(key)
+        if kind is None:
+            errors.append(f"params.{key}: unknown parameter; "
+                          f"known: {', '.join(types)}")
+        elif kind == "int":
+            _as_int(value, f"params.{key}", errors, minimum=1)
+        elif not (_is_number(value) or value is None and "None" in kind):
+            errors.append(f"params.{key}: expected a finite number, "
+                          f"got {value!r}")
 
-    workers = raw.get("workers")
-    if workers is not None:
-        workers = _as_int(workers, "workers", errors, minimum=1)
-
-    if not errors and problems and setting in SETTINGS:
+    if not errors:
+        instances = {f"{name}:{m}" for name, m in problems}
+        for key in sorted(set(refs) - instances):
+            errors.append(f"reference_points.{key}: not a problem of this "
+                          "campaign")
         for name, m in problems:
-            if mu is not None and mu < 2 * m:
+            if mu < 2 * m:
                 errors.append(f"mu: must be at least 2m = {2 * m} for "
                               f"{name}:{m}, got {mu}")
             key = f"{name}:{m}"
-            if key in ref_overrides:
-                vec = ref_overrides[key]
-                if len(vec) != m:
+            if key in refs:
+                if len(refs[key]) != m:
                     errors.append(f"reference_points.{key}: expected {m} "
-                                  f"values, got {len(vec)}")
+                                  f"values, got {len(refs[key])}")
                 continue
             try:
                 default_reference_point(name, m, setting)
             except KeyError as exc:
                 errors.append(f"problems: {exc.args[0]}")
-    if (not errors and budget is not None and mu is not None
-            and checkpoints):
         last = checkpoints[-1]
-        reachable = (budget // mu) * mu
-        if last > budget:
+        reachable = (v["budget"] // mu) * mu
+        if last > v["budget"]:
             errors.append(f"checkpoints: last checkpoint {last} exceeds "
-                          f"budget {budget}")
+                          f"budget {v['budget']}")
         elif last > reachable:
             errors.append(f"checkpoints: last checkpoint {last} is past the "
                           f"final generation boundary {reachable} "
-                          f"(budget {budget}, mu {mu})")
+                          f"(budget {v['budget']}, mu {mu})")
 
     if errors:
         raise ConfigError("\n".join(errors))
-    return ExperimentConfig(
-        problems=problems, algorithms=list(algorithms),
-        normalizations=list(normalizations), runs=runs, budget=budget,
-        mu=mu, seed=seed, checkpoints=tuple(checkpoints),
-        roi_radius=float(roi_radius), pf_size=pf_size,
-        reference_setting=setting,
-        reference_points={k: list(map(float, v))
-                          for k, v in ref_overrides.items()},
-        params=dict(params), workers=workers)
+    v["reference_points"] = {k: list(map(float, vec))
+                             for k, vec in refs.items()}
+    v["params"] = dict(params)
+    return ExperimentConfig(**v)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -338,7 +315,7 @@ def _execute_run(problem_name: str, m: int, algorithm: str,
 
     final = ALGORITHMS[algorithm](
         problem, z, normalization, config.mu, config.budget, engine,
-        config.algorithm_params(problem.n), recorder)
+        AlgorithmParams(**config.params), recorder)
     return RunTrace(problem=problem_name, m=m, algorithm=algorithm,
                     normalization=normalization, run_index=run_index,
                     seed=seed, records=records, final_objs=final)
@@ -537,7 +514,10 @@ def write_results(traces: list[RunTrace], config: ExperimentConfig,
     Layout: ``runs/<cell>_r<k>.csv`` (one row per checkpoint),
     ``runs/<cell>_r<k>_pop.csv`` (final population objectives),
     ``summary.csv`` (final checkpoint, one row per cell),
-    ``summary_checkpoints.csv`` (all checkpoints), ``manifest.json``.
+    ``summary_checkpoints.csv`` (all checkpoints), ``ranks.csv`` (treatment
+    ranks per instance and checkpoint), ``rank_summary.csv`` (Friedman
+    average ranks per suite and checkpoint, when a suite has data) and
+    ``manifest.json``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -34,6 +34,11 @@ DTLZ7_U_STAR = 1.6929956344984227
 _K_BY_FAMILY = {1: 5, 2: 10, 3: 10, 4: 10, 5: 10, 6: 10, 7: 20}
 
 
+def _pf_pool_size(count: int) -> int:
+    """Candidate rows a thinned front sampler draws for ``count`` picks."""
+    return count if count >= 20000 else max(4 * count, 4000)
+
+
 def _check_batch(x: np.ndarray, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -222,14 +227,14 @@ class _DegenerateCurve(Problem):
         return np.zeros(m), nadir
 
     def sample_pf(self, count, engine):
-        pool_n = count if count >= 20000 else max(4 * count, 4000)
+        pool_n = _pf_pool_size(count)
         x = np.full((pool_n, self.n), 0.5)
         x[:, 0] = np.linspace(0.0, 1.0, pool_n)
         x[:, self.m - 1:] = self.xm_opt
         f = self.evaluate_batch(x)
         profile = f[:, [0, self.m - 1]]
         f = f[nondominated_mask(profile)]
-        return farthest_point_subsample(f, count, engine)
+        return farthest_point_subsample(f, count)
 
 
 class DTLZ5(_DegenerateCurve):
@@ -290,7 +295,7 @@ class DTLZ7(Problem):
             DTLZ7._eff_grid = _dtlz7_efficient_grid()
         grid = DTLZ7._eff_grid
         m = self.m
-        pool_n = count if count >= 20000 else max(4 * count, 4000)
+        pool_n = _pf_pool_size(count)
         pos = engine.choice(grid, size=(pool_n, m - 1))
         # anchors: per-objective extremes so any sample spans the front box
         anchors = np.zeros((m + 1, m - 1))
@@ -302,7 +307,7 @@ class DTLZ7(Problem):
         x = np.zeros((pos.shape[0], self.n))
         x[:, :m - 1] = pos
         f = self.evaluate_batch(x)
-        return farthest_point_subsample(f, count, engine)
+        return farthest_point_subsample(f, count)
 
 
 class _Scaled(Problem):

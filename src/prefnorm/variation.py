@@ -107,7 +107,7 @@ def de_rand_1(target_index: int, xs: np.ndarray, neighborhood: np.ndarray,
     """DE/rand/1 mutant with binomial crossover against the target.
 
     Parents r1 != r2 != r3 are drawn from ``neighborhood`` excluding the
-    target index; the trial is clamped to [0, 1]-free bounds by the caller.
+    target index; the trial is clamped to the box by the caller.
 
     Parameters
     ----------

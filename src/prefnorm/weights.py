@@ -43,14 +43,28 @@ def lattice_size(m: int, divisions: int) -> int:
     return comb(divisions + m - 1, m - 1)
 
 
-def farthest_point_subsample(points: np.ndarray, count: int,
-                             engine: np.random.Generator) -> np.ndarray:
+def _farthest_picks(points: np.ndarray, dist: np.ndarray,
+                    count: int) -> np.ndarray:
+    """Positions of ``count`` greedy farthest-point picks from ``points``.
+
+    ``dist`` holds each row's distance to the set picked so far and is
+    updated in place; each pick takes its maximum, lowest index on ties.
+    """
+    chosen = np.empty(count, dtype=int)
+    for i in range(count):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1),
+                   out=dist)
+    return chosen
+
+
+def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
     """Greedy farthest-point selection of ``count`` rows.
 
     The first pick is the row closest to the centroid (deterministic), each
     later pick maximizes the distance to the already selected set.  Ties are
-    broken by the lowest index.  ``engine`` is accepted for interface
-    symmetry with the random completion path but is not consumed here.
+    broken by the lowest index.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -60,15 +74,9 @@ def farthest_point_subsample(points: np.ndarray, count: int,
         return points[:0].copy()
     centroid = points.mean(axis=0)
     first = int(np.argmin(np.linalg.norm(points - centroid, axis=1)))
-    chosen = np.empty(count, dtype=int)
-    chosen[0] = first
     dist = np.linalg.norm(points - points[first], axis=1)
-    for i in range(1, count):
-        nxt = int(np.argmax(dist))
-        chosen[i] = nxt
-        np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1),
-                   out=dist)
-    return points[chosen]
+    rest = _farthest_picks(points, dist, count - 1)
+    return points[np.concatenate(([first], rest))]
 
 
 def uniform_simplex_set(m: int, count: int,
@@ -91,22 +99,10 @@ def uniform_simplex_set(m: int, count: int,
     if missing == 0:
         return base
     pool = engine.dirichlet(np.ones(m), size=max(4 * missing, 1000))
-    extra = _farthest_point_completion(base, pool, missing)
-    return np.vstack([base, extra])
-
-
-def _farthest_point_completion(base: np.ndarray, pool: np.ndarray,
-                               count: int) -> np.ndarray:
-    """Pick ``count`` pool rows maximizing distance to base and each other."""
-    dist = np.full(pool.shape[0], np.inf)
-    for row in base:
+    dist = np.linalg.norm(pool - base[0], axis=1)
+    for row in base[1:]:
         np.minimum(dist, np.linalg.norm(pool - row, axis=1), out=dist)
-    picked = np.empty((count, pool.shape[1]))
-    for i in range(count):
-        nxt = int(np.argmax(dist))
-        picked[i] = pool[nxt]
-        np.minimum(dist, np.linalg.norm(pool - pool[nxt], axis=1), out=dist)
-    return picked
+    return np.vstack([base, pool[_farthest_picks(pool, dist, missing)]])
 
 
 def project_to_simplex(z: np.ndarray) -> np.ndarray:

@@ -303,6 +303,11 @@ class TestMoeadReplacement:
                                    init_state("no", 2), 2, make_engine(0),
                                    rho=0.0)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_raises(self, cap):
+        with pytest.raises(ValueError, match="max_replace"):
+            self.call([0.25, 0.25], cap, 0)
+
 
 class TestAlgorithmRegistry:
 
@@ -393,12 +398,15 @@ class TestRunnerContract:
         with pytest.raises(ValueError, match="budget"):
             ALGORITHMS[name](problem, self.Z2, "no", 8, 4, make_engine(0))
 
-    def test_bad_distance_weights_raise(self):
+    def test_default_mutation_rate_is_one_over_n(self):
         problem = get_problem("dtlz2", 2)
-        params = AlgorithmParams(weights_w=np.array([0.5, -0.5]))
-        with pytest.raises(ValueError, match="weights_w"):
-            run_rnsga2(problem, self.Z2, "no", 8, 80, make_engine(0),
-                       params=params)
+
+        def run(params):
+            return run_rnsga2(problem, self.Z2, "no", 8, 80, make_engine(0),
+                              params=params)
+
+        explicit = AlgorithmParams(mutation_prob=1.0 / problem.n)
+        assert np.array_equal(run(None), run(explicit))
 
 
 class TestSearchBehavior:

@@ -94,6 +94,14 @@ class TestRunAndRank:
                      "--out", str(tmp_path / "x"), "--seed", "-3"]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, tiny_config, tmp_path, capsys,
+                                        workers):
+        assert main(["run", "--config", str(tiny_config),
+                     "--out", str(tmp_path / "x"), "--workers", workers]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_workers_flag(self, tiny_config, tmp_path, capsys):
         out_dir = tmp_path / "par"
         assert main(["run", "--config", str(tiny_config),

@@ -7,6 +7,7 @@ layout including byte-for-byte reproducibility.
 import hashlib
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -119,10 +120,35 @@ class TestValidateConfig:
         (minimal_raw(roi_radius=True), "roi_radius"),
         (minimal_raw(reference_points={"dtlz2:2": [True, 0.5]}),
          "reference_points.dtlz2:2: expected a list of numbers"),
+        (minimal_raw(roi_radius=float("nan")), "roi_radius"),
+        (minimal_raw(roi_radius=float("inf")), "roi_radius"),
+        (minimal_raw(reference_points={"dtlz2:2": [float("nan"), 0.5]}),
+         "reference_points.dtlz2:2: expected a list of numbers"),
+        (minimal_raw(reference_points={"dtlz2:2": [0.5, float("-inf")]}),
+         "reference_points.dtlz2:2: expected a list of numbers"),
+        (minimal_raw(reference_points={"dtlz9:2": [0.5, 0.5]}),
+         "reference_points.dtlz9:2: not a problem of this campaign"),
+        (minimal_raw(reference_points={"dtlz2:2": [0.5, 0.5],
+                                       "dtlz2:3": [0.5, 0.5, 0.5]}),
+         "reference_points.dtlz2:3: not a problem of this campaign"),
+        (minimal_raw(params={"max_replace": 0}), "params.max_replace"),
+        (minimal_raw(params={"max_replace": 1.5}), "params.max_replace"),
+        (minimal_raw(params={"neighborhood_t": True}),
+         "params.neighborhood_t"),
+        (minimal_raw(params={"sbx_eta": "abc"}), "params.sbx_eta"),
+        (minimal_raw(params={"de_f": True}), "params.de_f"),
+        (minimal_raw(params={"tau": float("nan")}), "params.tau"),
+        (minimal_raw(params={"rho": None}), "params.rho"),
     ])
     def test_rejects_malformed_values(self, raw, fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):
             validate_config(raw)
+
+    def test_accepts_typed_params(self):
+        params = {"sbx_eta": 20, "de_f": 0.7, "mutation_prob": None,
+                  "neighborhood_t": 10, "max_replace": 1}
+        config = validate_config(minimal_raw(params=params))
+        assert config.params == params
 
     def test_error_messages_name_known_choices(self):
         with pytest.raises(ConfigError, match="nsga2"):
@@ -179,9 +205,11 @@ class TestConfigIdentity:
 
     def test_hash_ignores_mapping_order(self):
         a = validate_config(minimal_raw(
+            problems=["dtlz2:2", "dtlz1:2"],
             reference_points={"dtlz2:2": [0.6, 0.6], "dtlz1:2": [0.2, 0.2]},
             params={"tau": 0.5, "delta": 0.2}))
         b = validate_config(minimal_raw(
+            problems=["dtlz2:2", "dtlz1:2"],
             params={"delta": 0.2, "tau": 0.5},
             reference_points={"dtlz1:2": [0.2, 0.2], "dtlz2:2": [0.6, 0.6]}))
         assert a.config_hash() == b.config_hash()
@@ -197,17 +225,17 @@ class TestConfigIdentity:
         digest = hashlib.sha256(blob.encode()).hexdigest()
         assert digest == config.config_hash()
 
-    def test_algorithm_params_fills_mutation_rate(self):
-        config = validate_config(minimal_raw())
-        params = config.algorithm_params(11)
-        assert params.mutation_prob == pytest.approx(1.0 / 11)
-
-    def test_algorithm_params_passthrough(self):
+    def test_canonical_holds_every_key_but_workers(self):
         config = validate_config(minimal_raw(
-            params={"tau": 0.5, "mutation_prob": 0.2}))
-        params = config.algorithm_params(11)
-        assert params.tau == 0.5
-        assert params.mutation_prob == 0.2
+            workers=2, reference_points={"dtlz2:2": [1, 0.5]},
+            params={"tau": 0.5, "mutation_prob": None}))
+        canonical = config.canonical()
+        assert set(canonical) == {f.name for f in fields(ExperimentConfig)
+                                  if f.name != "workers"}
+        assert canonical["problems"] == [["dtlz2", 2]]
+        assert canonical["checkpoints"] == list(DEFAULT_CHECKPOINTS)
+        assert canonical["reference_points"] == {"dtlz2:2": [1.0, 0.5]}
+        assert canonical["params"] == {"tau": 0.5, "mutation_prob": None}
 
     def test_reference_point_override_and_default(self):
         config = validate_config(minimal_raw(

@@ -1,0 +1,43 @@
+"""Pinned digests of the farthest-point front samplers.
+
+The replay golden campaign only reaches a short simplex completion, so the
+greedy farthest-point loop is pinned here on its own: the thinned front
+samples of DTLZ5, DTLZ6 and DTLZ7, and a simplex set that needs 30
+completion picks.  The digests were recorded from an earlier version of the
+package; a refactor of the samplers must leave them unchanged.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from prefnorm.core import make_engine
+from prefnorm.problems import get_problem
+from prefnorm.weights import uniform_simplex_set
+
+
+def _digest(points: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(points, dtype=float)
+                          .tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name,m,digest", [
+    ("dtlz5", 3,
+     "0d219ac230055e7b2255c43eb62a1c8acc52a4f16f3b48dc8059056a8b375ea5"),
+    ("dtlz6", 4,
+     "147bbcbfe38ac399a0d14bcbd95d6cdf8fd38419a4e215b3be714877a88586eb"),
+    ("dtlz7", 3,
+     "be790aa7e829b8a4c0b649c86da7bd3938a6e0b0189132e993573ea17ee119b1"),
+])
+def test_front_sample_digest(name, m, digest):
+    sample = get_problem(name, m).sample_pf(200, make_engine(1))
+    assert sample.shape == (200, m)
+    assert _digest(sample) == digest
+
+
+def test_simplex_completion_digest():
+    # 70 lattice points of 5 objectives, completed by 30 greedy picks
+    weights = uniform_simplex_set(5, 100, make_engine(1))
+    assert weights.shape == (100, 5)
+    assert _digest(weights) == (
+        "d9f3d5b6cf60d725f4e361b79ad481f9a77e51ca8b0a5f321fb1aa33786c1fd5")

@@ -54,7 +54,7 @@ def test_uniform_simplex_set_is_deterministic():
 def test_farthest_point_subsample_spreads_points():
     engine = make_engine(9)
     points = engine.uniform(size=(500, 2))
-    picked = farthest_point_subsample(points, 20, engine)
+    picked = farthest_point_subsample(points, 20)
     assert picked.shape == (20, 2)
     # greedy max-min picks should be distinct
     assert len(np.unique(picked, axis=0)) == 20
