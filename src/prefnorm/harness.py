@@ -87,10 +87,25 @@ class ExperimentConfig:
         return default_reference_point(name, m, self.reference_setting)
 
 
+# the ranges the operators enforce at run time (nums_shift,
+# r_domination_matrix, aasf); de_rand_1 needs three neighbours besides the
+# target, so a neighbourhood holds at least four
+_PARAM_RANGES = {
+    "tau": ("(0, 1]", lambda x: 0.0 < x <= 1.0),
+    "delta": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "rho": ("> 0", lambda x: x > 0.0),
+    "neighborhood_t": (">= 4", lambda x: x >= 4),
+}
+
+
 def _is_number(value) -> bool:
-    """A finite int or float; a bool is not a number here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite int or float; a bool, or an int past float range, is not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _as_int(value, path: str, errors: list[str], minimum: int | None = None):
@@ -208,11 +223,19 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if kind is None:
             errors.append(f"params.{key}: unknown parameter; "
                           f"known: {', '.join(types)}")
-        elif kind == "int":
-            _as_int(value, f"params.{key}", errors, minimum=1)
-        elif not (_is_number(value) or value is None and "None" in kind):
-            errors.append(f"params.{key}: expected a finite number, "
-                          f"got {value!r}")
+            continue
+        if kind == "int":
+            valid = _as_int(value, f"params.{key}", errors,
+                            minimum=1) is not None
+        else:
+            valid = _is_number(value) or value is None and "None" in kind
+            if not valid:
+                errors.append(f"params.{key}: expected a finite number, "
+                              f"got {value!r}")
+        if valid and key in _PARAM_RANGES:
+            text, within = _PARAM_RANGES[key]
+            if not within(value):
+                errors.append(f"params.{key}: must be {text}, got {value!r}")
 
     if not errors:
         instances = {f"{name}:{m}" for name, m in problems}

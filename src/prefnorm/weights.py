@@ -9,6 +9,7 @@ import logging
 from math import comb
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 logger = logging.getLogger(__name__)
 
@@ -43,20 +44,56 @@ def lattice_size(m: int, divisions: int) -> int:
     return comb(divisions + m - 1, m - 1)
 
 
+def _reach(d: np.ndarray | float) -> np.ndarray | float:
+    """A ball radius that holds every row NumPy puts within ``d``.
+
+    The tree and ``np.linalg.norm`` sum the squares in different orders, so
+    their distances differ by a few ulp; the relative margin covers that,
+    and the absolute one keeps squared radii above the subnormal range.
+    """
+    return d * (1.0 + 1e-9) + 1e-150
+
+
 def _farthest_picks(points: np.ndarray, dist: np.ndarray,
                     count: int) -> np.ndarray:
     """Positions of ``count`` greedy farthest-point picks from ``points``.
 
     ``dist`` holds each row's distance to the set picked so far and is
     updated in place; each pick takes its maximum, lowest index on ties.
+    A pick at distance ``D`` can lower ``dist`` only for rows closer to it
+    than ``D``, because no entry exceeds ``D``: rows outside that ball keep
+    their bytes, so only the rows a k-d tree finds in it are recomputed, and
+    the result equals a full recomputation after every pick.
     """
+    tree = cKDTree(points)
     chosen = np.empty(count, dtype=int)
     for i in range(count):
         nxt = int(np.argmax(dist))
         chosen[i] = nxt
-        np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1),
-                   out=dist)
+        idx = np.asarray(tree.query_ball_point(points[nxt],
+                                               _reach(dist[nxt])), dtype=int)
+        dist[idx] = np.minimum(
+            dist[idx], np.linalg.norm(points[idx] - points[nxt], axis=1))
     return chosen
+
+
+def _distance_to_set(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Each row's distance to its nearest anchor row.
+
+    The bytes equal the running minimum of ``np.linalg.norm(points - row,
+    axis=1)`` over the anchors.  A k-d tree finds each row's two nearest
+    anchors; where the second lies beyond the first's reach, the first is
+    the only candidate, and otherwise the exact minimum is taken over every
+    anchor within that reach.
+    """
+    tree = cKDTree(anchors)
+    near, nearest = tree.query(points, k=2)
+    dist = np.linalg.norm(points - anchors[nearest[:, 0]], axis=1)
+    reach = _reach(near[:, 0])
+    for j in np.flatnonzero(near[:, 1] <= reach):
+        cands = tree.query_ball_point(points[j], reach[j])
+        dist[j] = np.linalg.norm(points[j] - anchors[cands], axis=1).min()
+    return dist
 
 
 def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
@@ -99,9 +136,7 @@ def uniform_simplex_set(m: int, count: int,
     if missing == 0:
         return base
     pool = engine.dirichlet(np.ones(m), size=max(4 * missing, 1000))
-    dist = np.linalg.norm(pool - base[0], axis=1)
-    for row in base[1:]:
-        np.minimum(dist, np.linalg.norm(pool - row, axis=1), out=dist)
+    dist = _distance_to_set(pool, base)
     return np.vstack([base, pool[_farthest_picks(pool, dist, missing)]])
 
 

@@ -91,6 +91,28 @@ def oracle_unbounded_nadir(objs) -> np.ndarray:
     return objs[keep].max(axis=0)
 
 
+def oracle_distance_to_set(points, anchors) -> np.ndarray:
+    """Each row's distance to its nearest anchor: one full pass per anchor."""
+    dist = np.linalg.norm(points - anchors[0], axis=1)
+    for row in anchors[1:]:
+        np.minimum(dist, np.linalg.norm(points - row, axis=1), out=dist)
+    return dist
+
+
+def oracle_farthest_picks(points, dist, count) -> np.ndarray:
+    """Greedy farthest-point picks recomputing every distance per pick.
+
+    ``dist`` is updated in place, as by the pruned version it checks.
+    """
+    chosen = np.empty(count, dtype=int)
+    for i in range(count):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1),
+                   out=dist)
+    return chosen
+
+
 @pytest.fixture
 def engine():
     return make_engine(12345)

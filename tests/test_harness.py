@@ -139,6 +139,19 @@ class TestValidateConfig:
         (minimal_raw(params={"de_f": True}), "params.de_f"),
         (minimal_raw(params={"tau": float("nan")}), "params.tau"),
         (minimal_raw(params={"rho": None}), "params.rho"),
+        (minimal_raw(roi_radius=10**400), "roi_radius"),
+        (minimal_raw(reference_points={"dtlz2:2": [0.5, -10**400]}),
+         "reference_points.dtlz2:2: expected a list of numbers"),
+        (minimal_raw(params={"de_f": 10**400}), "params.de_f"),
+        (minimal_raw(params={"tau": 2.0}), "params.tau: must be (0, 1]"),
+        (minimal_raw(params={"delta": -1}), "params.delta: must be [0, 1]"),
+        (minimal_raw(params={"neighborhood_t": 2}),
+         "params.neighborhood_t: must be >= 4"),
+        (minimal_raw(params={"tau": 0.0}), "params.tau: must be (0, 1]"),
+        (minimal_raw(params={"delta": 1.5}), "params.delta: must be [0, 1]"),
+        (minimal_raw(params={"rho": 0}), "params.rho: must be > 0"),
+        (minimal_raw(params={"neighborhood_t": 3}),
+         "params.neighborhood_t: must be >= 4"),
     ])
     def test_rejects_malformed_values(self, raw, fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -149,6 +162,13 @@ class TestValidateConfig:
                   "neighborhood_t": 10, "max_replace": 1}
         config = validate_config(minimal_raw(params=params))
         assert config.params == params
+
+    @pytest.mark.parametrize("params", [
+        {"tau": 1.0, "delta": 0.0, "neighborhood_t": 4, "rho": 1e-12},
+        {"tau": 1e-9, "delta": 1.0, "rho": 10**6},
+    ])
+    def test_accepts_params_at_their_bounds(self, params):
+        assert validate_config(minimal_raw(params=params)).params == params
 
     def test_error_messages_name_known_choices(self):
         with pytest.raises(ConfigError, match="nsga2"):

@@ -3,8 +3,10 @@
 The replay golden campaign only reaches a short simplex completion, so the
 greedy farthest-point loop is pinned here on its own: the thinned front
 samples of DTLZ5, DTLZ6 and DTLZ7, and a simplex set that needs 30
-completion picks.  The digests were recorded from an earlier version of the
-package; a refactor of the samplers must leave them unchanged.
+completion picks, each also at the default ``pf_size`` of 10000, where the
+pools are largest.  The digests were recorded from an earlier version of
+the package, which recomputed every distance on every pick; a refactor or
+speed-up of the samplers must leave them unchanged.
 """
 import hashlib
 
@@ -41,3 +43,24 @@ def test_simplex_completion_digest():
     assert weights.shape == (100, 5)
     assert _digest(weights) == (
         "d9f3d5b6cf60d725f4e361b79ad481f9a77e51ca8b0a5f321fb1aa33786c1fd5")
+
+
+@pytest.mark.parametrize("name,m,digest", [
+    ("dtlz5", 3,
+     "c16fce0cabdc0b71fbeab31144b922f70eb859440d5519503ec67b4eb08fc590"),
+    ("dtlz7", 3,
+     "ad2c916d3e7ab253f6d266db5157d90a26038c7f01a33bd26d74d83e7c4c3b4b"),
+])
+def test_default_size_front_sample_digest(name, m, digest):
+    # 10000 picks from a 40000-row pool
+    sample = get_problem(name, m).sample_pf(10000, make_engine(1))
+    assert sample.shape == (10000, m)
+    assert _digest(sample) == digest
+
+
+def test_default_size_simplex_digest():
+    # 8855 lattice points of 5 objectives, completed by 1145 greedy picks
+    weights = uniform_simplex_set(5, 10000, make_engine(1))
+    assert weights.shape == (10000, 5)
+    assert _digest(weights) == (
+        "4c5e9562522b6ddfb28c31d50883ee509ccf8ca3139ad0548fddc314fab02858")

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from conftest import oracle_distance_to_set, oracle_farthest_picks
 from prefnorm.core import make_engine
-from prefnorm.weights import (das_dennis_lattice, farthest_point_subsample,
+from prefnorm.weights import (_distance_to_set, _farthest_picks,
+                              das_dennis_lattice, farthest_point_subsample,
                               lattice_size, neighborhoods, nums_shift,
                               project_to_simplex, uniform_simplex_set)
 
@@ -58,6 +62,77 @@ def test_farthest_point_subsample_spreads_points():
     assert picked.shape == (20, 2)
     # greedy max-min picks should be distinct
     assert len(np.unique(picked, axis=0)) == 20
+
+
+def _pool(kind, n, m, scale, seed):
+    """Candidate rows; the grid and duplicate kinds make distance ties."""
+    engine = make_engine(seed)
+    if kind == "grid":
+        points = engine.integers(0, 3, size=(n, m)).astype(float)
+    else:
+        points = engine.uniform(size=(n, m))
+    if kind == "duplicates":
+        points[engine.integers(n, size=n // 2)] = points[
+            engine.integers(n, size=n // 2)]
+    return scale * points
+
+
+_POOLS = dict(m=st.integers(2, 10), n=st.integers(1, 150),
+              kind=st.sampled_from(["uniform", "grid", "duplicates"]),
+              scale=st.sampled_from([1e-6, 1.0, 1e4]),
+              seed=st.integers(0, 2**32 - 1))
+
+
+@given(count=st.integers(1, 150), **_POOLS)
+@settings(max_examples=150, deadline=None)
+def test_farthest_picks_match_dense_oracle(count, m, n, kind, scale, seed):
+    points = _pool(kind, n, m, scale, seed)
+    count = min(count, n)
+    dist = np.linalg.norm(points - points[0], axis=1)
+    want_dist = dist.copy()
+    want = oracle_farthest_picks(points, want_dist, count)
+    assert np.array_equal(_farthest_picks(points, dist, count), want)
+    assert dist.tobytes() == want_dist.tobytes()
+    if count == n:
+        return  # the whole pool comes back in its own order
+    first = int(np.argmin(np.linalg.norm(points - points.mean(axis=0),
+                                         axis=1)))
+    start = np.linalg.norm(points - points[first], axis=1)
+    rows = np.concatenate(([first],
+                           oracle_farthest_picks(points, start, count - 1)))
+    assert (farthest_point_subsample(points, count).tobytes()
+            == points[rows].tobytes())
+
+
+@given(anchors=st.integers(1, 60), mirrored=st.booleans(), **_POOLS)
+@settings(max_examples=150, deadline=None)
+def test_distance_to_set_matches_dense_oracle(anchors, mirrored, m, n, kind,
+                                              scale, seed):
+    pool = _pool(kind, n + anchors, m, scale, seed)
+    points, anchors = pool[anchors:], pool[:anchors]
+    if mirrored:
+        # each point lies halfway between two anchors: a tie up to rounding
+        offset = scale * make_engine(seed).uniform(-0.1, 0.1, points.shape)
+        anchors = np.vstack([anchors, points + offset, points - offset])
+    got = _distance_to_set(points, anchors)
+    assert got.tobytes() == oracle_distance_to_set(points, anchors).tobytes()
+
+
+@given(st.integers(2, 10), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_uniform_simplex_set_matches_dense_oracle(m, count, seed):
+    h = 0
+    while lattice_size(m, h + 1) <= count:
+        h += 1
+    base = das_dennis_lattice(m, h)
+    missing = count - base.shape[0]
+    pool = make_engine(seed).dirichlet(np.ones(m), size=max(4 * missing,
+                                                              1000))
+    dist = oracle_distance_to_set(pool, base)
+    want = np.vstack([base, pool[oracle_farthest_picks(pool, dist,
+                                                       missing)]])
+    got = uniform_simplex_set(m, count, make_engine(seed))
+    assert got.tobytes() == want.tobytes()
 
 
 def _projection_oracle(z):
