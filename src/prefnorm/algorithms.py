@@ -22,7 +22,6 @@ Identifiers
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,8 +35,6 @@ from .ranking import (crowding_distance, nondominated_sort,
 from .variation import (de_rand_1, polynomial_mutation,
                         polynomial_mutation_batch, repair_clamp, sbx_batch)
 from .weights import neighborhoods, nums_shift, uniform_simplex_set
-
-logger = logging.getLogger(__name__)
 
 AASF_RHO = 1e-6
 

@@ -6,15 +6,12 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 
 from .harness import (SUITES, ConfigError, execute_campaign, load_config,
                       rank_from_results, write_results)
 from .problems import problem_names
-
-logger = logging.getLogger(__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,6 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "PREFNORM_WORKERS, then 1)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config base seed")
+    run.set_defaults(func=_cmd_run)
 
     rank = sub.add_parser("rank", help="Friedman average ranks from a "
                                        "results directory")
@@ -42,25 +40,26 @@ def build_parser() -> argparse.ArgumentParser:
                       help="problem family to rank over")
     rank.add_argument("--checkpoint", type=int, required=True,
                       help="evaluation checkpoint to rank at")
+    rank.set_defaults(func=_cmd_rank)
 
-    sub.add_parser("list-problems", help="print available problem names")
+    listing = sub.add_parser("list-problems",
+                             help="print available problem names")
+    listing.set_defaults(func=_cmd_list_problems)
 
     validate = sub.add_parser("validate", help="check a config without "
                                                "running it")
     validate.add_argument("--config", required=True,
                           help="YAML or JSON config")
+    validate.set_defaults(func=_cmd_validate)
     return parser
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    for name, minimum in (("seed", 0), ("workers", 1)):
-        value = getattr(args, name)
-        if value is not None and value < minimum:
-            raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    traces = execute_campaign(config, workers=args.workers)
+    # --workers outranks the config key, which outranks PREFNORM_WORKERS
+    overrides = {name: getattr(args, name) for name in ("seed", "workers")
+                 if getattr(args, name) is not None}
+    config = load_config(args.config, overrides)
+    traces = execute_campaign(config)
     out = write_results(traces, config, args.out)
     print(f"wrote {len(traces)} runs to {out}")
     return 0
@@ -71,6 +70,12 @@ def _cmd_rank(args) -> int:
     print("treatment,avg_rank")
     for treatment, avg in sorted(ranks.items(), key=lambda kv: kv[1]):
         print(f"{treatment},{avg!r}")
+    return 0
+
+
+def _cmd_list_problems(args) -> int:
+    for name in problem_names():
+        print(name)
     return 0
 
 
@@ -86,20 +91,9 @@ def _cmd_validate(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "list-problems":
-            for name in problem_names():
-                print(name)
-            return 0
-        if args.command == "validate":
-            return _cmd_validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error:\n{exc}", file=sys.stderr)
         return 1
@@ -108,7 +102,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except KeyboardInterrupt:
         return 2
-    return 2
 
 
 if __name__ == "__main__":

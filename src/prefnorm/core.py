@@ -1,12 +1,9 @@
 """Shared primitives: the random engine and per-run seed derivation."""
 from __future__ import annotations
 
-import logging
 import zlib
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 def make_engine(seed: int) -> np.random.Generator:

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.stats import rankdata
 
 from . import __version__
 from .algorithms import ALGORITHMS, AlgorithmParams
@@ -95,6 +94,10 @@ _PARAM_RANGES = {
     "delta": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
     "rho": ("> 0", lambda x: x > 0.0),
     "neighborhood_t": (">= 4", lambda x: x >= 4),
+    # SBX and polynomial mutation raise to 1 / (eta + 1); the literature
+    # (Deb & Agrawal, Complex Systems 9, 1995) takes eta >= 0
+    "sbx_eta": (">= 0", lambda x: x >= 0.0),
+    "pm_eta": (">= 0", lambda x: x >= 0.0),
 }
 
 
@@ -274,8 +277,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**v)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a YAML or JSON campaign config."""
+def load_config(path: str | Path,
+                overrides: dict | None = None) -> ExperimentConfig:
+    """Read and validate a YAML or JSON campaign config.
+
+    ``overrides`` replaces top-level keys of the file before validation.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -283,6 +290,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error: {exc}")
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return validate_config(raw)
 
 
@@ -418,6 +427,23 @@ def execute_campaign(config: ExperimentConfig,
     return [results[idx] for idx in range(len(tasks))]
 
 
+def _midranks(values) -> np.ndarray:
+    """Ranks 1..n of ``values``, ascending; ties share their mean rank.
+
+    Raises
+    ------
+    ValueError
+        If a value is NaN or infinite.
+    """
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"cannot rank non-finite values: {values.tolist()}")
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2)[inverse]
+
+
 def friedman_ranks_from_means(mean_table: dict[str, dict[str, float]]
                               ) -> dict[str, float]:
     """Average rank of each treatment across problems.
@@ -443,8 +469,7 @@ def friedman_ranks_from_means(mean_table: dict[str, dict[str, float]]
                              "treatments as the others: incomplete design")
     sums = np.zeros(len(treatments))
     for prob in problems:
-        values = np.array([mean_table[prob][t] for t in treatments])
-        sums += rankdata(values, method="average")
+        sums += _midranks([mean_table[prob][t] for t in treatments])
     return {t: float(s / len(problems)) for t, s in zip(treatments, sums)}
 
 
@@ -588,8 +613,7 @@ def _write_tables(traces: list[RunTrace], config: ExperimentConfig,
     ranks: dict[tuple[str, int, int, str], float] = {}
     for (prob, m, checkpoint), row in means.items():
         labels = sorted(row)
-        for treatment, rk in zip(labels, rankdata([row[t] for t in labels],
-                                                  method="average")):
+        for treatment, rk in zip(labels, _midranks([row[t] for t in labels])):
             ranks[(prob, m, checkpoint, treatment)] = float(rk)
     cells = sorted({(t.problem, t.m, t.treatment) for t in traces})
 
@@ -656,28 +680,22 @@ def rank_from_results(out_dir: str | Path, suite: str,
                       checkpoint: int) -> dict[str, float]:
     """Friedman average ranks over one suite at one checkpoint.
 
-    Reads ``summary_checkpoints.csv`` from a campaign directory; every
-    (problem, m) pair in the suite counts as one ranking instance.
+    Reads the ``rank_summary.csv`` that :func:`write_results` wrote to a
+    campaign directory and returns its rows for ``suite`` and
+    ``checkpoint``.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"known: {', '.join(SUITES)}")
-    path = Path(out_dir) / "summary_checkpoints.csv"
+    path = Path(out_dir) / "rank_summary.csv"
     if not path.is_file():
-        raise FileNotFoundError(f"no summary_checkpoints.csv under "
-                                f"{out_dir}")
-    members = set(SUITES[suite])
-    table: dict[str, dict[str, float]] = {}
+        raise FileNotFoundError(f"no rank_summary.csv under {out_dir}")
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row["problem"] not in members:
-                continue
-            if int(row["checkpoint"]) != checkpoint:
-                continue
-            label = f"{row['problem']}:m{row['m']}"
-            table.setdefault(label, {})[row["treatment"]] = \
-                float(row["mean_igdpc"])
-    if not table:
+        ranks = {row["treatment"]: float(row["avg_rank"])
+                 for row in csv.DictReader(fh)
+                 if row["suite"] == suite
+                 and int(row["checkpoint"]) == checkpoint}
+    if not ranks:
         raise ValueError(f"no rows for suite {suite!r} at checkpoint "
                          f"{checkpoint} in {path}")
-    return friedman_ranks_from_means(table)
+    return ranks

@@ -19,14 +19,11 @@ the full unbounded non-dominated archive.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ranking import nondominated_mask
-
-logger = logging.getLogger(__name__)
 
 EPS_DENOM = 1e-12
 

@@ -16,14 +16,10 @@ that function.
 """
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .ranking import nondominated_mask
 from .weights import farthest_point_subsample, uniform_simplex_set
-
-logger = logging.getLogger(__name__)
 
 # interior maximum of u(t) = t * (1 + sin(3 pi t)) on [0, 1]; the largest
 # position value on the DTLZ7 front and the per-term cap of its last

@@ -18,12 +18,9 @@ the base values unchanged.
 """
 from __future__ import annotations
 
-import logging
 from math import sqrt
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 SETTINGS = ("balanced", "extreme")
 

@@ -6,11 +6,7 @@ vectorized across a whole offspring population.
 """
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 _EPS_SAME = 1e-14
 

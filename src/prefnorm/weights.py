@@ -5,13 +5,10 @@ front samples (linear/spherical DTLZ families).
 """
 from __future__ import annotations
 
-import logging
 from math import comb
 
 import numpy as np
 from scipy.spatial import cKDTree
-
-logger = logging.getLogger(__name__)
 
 
 def das_dennis_lattice(m: int, divisions: int) -> np.ndarray:

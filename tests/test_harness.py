@@ -6,13 +6,19 @@ layout including byte-for-byte reproducibility.
 """
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from prefnorm import harness
 from prefnorm.core import derive_run_seed
@@ -152,6 +158,11 @@ class TestValidateConfig:
         (minimal_raw(params={"rho": 0}), "params.rho: must be > 0"),
         (minimal_raw(params={"neighborhood_t": 3}),
          "params.neighborhood_t: must be >= 4"),
+        (minimal_raw(params={"sbx_eta": -1}), "params.sbx_eta: must be >= 0"),
+        (minimal_raw(params={"sbx_eta": -0.5}),
+         "params.sbx_eta: must be >= 0"),
+        (minimal_raw(params={"pm_eta": -1}), "params.pm_eta: must be >= 0"),
+        (minimal_raw(params={"pm_eta": -0.5}), "params.pm_eta: must be >= 0"),
     ])
     def test_rejects_malformed_values(self, raw, fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -166,6 +177,7 @@ class TestValidateConfig:
     @pytest.mark.parametrize("params", [
         {"tau": 1.0, "delta": 0.0, "neighborhood_t": 4, "rho": 1e-12},
         {"tau": 1e-9, "delta": 1.0, "rho": 10**6},
+        {"sbx_eta": 0, "pm_eta": 0.0},
     ])
     def test_accepts_params_at_their_bounds(self, params):
         assert validate_config(minimal_raw(params=params)).params == params
@@ -405,6 +417,35 @@ class TestFriedman:
         with pytest.raises(ValueError, match="empty"):
             friedman_ranks_from_means({})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_mean_rejected(self, bad):
+        table = {"p1": {"A": 0.1, "B": 0.2}, "p2": {"A": bad, "B": 0.2}}
+        with pytest.raises(ValueError, match="cannot rank"):
+            friedman_ranks_from_means(table)
+
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.just(-0.0)),
+                    min_size=1, max_size=40),
+           st.sampled_from([1e-300, 1.0, 1e300]),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_midranks_match_rankdata(self, grid, scale, extra):
+        # integer grids tie often; -0.0 must tie with 0.0
+        values = np.concatenate([np.array(grid, dtype=float) * scale,
+                                 np.array(extra, dtype=float)])
+        assert (harness._midranks(values).tobytes()
+                == rankdata(values, method="average").tobytes())
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(harness.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, prefnorm; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "False\n"
+
     @staticmethod
     def synthetic_trace(problem, m, algorithm, kind, run_index, value):
         return RunTrace(problem=problem, m=m, algorithm=algorithm,
@@ -566,9 +607,7 @@ class TestWriteResults:
         config, traces, out = written
         avg = rank_from_results(out, "dtlz", 200)
         direct = friedman_average_ranks(traces, "dtlz", 200)
-        assert set(avg) == set(direct)
-        for treatment in avg:
-            assert avg[treatment] == pytest.approx(direct[treatment])
+        assert avg == direct
 
     def test_rank_from_results_errors(self, written, tmp_path):
         config, traces, out = written
