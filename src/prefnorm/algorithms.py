@@ -90,7 +90,7 @@ def aasf(f: np.ndarray, z: np.ndarray, w: np.ndarray, z_lb: np.ndarray,
     fn = normalize_value(f, z_lb, z_ub)
     zn = normalize_value(z, z_lb, z_ub)
     diff = fn - zn
-    return np.max(w * diff, axis=-1) + rho * np.sum(diff, axis=-1)
+    return (w * diff).max(axis=-1) + rho * diff.sum(axis=-1)
 
 
 def _binary_tournament(primary: np.ndarray, secondary: np.ndarray,
@@ -116,17 +116,21 @@ def epsilon_clear(points: np.ndarray, epsilon: float,
     """
     n = points.shape[0]
     order = engine.permutation(n)
+    diff = points[:, None, :] - points[None, :, :]
+    close = np.add.reduce(diff * diff, axis=-1) < epsilon * epsilon
+    np.fill_diagonal(close, False)
+    crowded = close.any(axis=1)
+    # blocked marks the points within epsilon of a survivor so far
+    blocked = np.zeros(n, dtype=bool)
     kept: list[int] = []
     reserve: list[int] = []
-    kept_pts = np.empty_like(points)
-    for pos in order:
-        if kept:
-            d2 = np.sum((kept_pts[:len(kept)] - points[pos]) ** 2, axis=1)
-            if np.min(d2) < epsilon * epsilon:
-                reserve.append(pos)
-                continue
-        kept_pts[len(kept)] = points[pos]
+    for pos in order.tolist():
+        if blocked[pos]:
+            reserve.append(pos)
+            continue
         kept.append(pos)
+        if crowded[pos]:
+            blocked |= close[pos]
     return np.asarray(kept, dtype=int), np.asarray(reserve, dtype=int)
 
 
@@ -324,51 +328,43 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
                              recorder, select)
 
 
-def moead_nums_replacement(trial_f: np.ndarray, fs: np.ndarray,
-                           weights: np.ndarray, nb: np.ndarray,
-                           z: np.ndarray, state: NormalizationState,
+def moead_nums_replacement(trial_vals: np.ndarray, incumbent: np.ndarray,
                            max_replace: int,
-                           engine: np.random.Generator,
-                           rho: float = AASF_RHO) -> np.ndarray:
-    """Neighbourhood indices the trial should replace (at most max_replace).
+                           engine: np.random.Generator) -> np.ndarray:
+    """Neighbourhood positions the trial should replace (at most max_replace).
 
-    Neighbours are visited in random order; the trial wins a slot when its
-    scalarized value under that neighbour's weight beats the incumbent's.
+    ``trial_vals`` and ``incumbent`` hold, per neighbour, the AASF value of
+    the trial and of that neighbour's incumbent, both under the neighbour's
+    weight and the current bounds.  Neighbours are visited in random order;
+    the trial wins a slot when its value is strictly lower.
     """
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
     if max_replace < 1:
         raise ValueError(f"max_replace must be >= 1, got {max_replace}")
-    order = engine.permutation(nb.size)
-    # row 0 holds the trial and row 1 the incumbents; both are scored under
-    # the weight of the neighbour whose slot is contested
-    scored = np.empty((2, nb.size, trial_f.size))
-    scored[0] = trial_f
-    scored[1] = fs[nb]
-    trial_vals, incumbent = aasf(scored, z, weights[nb], state.z_lb,
-                                 state.z_ub, rho)
-    wins = trial_vals < incumbent
-    replaced = []
-    for pos in order:
-        if wins[pos]:
-            replaced.append(nb[pos])
-            if len(replaced) >= max_replace:
-                break
-    return np.asarray(replaced, dtype=int)
+    order = engine.permutation(trial_vals.size)
+    return order[(trial_vals < incumbent)[order]][:max_replace]
 
 
 def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
                    budget: int, engine: np.random.Generator,
                    params: AlgorithmParams | None = None,
                    recorder: Recorder | None = None) -> np.ndarray:
-    """Decomposition search on a weight set shifted toward ``z``."""
+    """Decomposition search on a weight set shifted toward ``z``.
+
+    The bounds change only between generations, so each incumbent's AASF
+    value under its own weight is scored once per generation and cached;
+    a replaced slot takes over the trial's value.  The cache therefore
+    always equals a fresh :func:`aasf` of ``fs`` under the current bounds.
+    """
     params = params or AlgorithmParams()
+    if params.rho <= 0.0:
+        raise ValueError(f"rho must be positive, got {params.rho}")
     _check_setup(mu, budget, problem.m)
     z = np.asarray(z, dtype=float)
     weights = uniform_simplex_set(problem.m, mu, engine)
     weights = nums_shift(weights, z, params.tau)
     t_size = min(params.neighborhood_t, mu)
     nbs = neighborhoods(weights, t_size)
+    nb_weights = weights[nbs]
     xs = _random_population(problem, mu, engine)
     fs = problem.evaluate_batch(xs)
     evals = mu
@@ -378,21 +374,25 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
         recorder(evals, fs, state)
     while evals + mu <= budget:
         batch = np.empty((mu, problem.m))
+        incumbent = aasf(fs, z, weights, state.z_lb, state.z_ub, params.rho)
         for i in range(mu):
-            trial = de_rand_1(i, xs, nbs[i], engine, params.de_f,
-                              params.de_cr)
+            nb = nbs[i]
+            trial = de_rand_1(i, xs, nb, engine, params.de_f, params.de_cr)
             trial = repair_clamp(trial, problem.lower, problem.upper)
             trial = polynomial_mutation(trial, problem.lower, problem.upper,
                                         engine, params.pm_eta,
                                         params.mutation_prob)
             trial_f = problem.evaluate_batch(trial[None, :])[0]
             batch[i] = trial_f
-            targets = moead_nums_replacement(trial_f, fs, weights, nbs[i], z,
-                                             state, params.max_replace,
-                                             engine, params.rho)
-            if targets.size:
+            trial_vals = aasf(trial_f, z, nb_weights[i], state.z_lb,
+                              state.z_ub, params.rho)
+            won = moead_nums_replacement(trial_vals, incumbent[nb],
+                                         params.max_replace, engine)
+            if won.size:
+                targets = nb[won]
                 xs[targets] = trial
                 fs[targets] = trial_f
+                incumbent[targets] = trial_vals[won]
         evals += mu
         update_state(state, fs, batch)
         if recorder:

@@ -47,38 +47,40 @@ def _check_batch(x: np.ndarray, n: int) -> np.ndarray:
 def _g_rastrigin(xm: np.ndarray) -> np.ndarray:
     k = xm.shape[1]
     c = xm - 0.5
-    return 100.0 * (k + np.sum(c * c - np.cos(20.0 * np.pi * c), axis=1))
+    return 100.0 * (k + (c * c - np.cos(20.0 * np.pi * c)).sum(axis=1))
 
 
 def _g_sphere(xm: np.ndarray) -> np.ndarray:
     c = xm - 0.5
-    return np.sum(c * c, axis=1)
+    return (c * c).sum(axis=1)
+
+
+def _nested_objectives(scale: np.ndarray, head: np.ndarray,
+                       tail: np.ndarray) -> np.ndarray:
+    """f_1 = scale * prod(head) and f_j = scale * prod(head[:m-j]) * tail[m-j].
+
+    ``head`` and ``tail`` are (N, m-1) per-position factors, ``scale`` the
+    per-row (1 + g) factor; DTLZ1 and DTLZ2 differ only in these.
+    """
+    n_rows, m = head.shape[0], head.shape[1] + 1
+    cum = np.empty((n_rows, m))
+    cum[:, 0] = 1.0
+    head.cumprod(axis=1, out=cum[:, 1:])
+    f = np.empty((n_rows, m))
+    scale = scale[:, None]
+    f[:, :1] = scale * cum[:, m - 1:]
+    f[:, 1:] = scale * cum[:, m - 2::-1] * tail[:, ::-1]
+    return f
 
 
 def _linear_objectives(pos: np.ndarray, g: np.ndarray) -> np.ndarray:
     """DTLZ1-shaped objectives from position variables and g values."""
-    n_rows, m_minus_1 = pos.shape
-    m = m_minus_1 + 1
-    cum = np.hstack([np.ones((n_rows, 1)), np.cumprod(pos, axis=1)])
-    f = np.empty((n_rows, m))
-    scale = 0.5 * (1.0 + g)
-    f[:, 0] = scale * cum[:, m - 1]
-    for j in range(2, m + 1):
-        f[:, j - 1] = scale * cum[:, m - j] * (1.0 - pos[:, m - j])
-    return f
+    return _nested_objectives(0.5 * (1.0 + g), pos, 1.0 - pos)
 
 
 def _spherical_objectives(theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     """DTLZ2-shaped objectives from angles (radians) and g values."""
-    n_rows, m_minus_1 = theta.shape
-    m = m_minus_1 + 1
-    cum = np.hstack([np.ones((n_rows, 1)), np.cumprod(np.cos(theta), axis=1)])
-    f = np.empty((n_rows, m))
-    scale = 1.0 + g
-    f[:, 0] = scale * cum[:, m - 1]
-    for j in range(2, m + 1):
-        f[:, j - 1] = scale * cum[:, m - j] * np.sin(theta[:, m - j])
-    return f
+    return _nested_objectives(1.0 + g, np.cos(theta), np.sin(theta))
 
 
 def _dtlz5_theta(pos: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -54,47 +54,53 @@ def sbx_batch(pa: np.ndarray, pb: np.ndarray, lower: np.ndarray,
     return ca, cb
 
 
+def _pm_step(x: np.ndarray, u: np.ndarray, lower: np.ndarray,
+             upper: np.ndarray, eta: float) -> np.ndarray:
+    """Bounded polynomial-mutation values of genes ``x`` under draws ``u``."""
+    span = upper - lower
+    d1 = (x - lower) / span
+    d2 = (upper - x) / span
+    mut_pow = 1.0 / (eta + 1.0)
+    val_lo = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)
+    val_hi = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
+    delta = np.where(u < 0.5, val_lo ** mut_pow - 1.0,
+                     1.0 - val_hi ** mut_pow)
+    return x + delta * span
+
+
 def polynomial_mutation_batch(x: np.ndarray, lower: np.ndarray,
                               upper: np.ndarray,
                               engine: np.random.Generator,
                               eta: float = 20.0,
                               mutation_prob: float | None = None
                               ) -> np.ndarray:
-    """Bounded polynomial mutation over an (N, n) array.
+    """Bounded polynomial mutation over an (N, n) array or one n-vector.
 
     Each gene mutates with probability ``mutation_prob`` (default 1/n).  The
     bounded formulation shrinks the step near a bound, so a gene sitting on a
-    bound can only move inward.
+    bound can only move inward.  Only the mutating genes are computed; every
+    gene is clamped to the box afterwards.
     """
     x = np.asarray(x, dtype=float)
-    n_var = x.shape[1]
     if mutation_prob is None:
-        mutation_prob = 1.0 / n_var
-    span = upper - lower
+        mutation_prob = 1.0 / x.shape[-1]
     out = x.copy()
     do = engine.random(x.shape) < mutation_prob
     u = engine.random(x.shape)
-
-    d1 = (x - lower) / span
-    d2 = (upper - x) / span
-    mut_pow = 1.0 / (eta + 1.0)
-    low_branch = u < 0.5
-    val_lo = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)
-    val_hi = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
-    delta = np.where(low_branch,
-                     val_lo ** mut_pow - 1.0,
-                     1.0 - val_hi ** mut_pow)
-    out[do] = (x + delta * span)[do]
-    np.clip(out, lower, upper, out=out)
-    return out
+    genes = do.nonzero()
+    if genes[0].size:
+        cols = genes[-1]
+        out[genes] = _pm_step(x[genes], u[genes], lower[cols], upper[cols],
+                              eta)
+    return out.clip(lower, upper, out=out)
 
 
 def polynomial_mutation(x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                         engine: np.random.Generator, eta: float = 20.0,
                         mutation_prob: float | None = None) -> np.ndarray:
-    """Bounded polynomial mutation of one vector."""
-    return polynomial_mutation_batch(x[None, :], lower, upper, engine, eta,
-                                     mutation_prob)[0]
+    """Bounded polynomial mutation of one vector (same draws as one row)."""
+    return polynomial_mutation_batch(x, lower, upper, engine, eta,
+                                     mutation_prob)
 
 
 def de_rand_1(target_index: int, xs: np.ndarray, neighborhood: np.ndarray,
@@ -112,15 +118,13 @@ def de_rand_1(target_index: int, xs: np.ndarray, neighborhood: np.ndarray,
     neighborhood : np.ndarray
         Candidate parent indices (the target's neighbourhood).
     """
-    cand = np.asarray([i for i in neighborhood if i != target_index])
+    cand = neighborhood[neighborhood != target_index]
     if cand.size < 3:
         raise ValueError("need at least 3 distinct neighbours besides the "
                          "target for DE/rand/1")
     r1, r2, r3 = cand[engine.choice(cand.size, 3, replace=False)]
     mutant = xs[r1] + f_scale * (xs[r2] - xs[r3])
     n_var = xs.shape[1]
-    trial = xs[target_index].copy()
     cross = engine.random(n_var) < crossover_rate
     cross[engine.integers(n_var)] = True
-    trial[cross] = mutant[cross]
-    return trial
+    return np.where(cross, mutant, xs[target_index])

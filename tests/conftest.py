@@ -2,6 +2,9 @@
 
 The oracles deliberately use plain double loops and per-level recomputation
 so they share no code path with the vectorized implementations they check.
+The reference copies of the MOEA/D-NUMS trial path and of the problem
+objective shapes are instead earlier implementations, kept so that tests
+can pin the current ones to them byte for byte.
 """
 from __future__ import annotations
 
@@ -9,6 +12,8 @@ import numpy as np
 import pytest
 
 from prefnorm.core import make_engine
+from prefnorm.normalization import init_state, normalize_value, update_state
+from prefnorm.weights import neighborhoods, nums_shift, uniform_simplex_set
 
 
 def oracle_dominates(a, b) -> bool:
@@ -111,6 +116,163 @@ def oracle_farthest_picks(points, dist, count) -> np.ndarray:
         np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1),
                    out=dist)
     return chosen
+
+
+# Reference copies of the MOEA/D-NUMS trial path and the operators it calls,
+# as they stood before the path was rewritten for speed; the rewrite must
+# reproduce them byte for byte, random draws included.
+
+def oracle_de_rand_1(target_index, xs, neighborhood, engine, f_scale=0.5,
+                     crossover_rate=1.0):
+    """DE/rand/1 with a Python candidate list and boolean-mask crossover."""
+    cand = np.asarray([i for i in neighborhood if i != target_index])
+    if cand.size < 3:
+        raise ValueError("need at least 3 distinct neighbours besides the "
+                         "target for DE/rand/1")
+    r1, r2, r3 = cand[engine.choice(cand.size, 3, replace=False)]
+    mutant = xs[r1] + f_scale * (xs[r2] - xs[r3])
+    n_var = xs.shape[1]
+    trial = xs[target_index].copy()
+    cross = engine.random(n_var) < crossover_rate
+    cross[engine.integers(n_var)] = True
+    trial[cross] = mutant[cross]
+    return trial
+
+
+def oracle_polynomial_mutation_batch(x, lower, upper, engine, eta=20.0,
+                                     mutation_prob=None):
+    """Bounded polynomial mutation computed on every gene, then masked."""
+    x = np.asarray(x, dtype=float)
+    n_var = x.shape[1]
+    if mutation_prob is None:
+        mutation_prob = 1.0 / n_var
+    span = upper - lower
+    out = x.copy()
+    do = engine.random(x.shape) < mutation_prob
+    u = engine.random(x.shape)
+    d1 = (x - lower) / span
+    d2 = (upper - x) / span
+    mut_pow = 1.0 / (eta + 1.0)
+    low_branch = u < 0.5
+    val_lo = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)
+    val_hi = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
+    delta = np.where(low_branch,
+                     val_lo ** mut_pow - 1.0,
+                     1.0 - val_hi ** mut_pow)
+    out[do] = (x + delta * span)[do]
+    np.clip(out, lower, upper, out=out)
+    return out
+
+
+def oracle_epsilon_clear(points, epsilon, engine):
+    """Epsilon-clearing that rescans the survivors for every visited point."""
+    n = points.shape[0]
+    order = engine.permutation(n)
+    kept = []
+    reserve = []
+    kept_pts = np.empty_like(points)
+    for pos in order:
+        if kept:
+            d2 = np.sum((kept_pts[:len(kept)] - points[pos]) ** 2, axis=1)
+            if np.min(d2) < epsilon * epsilon:
+                reserve.append(pos)
+                continue
+        kept_pts[len(kept)] = points[pos]
+        kept.append(pos)
+    return np.asarray(kept, dtype=int), np.asarray(reserve, dtype=int)
+
+
+def oracle_aasf(f, z, w, z_lb, z_ub, rho):
+    fn = normalize_value(f, z_lb, z_ub)
+    zn = normalize_value(z, z_lb, z_ub)
+    diff = fn - zn
+    return np.max(w * diff, axis=-1) + rho * np.sum(diff, axis=-1)
+
+
+def oracle_moead_nums_replacement(trial_f, fs, weights, nb, z, state,
+                                  max_replace, engine, rho=1e-6):
+    """Replacement that re-scores the trial and every incumbent per call."""
+    if rho <= 0.0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    if max_replace < 1:
+        raise ValueError(f"max_replace must be >= 1, got {max_replace}")
+    order = engine.permutation(nb.size)
+    scored = np.empty((2, nb.size, trial_f.size))
+    scored[0] = trial_f
+    scored[1] = fs[nb]
+    trial_vals, incumbent = oracle_aasf(scored, z, weights[nb], state.z_lb,
+                                        state.z_ub, rho)
+    wins = trial_vals < incumbent
+    replaced = []
+    for pos in order:
+        if wins[pos]:
+            replaced.append(nb[pos])
+            if len(replaced) >= max_replace:
+                break
+    return np.asarray(replaced, dtype=int)
+
+
+def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
+                          recorder):
+    """The MOEA/D-NUMS loop built from the oracle operators above."""
+    z = np.asarray(z, dtype=float)
+    weights = nums_shift(uniform_simplex_set(problem.m, mu, engine), z,
+                         params.tau)
+    nbs = neighborhoods(weights, min(params.neighborhood_t, mu))
+    span = problem.upper - problem.lower
+    xs = problem.lower + engine.random((mu, problem.n)) * span
+    fs = problem.evaluate_batch(xs)
+    evals = mu
+    state = init_state(kind, problem.m)
+    update_state(state, fs)
+    recorder(evals, fs, state)
+    while evals + mu <= budget:
+        batch = np.empty((mu, problem.m))
+        for i in range(mu):
+            trial = oracle_de_rand_1(i, xs, nbs[i], engine, params.de_f,
+                                     params.de_cr)
+            trial = np.clip(trial, problem.lower, problem.upper)
+            trial = oracle_polynomial_mutation_batch(
+                trial[None, :], problem.lower, problem.upper, engine,
+                params.pm_eta, params.mutation_prob)[0]
+            trial_f = problem.evaluate_batch(trial[None, :])[0]
+            batch[i] = trial_f
+            targets = oracle_moead_nums_replacement(
+                trial_f, fs, weights, nbs[i], z, state, params.max_replace,
+                engine, params.rho)
+            if targets.size:
+                xs[targets] = trial
+                fs[targets] = trial_f
+        evals += mu
+        update_state(state, fs, batch)
+        recorder(evals, fs, state)
+    return fs
+
+
+def oracle_linear_objectives(pos, g):
+    """DTLZ1 objectives assembled one objective at a time."""
+    n_rows, m_minus_1 = pos.shape
+    m = m_minus_1 + 1
+    cum = np.hstack([np.ones((n_rows, 1)), np.cumprod(pos, axis=1)])
+    f = np.empty((n_rows, m))
+    scale = 0.5 * (1.0 + g)
+    f[:, 0] = scale * cum[:, m - 1]
+    for j in range(2, m + 1):
+        f[:, j - 1] = scale * cum[:, m - j] * (1.0 - pos[:, m - j])
+    return f
+
+
+def oracle_spherical_objectives(theta, g):
+    """DTLZ2 objectives assembled one objective at a time."""
+    n_rows, m_minus_1 = theta.shape
+    m = m_minus_1 + 1
+    cum = np.hstack([np.ones((n_rows, 1)), np.cumprod(np.cos(theta), axis=1)])
+    f = np.empty((n_rows, m))
+    scale = 1.0 + g
+    f[:, 0] = scale * cum[:, m - 1]
+    for j in range(2, m + 1):
+        f[:, j - 1] = scale * cum[:, m - j] * np.sin(theta[:, m - j])
+    return f
 
 
 @pytest.fixture

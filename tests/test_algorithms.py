@@ -7,14 +7,19 @@ search-behavior checks on DTLZ2.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_dominates
+from conftest import (oracle_dominates, oracle_epsilon_clear,
+                      oracle_moead_nums_replacement, oracle_run_moead_nums)
 from prefnorm import get_problem, make_engine
 from prefnorm.algorithms import (ALGORITHMS, AlgorithmParams, aasf,
                                  epsilon_clear, moead_nums_replacement,
                                  rnsga2_environmental_selection, run_nsga2,
-                                 run_rnsga2, weighted_ref_distance)
-from prefnorm.normalization import init_state
+                                 run_moead_nums, run_rnsga2,
+                                 weighted_ref_distance)
+from prefnorm.normalization import KINDS, init_state
+from prefnorm.problems import problem_names
 from prefnorm.ranking import nondominated_sort
 
 IDENT_LB = np.zeros(2)
@@ -149,6 +154,25 @@ class TestEpsilonClear:
         kept, reserve = epsilon_clear(np.empty((0, 2)), 0.1, make_engine(0))
         assert kept.size == 0 and reserve.size == 0
 
+    @given(n=st.integers(0, 40), m=st.integers(1, 5),
+           step=st.sampled_from([0.05, 0.1, 1e-3]),
+           epsilon=st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+                             st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_bytes(self, n, m, step, epsilon, seed):
+        # points on a coarse grid give duplicates and pairs at exactly
+        # epsilon; the signed zero must not count as a distinct site
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-2, 4, size=(n, m)) * step
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+        got_engine, want_engine = make_engine(seed), make_engine(seed)
+        got = epsilon_clear(pts, epsilon, got_engine)
+        want = oracle_epsilon_clear(pts, epsilon, want_engine)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert (got_engine.bit_generator.state
+                == want_engine.bit_generator.state)
+
 
 class TestRnsga2Selection:
     """Hand-traced scenarios on a fixed six-member union.
@@ -254,10 +278,14 @@ class TestMoeadReplacement:
     NB = np.arange(5)
 
     def call(self, trial, max_replace, seed, state=None):
-        return moead_nums_replacement(np.asarray(trial, dtype=float),
-                                      self.FS, self.WEIGHTS, self.NB,
-                                      ORIGIN, state or init_state("no", 2),
-                                      max_replace, make_engine(seed))
+        state = state or init_state("no", 2)
+        trial_vals = aasf(np.asarray(trial, dtype=float), ORIGIN,
+                          self.WEIGHTS[self.NB], state.z_lb, state.z_ub)
+        incumbent = aasf(self.FS, ORIGIN, self.WEIGHTS, state.z_lb,
+                         state.z_ub)[self.NB]
+        return self.NB[moead_nums_replacement(trial_vals, incumbent,
+                                              max_replace,
+                                              make_engine(seed))]
 
     def test_winning_set(self):
         for seed in range(5):
@@ -289,24 +317,91 @@ class TestMoeadReplacement:
         # stretched to 10 the normalized comparison rejects it
         state = init_state("no", 2)
         state.z_ub = np.array([10.0, 1.0])
-        rep = moead_nums_replacement(np.array([1.0, 0.9]),
-                                     np.array([[2.0, 0.1]]),
-                                     np.array([[0.5, 0.5]]),
-                                     np.array([0]), ORIGIN, state, 5,
+        w = np.array([[0.5, 0.5]])
+        trial_vals = aasf(np.array([1.0, 0.9]), ORIGIN, w, state.z_lb,
+                          state.z_ub)
+        incumbent = aasf(np.array([[2.0, 0.1]]), ORIGIN, w, state.z_lb,
+                         state.z_ub)
+        rep = moead_nums_replacement(trial_vals, incumbent, 5,
                                      make_engine(0))
         assert rep.size == 0
 
     def test_bad_rho_raises(self):
-        with pytest.raises(ValueError):
-            moead_nums_replacement(np.array([0.1, 0.1]), self.FS,
-                                   self.WEIGHTS, self.NB, ORIGIN,
-                                   init_state("no", 2), 2, make_engine(0),
-                                   rho=0.0)
+        # rho is checked at run set-up, before the engine is drawn from
+        engine = make_engine(0)
+        before = engine.bit_generator.state
+        with pytest.raises(ValueError, match="rho must be positive"):
+            run_moead_nums(get_problem("dtlz2", 2), ORIGIN, "no", 12, 240,
+                           engine, AlgorithmParams(rho=0.0))
+        assert engine.bit_generator.state == before
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_raises(self, cap):
         with pytest.raises(ValueError, match="max_replace"):
             self.call([0.25, 0.25], cap, 0)
+
+
+class TestMoeadByteIdentity:
+    """The cached-score trial loop against the re-scoring reference loop."""
+
+    @given(m=st.integers(2, 5), pop=st.integers(4, 20),
+           t_frac=st.floats(0.0, 1.0), max_replace=st.integers(1, 5),
+           bounds=st.sampled_from(["identity", "random", "flat"]),
+           tie=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_replacement_matches_reference_bytes(self, m, pop, t_frac,
+                                                 max_replace, bounds, tie,
+                                                 seed):
+        rng = np.random.default_rng(seed)
+        fs = rng.random((pop, m))
+        weights = rng.random((pop, m))
+        weights /= weights.sum(axis=1, keepdims=True)
+        nb = rng.permutation(pop)[:max(1, round(t_frac * pop))]
+        z = rng.random(m) - 0.25
+        # a tied trial duplicates one incumbent of the neighbourhood
+        trial_f = fs[nb[0]].copy() if tie else rng.random(m)
+        state = init_state("no", m)
+        if bounds != "identity":
+            state.z_lb = rng.random(m) - 0.5
+            state.z_ub = (state.z_lb if bounds == "flat"
+                          else state.z_lb + rng.random(m) * 3.0)
+        got_engine, want_engine = make_engine(seed), make_engine(seed)
+        trial_vals = aasf(trial_f, z, weights[nb], state.z_lb, state.z_ub)
+        incumbent = aasf(fs, z, weights, state.z_lb, state.z_ub)
+        got = nb[moead_nums_replacement(trial_vals, incumbent[nb],
+                                        max_replace, got_engine)]
+        want = oracle_moead_nums_replacement(trial_f, fs, weights, nb, z,
+                                             state, max_replace, want_engine)
+        assert got.tobytes() == want.tobytes()
+        assert (got_engine.bit_generator.state
+                == want_engine.bit_generator.state)
+
+    @pytest.mark.parametrize("name", problem_names())
+    def test_runs_match_reference_loop(self, name):
+        for m in (2, 3, 5):
+            problem = get_problem(name, m)
+            z = problem.true_ideal + 0.4 * (problem.true_nadir
+                                            - problem.true_ideal)
+            for kind in KINDS:
+                logs = ([], [])
+
+                def recorder_for(log):
+                    return lambda evals, fs, state: log.append(
+                        (evals, fs.tobytes(), state.z_lb.tobytes(),
+                         state.z_ub.tobytes()))
+
+                seed = 1000 * m + KINDS.index(kind)
+                got_engine, want_engine = make_engine(seed), make_engine(seed)
+                got = run_moead_nums(problem, z, kind, 12, 240, got_engine,
+                                     AlgorithmParams(), recorder_for(logs[0]))
+                want = oracle_run_moead_nums(problem, z, kind, 12, 240,
+                                             want_engine, AlgorithmParams(),
+                                             recorder_for(logs[1]))
+                assert len(logs[0]) == 20
+                assert logs[0] == logs[1], (m, kind)
+                assert got.tobytes() == want.tobytes()
+                assert (got_engine.bit_generator.state
+                        == want_engine.bit_generator.state)
 
 
 class TestAlgorithmRegistry:

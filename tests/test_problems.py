@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_linear_objectives, oracle_spherical_objectives
 from prefnorm.core import make_engine
-from prefnorm.problems import get_problem, problem_names
+from prefnorm.problems import (_linear_objectives, _spherical_objectives,
+                               get_problem, problem_names)
 from prefnorm.ranking import nondominated_mask
 
 ALL_NAMES = problem_names()
@@ -220,3 +222,18 @@ def test_dtlz7_bounds_use_front_constants():
     assert np.allclose(problem.true_ideal[:2], 0.0)
     assert problem.true_nadir[-1] == pytest.approx(6.0)
     assert problem.true_nadir[0] == pytest.approx(0.8594008570145305)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+@pytest.mark.parametrize("rows", [1, 100, 10000])
+def test_objective_shapes_match_reference_bytes(m, rows):
+    rng = np.random.default_rng(1000 * m + rows)
+    pos = rng.random((rows, m - 1))
+    pos[rng.random(pos.shape) < 0.05] = 0.0
+    pos[rng.random(pos.shape) < 0.05] = 1.0
+    g = rng.random(rows) * rng.choice([0.0, 1.0, 100.0], size=rows)
+    theta = pos * np.pi / 2.0
+    assert (_linear_objectives(pos, g).tobytes()
+            == oracle_linear_objectives(pos, g).tobytes())
+    assert (_spherical_objectives(theta, g).tobytes()
+            == oracle_spherical_objectives(theta, g).tobytes())

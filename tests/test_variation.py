@@ -1,7 +1,10 @@
 """Crossover, mutation, and differential variation operators."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_de_rand_1, oracle_polynomial_mutation_batch
 from prefnorm.core import make_engine
 from prefnorm.variation import (de_rand_1, polynomial_mutation,
                                 polynomial_mutation_batch, repair_clamp,
@@ -156,3 +159,81 @@ def test_de_rand_1_partial_crossover_keeps_target_coordinates():
     # with rate zero only the forced coordinate changes
     diff = trial != xs[2]
     assert diff.sum() == 1
+
+
+# genes inside and outside the box, on its edges, and the signed zero
+_GENE = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -0.25, 1.25]),
+                  st.floats(-0.5, 1.5))
+
+
+def _gene_matrix(draw, rows, cols):
+    return np.array(draw(st.lists(_GENE, min_size=rows * cols,
+                                  max_size=rows * cols)),
+                    dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def _mutation_case(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    lower = np.array(draw(st.lists(st.sampled_from([0.0, -1.0, 0.25]),
+                                   min_size=cols, max_size=cols)))
+    upper = lower + np.array(draw(st.lists(
+        st.sampled_from([1.0, 0.5, 2.0]), min_size=cols, max_size=cols)))
+    eta = draw(st.one_of(st.sampled_from([0.0, 20.0]), st.floats(0.0, 100.0)))
+    prob = draw(st.one_of(st.sampled_from([None, 0.0, 1.0]),
+                          st.floats(0.0, 1.0)))
+    return (_gene_matrix(draw, rows, cols), lower, upper, eta, prob,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@given(_mutation_case())
+@settings(max_examples=200, deadline=None)
+def test_polynomial_mutation_batch_matches_reference_bytes(case):
+    x, lower, upper, eta, prob, seed = case
+    got_engine, want_engine = make_engine(seed), make_engine(seed)
+    with np.errstate(all="ignore"):
+        got = polynomial_mutation_batch(x, lower, upper, got_engine, eta, prob)
+        want = oracle_polynomial_mutation_batch(x, lower, upper, want_engine,
+                                                eta, prob)
+    assert got.tobytes() == want.tobytes()
+    assert got_engine.bit_generator.state == want_engine.bit_generator.state
+
+
+@given(_mutation_case())
+@settings(max_examples=200, deadline=None)
+def test_polynomial_mutation_matches_reference_row_bytes(case):
+    x, lower, upper, eta, prob, seed = case
+    got_engine, want_engine = make_engine(seed), make_engine(seed)
+    with np.errstate(all="ignore"):
+        got = polynomial_mutation(x[0], lower, upper, got_engine, eta, prob)
+        want = oracle_polynomial_mutation_batch(x[:1], lower, upper,
+                                                want_engine, eta, prob)[0]
+    assert got.tobytes() == want.tobytes()
+    assert got_engine.bit_generator.state == want_engine.bit_generator.state
+
+
+@st.composite
+def _de_case(draw):
+    pop, cols = draw(st.integers(3, 12)), draw(st.integers(1, 6))
+    nb = draw(st.permutations(range(pop)))[:draw(st.integers(1, pop))]
+    return (_gene_matrix(draw, pop, cols), draw(st.integers(0, pop - 1)),
+            np.array(nb, dtype=np.int64),
+            draw(st.one_of(st.just(0.5), st.floats(0.0, 2.0))),
+            draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@given(_de_case())
+@settings(max_examples=200, deadline=None)
+def test_de_rand_1_matches_reference_bytes(case):
+    xs, target, nb, f_scale, rate, seed = case
+    got_engine, want_engine = make_engine(seed), make_engine(seed)
+    try:
+        want = oracle_de_rand_1(target, xs, nb, want_engine, f_scale, rate)
+    except ValueError:
+        with pytest.raises(ValueError, match="3 distinct"):
+            de_rand_1(target, xs, nb, got_engine, f_scale, rate)
+        return
+    got = de_rand_1(target, xs, nb, got_engine, f_scale, rate)
+    assert got.tobytes() == want.tobytes()
+    assert got_engine.bit_generator.state == want_engine.bit_generator.state
