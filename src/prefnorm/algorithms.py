@@ -30,7 +30,7 @@ import numpy as np
 from .normalization import (NormalizationState, init_state, normalize_value,
                             update_state)
 from .problems import Problem
-from .ranking import (crowding_distance, nondominated_sort,
+from .ranking import (_sq_dists, crowding_distance, nondominated_sort,
                       r_domination_matrix, fronts_from_matrix)
 from .variation import (de_rand_1, polynomial_mutation,
                         polynomial_mutation_batch, repair_clamp, sbx_batch)
@@ -116,8 +116,7 @@ def epsilon_clear(points: np.ndarray, epsilon: float,
     """
     n = points.shape[0]
     order = engine.permutation(n)
-    diff = points[:, None, :] - points[None, :, :]
-    close = np.add.reduce(diff * diff, axis=-1) < epsilon * epsilon
+    close = _sq_dists(points, points) < epsilon * epsilon
     np.fill_diagonal(close, False)
     crowded = close.any(axis=1)
     # blocked marks the points within epsilon of a survivor so far

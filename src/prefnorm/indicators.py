@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normalization import TrueScaler
+from .ranking import _sq_dists
 
 logger = logging.getLogger(__name__)
 
@@ -80,11 +81,13 @@ def igd_plus_c(objs: np.ndarray, roi: RoiReferenceSet,
     objs = np.asarray(objs, dtype=float)
     if objs.ndim != 2 or objs.shape[0] == 0:
         raise ValueError("need a non-empty (N, m) objective array")
+    if objs.shape[1] != roi.points.shape[1]:
+        raise ValueError(f"objective array has {objs.shape[1]} columns, "
+                         f"the ROI has m = {roi.points.shape[1]}")
     sols = (scaler or roi.scaler).normalize(objs)
-    diff = sols[None, :, :] - roi.points[:, None, :]
-    np.maximum(diff, 0.0, out=diff)
-    d = np.sqrt(np.sum(diff * diff, axis=2))
-    return float(np.mean(d.min(axis=1)))
+    # sqrt is monotone and correctly rounded, so it commutes with the min
+    d2 = _sq_dists(sols, roi.points, plus=True).min(axis=0)
+    return float(np.mean(np.sqrt(d2)))
 
 
 def e_ideal(z_lb: np.ndarray, scaler: TrueScaler) -> float:

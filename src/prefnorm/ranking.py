@@ -20,6 +20,34 @@ def _all_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return le
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray, plus: bool = False) -> np.ndarray:
+    """(len(a), len(b)) squared distances; ``plus`` counts only a > b (IGD+).
+
+    Built one objective at a time like ``_all_le`` and summed in the order
+    of ``np.sum(axis=-1)`` over a short axis (in sequence below 8 terms,
+    else NumPy's 8-lane pairwise sum), so the bytes match that reduction.
+    """
+    def term(k: int) -> np.ndarray:
+        d = a[:, k, None] - b[None, :, k]
+        if plus:
+            np.maximum(d, 0.0, out=d)
+        return np.multiply(d, d, out=d)
+
+    m = a.shape[1]
+    if m < 8:
+        total, tail = term(0), 1
+    else:
+        r = [term(k) for k in range(8)]
+        tail = m - m % 8
+        for k in range(8, tail):
+            r[k % 8] += term(k)
+        total = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+    for k in range(tail, m):
+        total += term(k)
+    return total
+
+
 def domination_matrix(objs: np.ndarray) -> np.ndarray:
     """Pairwise Pareto dominance of the rows of an (N, m) objective array.
 

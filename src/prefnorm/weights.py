@@ -10,6 +10,8 @@ from math import comb
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .ranking import _sq_dists
+
 
 def das_dennis_lattice(m: int, divisions: int) -> np.ndarray:
     """All simplex lattice points with the given number of divisions.
@@ -206,6 +208,7 @@ def neighborhoods(weights: np.ndarray, t_size: int) -> np.ndarray:
     n = weights.shape[0]
     if not 1 <= t_size <= n:
         raise ValueError(f"t_size must lie in [1, {n}], got {t_size}")
-    d = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
+    # keep the sqrt: it can merge close squares into ties broken by index
+    d = np.sqrt(_sq_dists(weights, weights))
     order = np.argsort(d, axis=1, kind="stable")
     return order[:, :t_size]

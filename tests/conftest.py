@@ -2,9 +2,10 @@
 
 The oracles deliberately use plain double loops and per-level recomputation
 so they share no code path with the vectorized implementations they check.
-The reference copies of the MOEA/D-NUMS trial path and of the problem
-objective shapes are instead earlier implementations, kept so that tests
-can pin the current ones to them byte for byte.
+The reference copies of the MOEA/D-NUMS trial path, of the problem
+objective shapes and of the 3-d distance reductions are instead earlier
+implementations, kept so that tests can pin the current ones to them byte
+for byte.
 """
 from __future__ import annotations
 
@@ -273,6 +274,26 @@ def oracle_spherical_objectives(theta, g):
     for j in range(2, m + 1):
         f[:, j - 1] = scale * cum[:, m - j] * np.sin(theta[:, m - j])
     return f
+
+
+# Reference copies of the distance reductions of IGD+-C and epsilon-clearing
+# as they stood before they were built one objective at a time; the current
+# code must reproduce their bytes.
+
+def oracle_epsilon_matrix(points, epsilon):
+    """Within-epsilon matrix reduced from the full (n, n, m) difference."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.add.reduce(diff * diff, axis=-1) < epsilon * epsilon
+
+
+def oracle_igd_plus_c(objs, roi, scaler=None):
+    """IGD+-C reduced from the full (n_ref, N, m) difference array."""
+    objs = np.asarray(objs, dtype=float)
+    sols = (scaler or roi.scaler).normalize(objs)
+    diff = sols[None, :, :] - roi.points[:, None, :]
+    np.maximum(diff, 0.0, out=diff)
+    d = np.sqrt(np.sum(diff * diff, axis=2))
+    return float(np.mean(d.min(axis=1)))
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (oracle_dominates, oracle_epsilon_clear,
-                      oracle_moead_nums_replacement, oracle_run_moead_nums)
+                      oracle_epsilon_matrix, oracle_moead_nums_replacement,
+                      oracle_run_moead_nums)
 from prefnorm import get_problem, make_engine
 from prefnorm.algorithms import (ALGORITHMS, AlgorithmParams, aasf,
                                  epsilon_clear, moead_nums_replacement,
@@ -20,7 +21,7 @@ from prefnorm.algorithms import (ALGORITHMS, AlgorithmParams, aasf,
                                  weighted_ref_distance)
 from prefnorm.normalization import KINDS, init_state
 from prefnorm.problems import problem_names
-from prefnorm.ranking import nondominated_sort
+from prefnorm.ranking import _sq_dists, nondominated_sort
 
 IDENT_LB = np.zeros(2)
 IDENT_UB = np.ones(2)
@@ -154,7 +155,7 @@ class TestEpsilonClear:
         kept, reserve = epsilon_clear(np.empty((0, 2)), 0.1, make_engine(0))
         assert kept.size == 0 and reserve.size == 0
 
-    @given(n=st.integers(0, 40), m=st.integers(1, 5),
+    @given(n=st.integers(0, 40), m=st.integers(1, 10),
            step=st.sampled_from([0.05, 0.1, 1e-3]),
            epsilon=st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.3]),
                              st.floats(0.0, 1.0)),
@@ -172,6 +173,22 @@ class TestEpsilonClear:
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert (got_engine.bit_generator.state
                 == want_engine.bit_generator.state)
+
+    @given(n=st.integers(1, 130), m=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_close_matrix_matches_reference_bytes(self, n, m, seed):
+        # epsilon is one of the pair distances, so the comparison turns on
+        # the last bit of that pair's squared distance
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, m)) * 10.0 ** rng.integers(-3, 1, size=(n, m))
+        pts[rng.random(n) < 0.1] = pts[0]
+        pts[rng.random((n, m)) < 0.1] = -0.0
+        i, j = rng.integers(0, n, size=2)
+        epsilon = float(np.sqrt(np.sum((pts[i] - pts[j]) ** 2)))
+        for eps in (epsilon, np.nextafter(epsilon, np.inf), 0.1):
+            got = _sq_dists(pts, pts) < eps * eps
+            assert got.tobytes() == oracle_epsilon_matrix(pts, eps).tobytes()
 
 
 class TestRnsga2Selection:

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefnorm.core import make_engine
-from prefnorm.indicators import (DEFAULT_ROI_RADIUS, build_roi_reference_set,
-                                 e_ideal, e_nadir, igd_plus_c, ore)
+from prefnorm.indicators import (DEFAULT_ROI_RADIUS, RoiReferenceSet,
+                                 build_roi_reference_set, e_ideal, e_nadir,
+                                 igd_plus_c, ore)
 from prefnorm.normalization import TrueScaler
 from prefnorm.problems import get_problem
 
-from conftest import oracle_igd_plus
+from conftest import oracle_igd_plus, oracle_igd_plus_c
 
 UNIT = TrueScaler(ideal=np.zeros(2), nadir=np.ones(2))
 
@@ -129,6 +130,53 @@ class TestIgdPlusC:
         roi = build_roi_reference_set(pf, np.array([0.6, 0.4]), 0.2, UNIT)
         with pytest.raises(ValueError):
             igd_plus_c(np.empty((0, 2)), roi)
+
+    @pytest.mark.parametrize("cols", [1, 2, 4])
+    def test_rejects_wrong_column_count(self, cols):
+        # a (N, 1) array used to broadcast against the m = 3 ROI and score 0
+        roi = build_roi_reference_set(np.eye(3), np.full(3, 0.5), 2.0,
+                                      unit_scaler(3))
+        with pytest.raises(ValueError, match=f"has {cols} columns.*m = 3"):
+            igd_plus_c(np.full((5, cols), 0.5), roi)
+
+    @given(m=st.integers(2, 10), n=st.sampled_from([1, 20, 100]),
+           n_ref=st.sampled_from([1, 121, 1118]),
+           scaled=st.booleans(), nan_row=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_bytes(self, m, n, n_ref, scaled, nan_row,
+                                     seed):
+        rng = np.random.default_rng(seed)
+        # solutions scattered around reference points, objectives of
+        # unequal magnitude
+        points = rng.random((n_ref, m)) * 10.0 ** rng.integers(-3, 1, m)
+        # duplicate reference rows and duplicate solutions make ties
+        points[rng.random(n_ref) < 0.1] = points[0]
+        objs = points[rng.integers(0, n_ref, size=n)] + rng.normal(
+            0.0, 0.1, (n, m)) * 10.0 ** rng.integers(-3, 1, m)
+        # solutions on reference points, or weakly dominating them (exact
+        # under the unit scaler)
+        pick = rng.integers(0, n_ref, size=n)
+        on = rng.random(n) < 0.3
+        objs[on] = points[pick[on]]
+        below = rng.random(n) < 0.3
+        objs[below] = points[pick[below]] - rng.random((below.sum(), m)) * (
+            rng.random((below.sum(), m)) < 0.5)
+        objs[rng.random(n) < 0.1] = objs[0]
+        objs[rng.random((n, m)) < 0.1] = -0.0
+        if nan_row:
+            objs[rng.integers(0, n)] = np.nan
+        scaler = unit_scaler(m)
+        if scaled:
+            ideal = rng.uniform(-1.0, 0.0, m)
+            scaler = TrueScaler(ideal=ideal,
+                                nadir=ideal + rng.uniform(0.5, 3.0, m))
+        roi = RoiReferenceSet(points=points, center=points[0],
+                              z_norm=points[0], radius=0.1, scaler=scaler)
+        got = igd_plus_c(objs, roi)
+        want = oracle_igd_plus_c(objs, roi)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.isnan(got) == nan_row
 
 
 class TestBoundErrors:

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefnorm.core import make_engine
-from prefnorm.ranking import (_all_le, crowding_distance, domination_matrix,
-                              fronts_from_matrix, nondominated_mask,
-                              nondominated_sort, r_domination_matrix)
+from prefnorm.ranking import (_all_le, _sq_dists, crowding_distance,
+                              domination_matrix, fronts_from_matrix,
+                              nondominated_mask, nondominated_sort,
+                              r_domination_matrix)
 
 from conftest import (oracle_dominates, oracle_nondominated_mask,
                       oracle_r_dominance, oracle_sort, random_objs)
@@ -41,6 +42,30 @@ def test_dominates_matches_oracle(m, data):
     a = data.draw(st.lists(levels, min_size=m, max_size=m))
     b = data.draw(st.lists(levels, min_size=m, max_size=m))
     assert pair_dominates(a, b) == oracle_dominates(a, b)
+
+
+@pytest.mark.parametrize("m", range(1, 18))
+def test_sq_dists_sums_in_np_sum_order(m):
+    # the bytes of IGD+-C, epsilon-clearing and the MOEA/D neighbourhoods
+    # rest on _sq_dists adding its terms in np.sum's order over a short
+    # axis; a NumPy that changes that order fails here first
+    rng = np.random.default_rng(m)
+    a, b = rng.standard_normal((2, 64, m)) * 10.0 ** rng.integers(
+        -8, 9, size=(2, 64, m))
+    for plus in (False, True):
+        diff = a[:, None, :] - b[None, :, :]
+        if plus:
+            np.maximum(diff, 0.0, out=diff)
+        sq = diff * diff
+        want = np.sum(sq, axis=-1)
+        assert _sq_dists(a, b, plus).tobytes() == want.tobytes()
+        # the data tells orders apart: other sums differ somewhere
+        if m >= 3:
+            backward = sum(sq[..., k] for k in reversed(range(m)))
+            assert backward.tobytes() != want.tobytes()
+        if m >= 8:
+            forward = sum(sq[..., k] for k in range(m))
+            assert forward.tobytes() != want.tobytes()
 
 
 def test_domination_matrix_matches_pairwise(engine):

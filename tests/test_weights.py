@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from conftest import oracle_distance_to_set, oracle_farthest_picks
+from prefnorm.algorithms import AlgorithmParams
 from prefnorm.core import make_engine
 from prefnorm.weights import (_distance_to_set, _farthest_picks,
                               das_dennis_lattice, farthest_point_subsample,
@@ -242,3 +243,19 @@ def test_neighborhoods_sorted_by_distance():
         if outside.size:
             out_d = np.linalg.norm(weights[outside] - weights[i], axis=1)
             assert out_d.min() >= dists.max() - 1e-12
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_neighborhoods_match_norm_bytes(m):
+    # the weight sets run_moead_nums builds, at its default tau and T
+    params = AlgorithmParams()
+    engine = make_engine(60 + m)
+    for mu in (params.neighborhood_t, 100):
+        z = engine.uniform(0.0, 1.0, m)
+        weights = nums_shift(uniform_simplex_set(m, mu, engine), z,
+                             params.tau)
+        dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :],
+                              axis=2)
+        want = np.argsort(dist, axis=1, kind="stable")
+        got = neighborhoods(weights, params.neighborhood_t)
+        assert got.tobytes() == want[:, :params.neighborhood_t].tobytes()
