@@ -165,8 +165,12 @@ def _check_setup(mu: int, budget: int, m: int) -> None:
 
 
 def _level_ranks(fronts: list[list[int]], n: int) -> np.ndarray:
-    """Level index of each of ``n`` members of a level partition."""
-    rank = np.empty(n, dtype=int)
+    """Level index of each of ``n`` members of a level partition.
+
+    Members beyond the last level, which a sort stopped early did not
+    place, get -1.
+    """
+    rank = np.full(n, -1)
     for level, front in enumerate(fronts):
         rank[np.asarray(front, dtype=int)] = level
     return rank
@@ -242,8 +246,8 @@ def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
               recorder: Recorder | None = None) -> np.ndarray:
     """Plain NSGA-II; ``z`` is ignored, the state is tracked for recording."""
     def select(uf, state):
-        keep, rank, crowd = _crowding_truncation(uf, nondominated_sort(uf),
-                                                 mu)
+        keep, rank, crowd = _crowding_truncation(
+            uf, nondominated_sort(uf, mu), mu)
         return keep, rank, -crowd
 
     return _run_generational(problem, kind, mu, budget, engine,
@@ -265,7 +269,7 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
     Returns the survivors and their levels; every level before the last
     one taken survives whole, so these are also the survivors' own levels.
     """
-    fronts = nondominated_sort(uf)
+    fronts = nondominated_sort(uf, mu)
     norm = normalize_value(uf, z_lb, z_ub)
     keep: list[int] = []
     for front in fronts:
@@ -278,11 +282,10 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
             keep.extend(idx.tolist())
             continue
         survivors, reserve = epsilon_clear(norm[idx], epsilon, engine)
-        ordered = [idx[pos] for pos in
-                   sorted(survivors, key=lambda p: (dists[idx[p]], p))]
-        ordered += [idx[pos] for pos in
-                    sorted(reserve, key=lambda p: (dists[idx[p]], p))]
-        keep.extend(ordered[:room])
+        # survivors first, each group by ascending distance, ties by position
+        ordered = np.concatenate([pos[np.lexsort((pos, dists[idx[pos]]))]
+                                  for pos in (survivors, reserve)])
+        keep.extend(idx[ordered[:room]].tolist())
     keep_arr = np.asarray(keep, dtype=int)
     return keep_arr, _level_ranks(fronts, uf.shape[0])[keep_arr]
 

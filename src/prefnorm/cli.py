@@ -9,9 +9,13 @@ import argparse
 import logging
 import sys
 
-from .harness import (SUITES, ConfigError, execute_campaign, load_config,
-                      rank_from_results, write_results)
+from .harness import (SUITES, ConfigError, build_cell_roi, execute_campaign,
+                      load_config, rank_from_results, write_results)
 from .problems import problem_names
+
+# IGD+-C read off fewer ROI points than this measures a few points, not a
+# region; validate flags such instances but still accepts the config
+ROI_SIZE_FLOOR = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     listing.set_defaults(func=_cmd_list_problems)
 
     validate = sub.add_parser("validate", help="check a config without "
-                                               "running it")
+                                               "running it and print each "
+                                               "instance's ROI size")
     validate.add_argument("--config", required=True,
                           help="YAML or JSON config")
     validate.set_defaults(func=_cmd_validate)
@@ -85,6 +90,10 @@ def _cmd_validate(args) -> int:
              * len(config.normalizations))
     print(f"ok: {cells} cells x {config.runs} runs, "
           f"{config.budget} evaluations each")
+    for name, m in dict.fromkeys(config.problems):
+        size = build_cell_roi(config, name, m)[1].points.shape[0]
+        flag = f" (under {ROI_SIZE_FLOOR})" if size < ROI_SIZE_FLOOR else ""
+        print(f"roi {name}:{m}: {size} points{flag}")
     return 0
 
 

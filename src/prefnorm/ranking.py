@@ -130,35 +130,56 @@ def nondominated_mask(objs: np.ndarray) -> np.ndarray:
     return mask
 
 
-def fronts_from_matrix(dom: np.ndarray) -> list[list[int]]:
+def fronts_from_matrix(dom: np.ndarray, size: int | None = None
+                       ) -> list[list[int]]:
     """Peel non-domination levels from a pairwise dominance matrix.
 
     Works for any irreflexive relation.  If the relation contains a cycle
     (possible for r-dominance with intermediate delta), the remaining
     individuals are assigned to one final level instead of looping forever.
+    Peeling stops once the levels placed hold at least ``size`` members;
+    ``None`` places every member.
     """
+    dom = np.asarray(dom)
+    if dom.ndim != 2 or dom.shape[0] != dom.shape[1]:
+        raise ValueError("expected a square (N, N) dominance matrix, got "
+                         f"shape {dom.shape}")
     n = dom.shape[0]
-    counts = dom.sum(axis=0).astype(int)
-    assigned = np.zeros(n, dtype=bool)
+    if size is not None and size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    size = n if size is None else min(size, n)
+    # dominator counts as float32 stay exact integers below 2**24; a placed
+    # member's count is -1 and never changes again, since all of its
+    # dominators were placed before it
+    dom32 = dom.astype(np.float32)
+    counts = dom32.sum(axis=0)
     fronts: list[list[int]] = []
-    remaining = n
-    while remaining > 0:
-        current = np.flatnonzero((counts == 0) & ~assigned)
+    placed = 0
+    while placed < size:
+        zero = counts == 0
+        current = np.flatnonzero(zero)
         if current.size == 0:
-            leftover = np.flatnonzero(~assigned)
+            leftover = np.flatnonzero(counts > 0)
             logger.warning("cyclic dominance relation; %d individuals lumped "
                            "into the last level", leftover.size)
             fronts.append(leftover.tolist())
             break
         fronts.append(current.tolist())
-        assigned[current] = True
-        remaining -= current.size
-        counts -= dom[current].sum(axis=0).astype(int)
+        placed += current.size
+        counts[current] = -1.0
+        counts -= zero @ dom32
     return fronts
 
 
-def nondominated_sort(objs: np.ndarray) -> list[list[int]]:
+def nondominated_sort(objs: np.ndarray, size: int | None = None
+                      ) -> list[list[int]]:
     """Fast non-dominated sorting of an (N, m) objective array.
+
+    Sorting stops once the levels returned hold at least ``size`` rows;
+    ``None`` sorts every row.  nsga2 and rnsga2 pass their mu, so they sort
+    only as far as their survivors.  r2nsga2 peels its r-dominance levels
+    with ``fronts_from_matrix`` in full, so every cycle is still lumped and
+    logged.
 
     Returns
     -------
@@ -168,7 +189,7 @@ def nondominated_sort(objs: np.ndarray) -> list[list[int]]:
     objs = np.asarray(objs, dtype=float)
     if objs.ndim != 2:
         raise ValueError("expected an (N, m) objective array")
-    return fronts_from_matrix(domination_matrix(objs))
+    return fronts_from_matrix(domination_matrix(objs), size)
 
 
 def crowding_distance(objs: np.ndarray) -> np.ndarray:
@@ -217,5 +238,6 @@ def r_domination_matrix(objs: np.ndarray, dists: np.ndarray,
     if rng <= 0.0:
         return dom
     diff = (dists[:, None] - dists[None, :]) / rng
-    incomparable = ~dom & ~dom.T
-    return dom | (incomparable & (diff < -delta))
+    # i also wins a Pareto-incomparable pair by distance; where i
+    # dominates j, dom already holds, so ruling out ~dom.T is enough
+    return dom | ((diff < -delta) & ~dom.T)

@@ -3,17 +3,21 @@
 The oracles deliberately use plain double loops and per-level recomputation
 so they share no code path with the vectorized implementations they check.
 The reference copies of the MOEA/D-NUMS trial path, of the problem
-objective shapes and of the 3-d distance reductions are instead earlier
-implementations, kept so that tests can pin the current ones to them byte
-for byte.
+objective shapes, of the 3-d distance reductions and of the full level
+peel are instead earlier implementations, kept so that tests can pin the
+current ones to them byte for byte.
 """
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pytest
 
+from prefnorm.algorithms import epsilon_clear
 from prefnorm.core import make_engine
 from prefnorm.normalization import init_state, normalize_value, update_state
+from prefnorm.ranking import domination_matrix
 from prefnorm.weights import neighborhoods, nums_shift, uniform_simplex_set
 
 
@@ -294,6 +298,63 @@ def oracle_igd_plus_c(objs, roi, scaler=None):
     np.maximum(diff, 0.0, out=diff)
     d = np.sqrt(np.sum(diff * diff, axis=2))
     return float(np.mean(d.min(axis=1)))
+
+
+# Reference copies of the level peel and of R-NSGA-II's selection as they
+# stood before sorting stopped once the survivors were placed; the current
+# code must reproduce their levels, survivors and warnings.
+
+reference_logger = logging.getLogger("conftest.reference")
+
+
+def oracle_fronts_from_matrix(dom):
+    """Level peel that peels every level and recounts each level's edges."""
+    n = dom.shape[0]
+    counts = dom.sum(axis=0).astype(int)
+    assigned = np.zeros(n, dtype=bool)
+    fronts = []
+    remaining = n
+    while remaining > 0:
+        current = np.flatnonzero((counts == 0) & ~assigned)
+        if current.size == 0:
+            leftover = np.flatnonzero(~assigned)
+            reference_logger.warning("cyclic dominance relation; %d "
+                                     "individuals lumped into the last "
+                                     "level", leftover.size)
+            fronts.append(leftover.tolist())
+            break
+        fronts.append(current.tolist())
+        assigned[current] = True
+        remaining -= current.size
+        counts -= dom[current].sum(axis=0).astype(int)
+    return fronts
+
+
+def oracle_rnsga2_environmental_selection(uf, dists, mu, epsilon, z_lb,
+                                          z_ub, engine):
+    """R-NSGA-II selection on a full sort, ordering levels with ``sorted``."""
+    fronts = oracle_fronts_from_matrix(domination_matrix(uf))
+    norm = normalize_value(uf, z_lb, z_ub)
+    keep = []
+    for front in fronts:
+        room = mu - len(keep)
+        if room <= 0:
+            break
+        idx = np.asarray(front, dtype=int)
+        if idx.size <= room:
+            keep.extend(idx.tolist())
+            continue
+        survivors, reserve = epsilon_clear(norm[idx], epsilon, engine)
+        ordered = [idx[pos] for pos in
+                   sorted(survivors, key=lambda p: (dists[idx[p]], p))]
+        ordered += [idx[pos] for pos in
+                    sorted(reserve, key=lambda p: (dists[idx[p]], p))]
+        keep.extend(ordered[:room])
+    keep_arr = np.asarray(keep, dtype=int)
+    rank = np.empty(uf.shape[0], dtype=int)
+    for level, front in enumerate(fronts):
+        rank[np.asarray(front, dtype=int)] = level
+    return keep_arr, rank[keep_arr]
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (oracle_dominates, oracle_epsilon_clear,
                       oracle_epsilon_matrix, oracle_moead_nums_replacement,
+                      oracle_rnsga2_environmental_selection,
                       oracle_run_moead_nums)
 from prefnorm import get_problem, make_engine
 from prefnorm.algorithms import (ALGORITHMS, AlgorithmParams, aasf,
@@ -272,6 +273,29 @@ class TestRnsga2Selection:
             assert np.array_equal(kept_rank, rank[keep])
             for level, front in enumerate(nondominated_sort(uf[keep])):
                 assert np.all(kept_rank[np.asarray(front, dtype=int)] == level)
+
+    @given(n=st.integers(1, 120), m=st.integers(2, 5), data=st.data(),
+           epsilon=st.sampled_from([0.0, 0.05, 0.2, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bytes(self, n, m, data, epsilon, seed):
+        # quantized objectives and distances give duplicate rows, large
+        # levels and distance ties, which the position must break
+        rng = np.random.default_rng(seed)
+        uf = rng.integers(0, 5, size=(n, m)) * 0.25
+        uf[rng.random(n) < 0.2] = uf[0]
+        dists = rng.integers(0, 4, size=n) * 0.5
+        dists[rng.random(n) < 0.1] = -0.0
+        mu = data.draw(st.integers(1, n))
+        lb, ub = np.zeros(m), np.ones(m)
+        got_engine, want_engine = make_engine(seed), make_engine(seed)
+        got = rnsga2_environmental_selection(uf, dists, mu, epsilon, lb, ub,
+                                             got_engine)
+        want = oracle_rnsga2_environmental_selection(uf, dists, mu, epsilon,
+                                                     lb, ub, want_engine)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert (got_engine.bit_generator.state
+                == want_engine.bit_generator.state)
 
     def test_identity_when_union_fits(self):
         keep, _ = rnsga2_environmental_selection(self.UF, self.dists(), 6,

@@ -36,7 +36,24 @@ class TestValidate:
     def test_good_config(self, tiny_config, capsys):
         assert main(["validate", "--config", str(tiny_config)]) == 0
         out = capsys.readouterr().out
-        assert out == "ok: 2 cells x 2 runs, 200 evaluations each\n"
+        assert out == ("ok: 2 cells x 2 runs, 200 evaluations each\n"
+                       "roi dtlz2:2: 19 points (under 100)\n")
+
+    def test_reports_roi_size_per_instance(self, tmp_path, capsys):
+        # at the default pf_size a radius-0.1 ball on the m = 5 front holds
+        # a point or two; the instance is flagged, the config still passes
+        path = tmp_path / "config.yaml"
+        config = dict(TINY, problems=["dtlz2:2", "dtlz2:5", "dtlz2:2"])
+        del config["pf_size"]
+        path.write_text(yaml.safe_dump(config))
+        assert main(["validate", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "ok: 6 cells x 2 runs, 200 evaluations each"
+        assert [line.split(": ")[0] for line in lines[1:]] == [
+            "roi dtlz2:2", "roi dtlz2:5"]
+        m2, m5 = (int(line.split()[2]) for line in lines[1:])
+        assert m2 >= 100 and not lines[1].endswith("(under 100)")
+        assert m5 < 100 and lines[2].endswith(f"{m5} points (under 100)")
 
     def test_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

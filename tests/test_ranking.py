@@ -1,7 +1,9 @@
 """Dominance relations, non-dominated sorting, crowding, r-dominance."""
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prefnorm.core import make_engine
@@ -10,8 +12,9 @@ from prefnorm.ranking import (_all_le, _sq_dists, crowding_distance,
                               nondominated_mask, nondominated_sort,
                               r_domination_matrix)
 
-from conftest import (oracle_dominates, oracle_nondominated_mask,
-                      oracle_r_dominance, oracle_sort, random_objs)
+from conftest import (oracle_dominates, oracle_fronts_from_matrix,
+                      oracle_nondominated_mask, oracle_r_dominance,
+                      oracle_sort, random_objs)
 
 
 def pair_dominates(a, b) -> bool:
@@ -134,6 +137,89 @@ def test_fronts_from_matrix_handles_cycles():
     dom = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool)
     fronts = fronts_from_matrix(dom)
     assert sorted(i for front in fronts for i in front) == [0, 1, 2]
+
+
+def random_relation(rng, n, kind, density):
+    """Random irreflexive relation of one of three kinds.
+
+    "acyclic" orients every edge along a random order; "late cycle" adds
+    back edges among the last members of that order, so levels come before
+    the cycle; "any" draws every off-diagonal edge independently.
+    """
+    if kind == "any":
+        dom = rng.random((n, n)) < density
+    else:
+        order = rng.permutation(n)
+        forward = order[:, None] < order[None, :]
+        dom = (rng.random((n, n)) < density) & forward
+        if kind == "late cycle":
+            late = order >= rng.integers(0, n + 1)
+            dom |= (rng.random((n, n)) < density) & ~forward & np.outer(
+                late, late)
+    np.fill_diagonal(dom, False)
+    return dom
+
+
+def lumps_logged(caplog, name):
+    return sum(rec.name == name and "cyclic" in rec.getMessage()
+               for rec in caplog.records)
+
+
+@given(n=st.integers(0, 250), data=st.data(),
+       kind=st.sampled_from(["acyclic", "late cycle", "any"]),
+       density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fronts_from_matrix_matches_full_peel(n, data, kind, density, seed,
+                                              caplog):
+    dom = random_relation(np.random.default_rng(seed), n, kind, density)
+    size = data.draw(st.one_of(st.none(), st.integers(0, n + 1)))
+    caplog.clear()
+    want = oracle_fronts_from_matrix(dom)
+    got = fronts_from_matrix(dom, size)
+    # the shortest prefix of the full peel that holds size members
+    placed = np.cumsum([0] + [len(front) for front in want])
+    k = len(want) if size is None else int(np.searchsorted(
+        placed, min(size, n)))
+    assert got == want[:k]
+    # a lumped cycle is the full peel's last level; only a sort that
+    # reaches it warns, once
+    ref_lumps = lumps_logged(caplog, "conftest.reference")
+    assert lumps_logged(caplog, "prefnorm.ranking") == (
+        ref_lumps if k == len(want) else 0)
+
+
+@given(n=st.integers(0, 60), m=st.integers(1, 5), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_nondominated_sort_stops_at_size(n, m, data, seed):
+    # quantized objectives give ties and duplicate rows; -0.0 must equal 0.0
+    rng = np.random.default_rng(seed)
+    objs = rng.integers(0, 4, size=(n, m)) * 0.5
+    if n:
+        objs[rng.random(n) < 0.2] = objs[0]
+    objs[rng.random((n, m)) < 0.1] = -0.0
+    size = data.draw(st.integers(0, n + 1))
+    got = nondominated_sort(objs, size)
+    want = [front.tolist() for front in oracle_sort(objs)]
+    assert got == want[:len(got)]
+    sizes = [len(front) for front in got]
+    assert sum(sizes) >= min(size, n)
+    assert sum(sizes[:-1]) < size or not got
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (2, 2, 2), ()])
+def test_fronts_from_matrix_rejects_non_square(shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        fronts_from_matrix(np.zeros(shape, dtype=bool))
+
+
+def test_sort_rejects_negative_size():
+    with pytest.raises(ValueError, match="size must be >= 0, got -1"):
+        fronts_from_matrix(np.zeros((3, 3), dtype=bool), -1)
+    with pytest.raises(ValueError, match="size must be >= 0, got -2"):
+        nondominated_sort(np.zeros((3, 2)), -2)
 
 
 def test_crowding_distance_three_collinear_points():
