@@ -27,13 +27,14 @@ from typing import Callable
 
 import numpy as np
 
-from .normalization import (NormalizationState, init_state, normalize_value,
-                            update_state)
+from .normalization import (EPS_DENOM, NormalizationState, init_state,
+                            normalize_value, update_state)
 from .problems import Problem
 from .ranking import (_sq_dists, crowding_distance, nondominated_sort,
                       r_domination_matrix, fronts_from_matrix)
-from .variation import (de_rand_1, polynomial_mutation,
-                        polynomial_mutation_batch, repair_clamp, sbx_batch)
+from .variation import (de_rand_1, de_rand_1_draws, polynomial_mutation,
+                        polynomial_mutation_batch, polynomial_mutation_draws,
+                        repair_clamp, sbx_batch)
 from .weights import neighborhoods, nums_shift, uniform_simplex_set
 
 AASF_RHO = 1e-6
@@ -87,10 +88,14 @@ def aasf(f: np.ndarray, z: np.ndarray, w: np.ndarray, z_lb: np.ndarray,
     ``z`` pass through the current normalization bounds first; identity
     bounds leave them untouched.
     """
-    fn = normalize_value(f, z_lb, z_ub)
-    zn = normalize_value(z, z_lb, z_ub)
-    diff = fn - zn
-    return (w * diff).max(axis=-1) + rho * diff.sum(axis=-1)
+    return _aasf_of_gap(w, normalize_value(f, z_lb, z_ub)
+                        - normalize_value(z, z_lb, z_ub), rho)
+
+
+def _aasf_of_gap(w: np.ndarray, gap: np.ndarray,
+                 rho: float) -> float | np.ndarray:
+    """AASF from the normalized gap ``f - z`` (rows along the last axis)."""
+    return (w * gap).max(axis=-1) + rho * gap.sum(axis=-1)
 
 
 def _binary_tournament(primary: np.ndarray, secondary: np.ndarray,
@@ -332,17 +337,15 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
 
 def moead_nums_replacement(trial_vals: np.ndarray, incumbent: np.ndarray,
                            max_replace: int,
-                           engine: np.random.Generator) -> np.ndarray:
+                           order: np.ndarray) -> np.ndarray:
     """Neighbourhood positions the trial should replace (at most max_replace).
 
     ``trial_vals`` and ``incumbent`` hold, per neighbour, the AASF value of
     the trial and of that neighbour's incumbent, both under the neighbour's
-    weight and the current bounds.  Neighbours are visited in random order;
-    the trial wins a slot when its value is strictly lower.
+    weight and the current bounds.  Neighbours are visited in the random
+    permutation ``order``; the trial wins a slot when its value is strictly
+    lower.
     """
-    if max_replace < 1:
-        raise ValueError(f"max_replace must be >= 1, got {max_replace}")
-    order = engine.permutation(trial_vals.size)
     return order[(trial_vals < incumbent)[order]][:max_replace]
 
 
@@ -352,21 +355,33 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
                    recorder: Recorder | None = None) -> np.ndarray:
     """Decomposition search on a weight set shifted toward ``z``.
 
-    The bounds change only between generations, so each incumbent's AASF
-    value under its own weight is scored once per generation and cached;
-    a replaced slot takes over the trial's value.  The cache therefore
-    always equals a fresh :func:`aasf` of ``fs`` under the current bounds.
+    Trials are steady-state: each one may read rows that earlier trials of
+    its generation replaced.  Every random number a generation needs is
+    drawn before its first trial, in five engine calls whatever mu: DE
+    donor keys, crossover draws, forced crossover genes, mutation masks and
+    steps, and replacement visiting orders.  The bounds change only between
+    generations, so each incumbent's AASF value under its own weight is
+    scored once per generation and cached; a replaced slot takes over the
+    trial's value.  The cache therefore always equals a fresh :func:`aasf`
+    of ``fs`` under the current bounds.
     """
     params = params or AlgorithmParams()
     if params.rho <= 0.0:
         raise ValueError(f"rho must be positive, got {params.rho}")
+    if params.max_replace < 1:
+        raise ValueError(f"max_replace must be >= 1, got {params.max_replace}")
     _check_setup(mu, budget, problem.m)
+    t_size = min(params.neighborhood_t, mu)
+    if t_size < 4:
+        raise ValueError("a neighbourhood needs at least 4 slots (the target "
+                         f"and three DE/rand/1 donors), got {t_size}")
     z = np.asarray(z, dtype=float)
     weights = uniform_simplex_set(problem.m, mu, engine)
     weights = nums_shift(weights, z, params.tau)
-    t_size = min(params.neighborhood_t, mu)
     nbs = neighborhoods(weights, t_size)
     nb_weights = weights[nbs]
+    own = nbs == np.arange(mu)[:, None]
+    lower, upper = problem.lower, problem.upper
     xs = _random_population(problem, mu, engine)
     fs = problem.evaluate_batch(xs)
     evals = mu
@@ -375,21 +390,28 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     if recorder:
         recorder(evals, fs, state)
     while evals + mu <= budget:
+        slots, cross = de_rand_1_draws(own, problem.n, params.de_cr, engine)
+        donors = np.take_along_axis(nbs, slots, axis=1).tolist()
+        do, u = polynomial_mutation_draws(xs.shape, params.mutation_prob,
+                                          engine)
+        order = engine.random(nbs.shape).argsort(axis=1, kind="stable")
         batch = np.empty((mu, problem.m))
-        incumbent = aasf(fs, z, weights, state.z_lb, state.z_ub, params.rho)
+        z_lb = state.z_lb
+        span = np.maximum(state.z_ub - z_lb, EPS_DENOM)
+        zn = (z - z_lb) / span
+        incumbent = _aasf_of_gap(weights, (fs - z_lb) / span - zn, params.rho)
         for i in range(mu):
             nb = nbs[i]
-            trial = de_rand_1(i, xs, nb, engine, params.de_f, params.de_cr)
-            trial = repair_clamp(trial, problem.lower, problem.upper)
-            trial = polynomial_mutation(trial, problem.lower, problem.upper,
-                                        engine, params.pm_eta,
-                                        params.mutation_prob)
+            trial = de_rand_1(i, xs, donors[i], cross[i], params.de_f)
+            trial = repair_clamp(trial, lower, upper)
+            trial = polynomial_mutation(trial, lower, upper, do[i], u[i],
+                                        params.pm_eta)
             trial_f = problem.evaluate_batch(trial[None, :])[0]
             batch[i] = trial_f
-            trial_vals = aasf(trial_f, z, nb_weights[i], state.z_lb,
-                              state.z_ub, params.rho)
+            trial_vals = _aasf_of_gap(nb_weights[i],
+                                      (trial_f - z_lb) / span - zn, params.rho)
             won = moead_nums_replacement(trial_vals, incumbent[nb],
-                                         params.max_replace, engine)
+                                         params.max_replace, order[i])
             if won.size:
                 targets = nb[won]
                 xs[targets] = trial

@@ -87,13 +87,20 @@ class ExperimentConfig:
 
 
 # the ranges the operators enforce at run time (nums_shift,
-# r_domination_matrix, aasf); de_rand_1 needs three neighbours besides the
-# target, so a neighbourhood holds at least four
+# r_domination_matrix, run_moead_nums); DE/rand/1 needs three neighbours
+# besides the target, so a neighbourhood holds at least four
 _PARAM_RANGES = {
     "tau": ("(0, 1]", lambda x: 0.0 < x <= 1.0),
     "delta": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
     "rho": ("> 0", lambda x: x > 0.0),
     "neighborhood_t": (">= 4", lambda x: x >= 4),
+    # probabilities; a null mutation_prob means 1/n
+    "crossover_prob": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "mutation_prob": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "de_cr": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
+    # a radius: clearing compares squared distances with its square, so a
+    # negative value would clear as its absolute value does
+    "epsilon_clear": (">= 0", lambda x: x >= 0.0),
     # SBX and polynomial mutation raise to 1 / (eta + 1); the literature
     # (Deb & Agrawal, Complex Systems 9, 1995) takes eta >= 0
     "sbx_eta": (">= 0", lambda x: x >= 0.0),
@@ -235,7 +242,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if not valid:
                 errors.append(f"params.{key}: expected a finite number, "
                               f"got {value!r}")
-        if valid and key in _PARAM_RANGES:
+        if valid and value is not None and key in _PARAM_RANGES:
             text, within = _PARAM_RANGES[key]
             if not within(value):
                 errors.append(f"params.{key}: must be {text}, got {value!r}")

@@ -1,10 +1,13 @@
 """Variation operators: SBX, polynomial mutation, DE/rand/1, bound repair.
 
-All operators work on [lower, upper] box bounds and draw every random number
-from the engine passed in, so runs replay exactly.  Batch variants are
+All operators work on [lower, upper] box bounds and take every random number
+from the engine passed in, or from blocks that a ``*_draws`` function drew
+from it ahead of time, so runs replay exactly.  Batch variants are
 vectorized across a whole offspring population.
 """
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -14,7 +17,7 @@ _EPS_SAME = 1e-14
 def repair_clamp(x: np.ndarray, lower: np.ndarray,
                  upper: np.ndarray) -> np.ndarray:
     """Clamp each violated coordinate to the bound it crossed."""
-    return np.clip(x, lower, upper)
+    return x.clip(lower, upper)
 
 
 def sbx_batch(pa: np.ndarray, pb: np.ndarray, lower: np.ndarray,
@@ -68,25 +71,34 @@ def _pm_step(x: np.ndarray, u: np.ndarray, lower: np.ndarray,
     return x + delta * span
 
 
-def polynomial_mutation_batch(x: np.ndarray, lower: np.ndarray,
-                              upper: np.ndarray,
-                              engine: np.random.Generator,
-                              eta: float = 20.0,
-                              mutation_prob: float | None = None
-                              ) -> np.ndarray:
-    """Bounded polynomial mutation over an (N, n) array or one n-vector.
+def polynomial_mutation_draws(shape: tuple[int, ...],
+                              mutation_prob: float | None,
+                              engine: np.random.Generator
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Gene masks and step draws of polynomial mutation on ``shape`` genes.
 
-    Each gene mutates with probability ``mutation_prob`` (default 1/n).  The
-    bounded formulation shrinks the step near a bound, so a gene sitting on a
-    bound can only move inward.  Only the mutating genes are computed; every
-    gene is clamped to the box afterwards.
+    A gene mutates with probability ``mutation_prob`` (default 1/n, n the
+    last axis).  One engine call: the masks come from the first half of the
+    block and the draws ``u`` from the second.
     """
-    x = np.asarray(x, dtype=float)
     if mutation_prob is None:
-        mutation_prob = 1.0 / x.shape[-1]
+        mutation_prob = 1.0 / shape[-1]
+    do, u = engine.random((2, *shape))
+    return do < mutation_prob, u
+
+
+def polynomial_mutation(x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                        do: np.ndarray, u: np.ndarray,
+                        eta: float = 20.0) -> np.ndarray:
+    """Bounded polynomial mutation of the genes ``do`` marks.
+
+    ``x`` is an (N, n) array or one n-vector, and ``do`` and ``u`` (see
+    :func:`polynomial_mutation_draws`) have its shape.  The bounded
+    formulation shrinks the step near a bound, so a gene sitting on a bound
+    can only move inward.  Only the mutating genes are computed; every gene
+    is clamped to the box afterwards.
+    """
     out = x.copy()
-    do = engine.random(x.shape) < mutation_prob
-    u = engine.random(x.shape)
     genes = do.nonzero()
     if genes[0].size:
         cols = genes[-1]
@@ -95,36 +107,51 @@ def polynomial_mutation_batch(x: np.ndarray, lower: np.ndarray,
     return out.clip(lower, upper, out=out)
 
 
-def polynomial_mutation(x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                        engine: np.random.Generator, eta: float = 20.0,
-                        mutation_prob: float | None = None) -> np.ndarray:
-    """Bounded polynomial mutation of one vector (same draws as one row)."""
-    return polynomial_mutation_batch(x, lower, upper, engine, eta,
-                                     mutation_prob)
+def polynomial_mutation_batch(x: np.ndarray, lower: np.ndarray,
+                              upper: np.ndarray,
+                              engine: np.random.Generator,
+                              eta: float = 20.0,
+                              mutation_prob: float | None = None
+                              ) -> np.ndarray:
+    """Polynomial mutation over an (N, n) array, drawing from ``engine``."""
+    x = np.asarray(x, dtype=float)
+    do, u = polynomial_mutation_draws(x.shape, mutation_prob, engine)
+    return polynomial_mutation(x, lower, upper, do, u, eta)
 
 
-def de_rand_1(target_index: int, xs: np.ndarray, neighborhood: np.ndarray,
-              engine: np.random.Generator, f_scale: float = 0.5,
-              crossover_rate: float = 1.0) -> np.ndarray:
-    """DE/rand/1 mutant with binomial crossover against the target.
+def de_rand_1_draws(own: np.ndarray, n_var: int, crossover_rate: float,
+                    engine: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Donor slots and crossover masks of one DE/rand/1 trial per row.
 
-    Parents r1 != r2 != r3 are drawn from ``neighborhood`` excluding the
-    target index; the trial is clamped to the box by the caller.
-
-    Parameters
-    ----------
-    xs : np.ndarray
-        (N, n) decision matrix of the population.
-    neighborhood : np.ndarray
-        Candidate parent indices (the target's neighbourhood).
+    Row i of ``own`` marks the slots of neighbourhood i that hold its own
+    target.  Every other slot gets a uniform key (the target's get +inf),
+    and the three lowest keys in ascending order, ties by slot, name the
+    donor slots: each ordered triple of distinct candidates is equally
+    likely.  Each crossover mask takes a gene with probability
+    ``crossover_rate`` plus one forced gene.  Three engine calls, whatever
+    the number of rows.  Returns (N, 3) donor slots and (N, n_var) masks.
     """
-    cand = neighborhood[neighborhood != target_index]
-    if cand.size < 3:
+    n_rows, t_size = own.shape
+    if n_rows and t_size - own.sum(axis=1).max() < 3:
         raise ValueError("need at least 3 distinct neighbours besides the "
                          "target for DE/rand/1")
-    r1, r2, r3 = cand[engine.choice(cand.size, 3, replace=False)]
+    keys = engine.random(own.shape)
+    keys[own] = np.inf
+    slots = keys.argsort(axis=1, kind="stable")[:, :3]
+    cross = engine.random((n_rows, n_var)) < crossover_rate
+    cross[np.arange(n_rows), engine.integers(n_var, size=n_rows)] = True
+    return slots, cross
+
+
+def de_rand_1(target_index: int, xs: np.ndarray, donors: Sequence[int],
+              cross: np.ndarray, f_scale: float = 0.5) -> np.ndarray:
+    """DE/rand/1 mutant with binomial crossover against the target.
+
+    ``donors`` holds the population indices r1, r2, r3 and ``cross`` the
+    genes taken from the mutant (see :func:`de_rand_1_draws`); the trial is
+    clamped to the box by the caller.
+    """
+    r1, r2, r3 = donors
     mutant = xs[r1] + f_scale * (xs[r2] - xs[r3])
-    n_var = xs.shape[1]
-    cross = engine.random(n_var) < crossover_rate
-    cross[engine.integers(n_var)] = True
     return np.where(cross, mutant, xs[target_index])

@@ -2,10 +2,11 @@
 
 The oracles deliberately use plain double loops and per-level recomputation
 so they share no code path with the vectorized implementations they check.
-The reference copies of the MOEA/D-NUMS trial path, of the problem
-objective shapes, of the 3-d distance reductions and of the full level
-peel are instead earlier implementations, kept so that tests can pin the
-current ones to them byte for byte.
+The reference copies of the problem objective shapes, of the 3-d distance
+reductions and of the full level peel are instead earlier implementations,
+and the MOEA/D-NUMS reference loop reads the package's blocks of random
+numbers with plain loops and sorts; tests pin the current code to them
+byte for byte.
 """
 from __future__ import annotations
 
@@ -123,38 +124,36 @@ def oracle_farthest_picks(points, dist, count) -> np.ndarray:
     return chosen
 
 
-# Reference copies of the MOEA/D-NUMS trial path and the operators it calls,
-# as they stood before the path was rewritten for speed; the rewrite must
-# reproduce them byte for byte, random draws included.
+# Reference copies of the MOEA/D-NUMS trial path and the operators it calls.
+# They take the same blocks of random numbers as the package (one block per
+# generation, drawn in the same order) but read them with plain loops and
+# sorts, re-score every incumbent on each trial and compute every mutation
+# gene; the package must reproduce them byte for byte.
 
-def oracle_de_rand_1(target_index, xs, neighborhood, engine, f_scale=0.5,
-                     crossover_rate=1.0):
-    """DE/rand/1 with a Python candidate list and boolean-mask crossover."""
-    cand = np.asarray([i for i in neighborhood if i != target_index])
-    if cand.size < 3:
+def oracle_de_donor_slots(keys, neighborhood, target_index):
+    """Slots of the three lowest keys among the target's candidates."""
+    cand = [s for s in range(len(neighborhood))
+            if neighborhood[s] != target_index]
+    if len(cand) < 3:
         raise ValueError("need at least 3 distinct neighbours besides the "
                          "target for DE/rand/1")
-    r1, r2, r3 = cand[engine.choice(cand.size, 3, replace=False)]
+    return sorted(cand, key=lambda s: (keys[s], s))[:3]
+
+
+def oracle_de_rand_1(target_index, xs, donors, cross, f_scale=0.5):
+    """DE/rand/1 with boolean-mask crossover into a copy of the target."""
+    r1, r2, r3 = donors
     mutant = xs[r1] + f_scale * (xs[r2] - xs[r3])
-    n_var = xs.shape[1]
     trial = xs[target_index].copy()
-    cross = engine.random(n_var) < crossover_rate
-    cross[engine.integers(n_var)] = True
     trial[cross] = mutant[cross]
     return trial
 
 
-def oracle_polynomial_mutation_batch(x, lower, upper, engine, eta=20.0,
-                                     mutation_prob=None):
+def oracle_polynomial_mutation(x, lower, upper, do, u, eta=20.0):
     """Bounded polynomial mutation computed on every gene, then masked."""
     x = np.asarray(x, dtype=float)
-    n_var = x.shape[1]
-    if mutation_prob is None:
-        mutation_prob = 1.0 / n_var
     span = upper - lower
     out = x.copy()
-    do = engine.random(x.shape) < mutation_prob
-    u = engine.random(x.shape)
     d1 = (x - lower) / span
     d2 = (upper - x) / span
     mut_pow = 1.0 / (eta + 1.0)
@@ -167,6 +166,17 @@ def oracle_polynomial_mutation_batch(x, lower, upper, engine, eta=20.0,
     out[do] = (x + delta * span)[do]
     np.clip(out, lower, upper, out=out)
     return out
+
+
+def oracle_polynomial_mutation_batch(x, lower, upper, engine, eta=20.0,
+                                     mutation_prob=None):
+    """Polynomial mutation drawing its masks and steps in two calls."""
+    x = np.asarray(x, dtype=float)
+    if mutation_prob is None:
+        mutation_prob = 1.0 / x.shape[1]
+    do = engine.random(x.shape) < mutation_prob
+    u = engine.random(x.shape)
+    return oracle_polynomial_mutation(x, lower, upper, do, u, eta)
 
 
 def oracle_epsilon_clear(points, epsilon, engine):
@@ -195,25 +205,22 @@ def oracle_aasf(f, z, w, z_lb, z_ub, rho):
 
 
 def oracle_moead_nums_replacement(trial_f, fs, weights, nb, z, state,
-                                  max_replace, engine, rho=1e-6):
-    """Replacement that re-scores the trial and every incumbent per call."""
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if max_replace < 1:
-        raise ValueError(f"max_replace must be >= 1, got {max_replace}")
-    order = engine.permutation(nb.size)
+                                  max_replace, keys, rho=1e-6):
+    """Replacement that re-scores the trial and every incumbent per call.
+
+    Neighbours are visited in ascending ``keys``, ties by position.
+    """
     scored = np.empty((2, nb.size, trial_f.size))
     scored[0] = trial_f
     scored[1] = fs[nb]
     trial_vals, incumbent = oracle_aasf(scored, z, weights[nb], state.z_lb,
                                         state.z_ub, rho)
-    wins = trial_vals < incumbent
     replaced = []
-    for pos in order:
-        if wins[pos]:
+    for pos in sorted(range(nb.size), key=lambda p: (keys[p], p)):
+        if len(replaced) >= max_replace:
+            break
+        if trial_vals[pos] < incumbent[pos]:
             replaced.append(nb[pos])
-            if len(replaced) >= max_replace:
-                break
     return np.asarray(replaced, dtype=int)
 
 
@@ -224,6 +231,10 @@ def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
     weights = nums_shift(uniform_simplex_set(problem.m, mu, engine), z,
                          params.tau)
     nbs = neighborhoods(weights, min(params.neighborhood_t, mu))
+    t_size, n = nbs.shape[1], problem.n
+    rate = params.mutation_prob
+    if rate is None:
+        rate = 1.0 / n
     span = problem.upper - problem.lower
     xs = problem.lower + engine.random((mu, problem.n)) * span
     fs = problem.evaluate_batch(xs)
@@ -232,19 +243,27 @@ def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
     update_state(state, fs)
     recorder(evals, fs, state)
     while evals + mu <= budget:
+        donor_keys = engine.random((mu, t_size))
+        cross_draws = engine.random((mu, n))
+        forced = engine.integers(n, size=mu)
+        mutation = engine.random((2, mu, n))
+        order_keys = engine.random((mu, t_size))
         batch = np.empty((mu, problem.m))
         for i in range(mu):
-            trial = oracle_de_rand_1(i, xs, nbs[i], engine, params.de_f,
-                                     params.de_cr)
+            slots = oracle_de_donor_slots(donor_keys[i], nbs[i], i)
+            cross = cross_draws[i] < params.de_cr
+            cross[forced[i]] = True
+            trial = oracle_de_rand_1(i, xs, nbs[i][slots], cross,
+                                     params.de_f)
             trial = np.clip(trial, problem.lower, problem.upper)
-            trial = oracle_polynomial_mutation_batch(
-                trial[None, :], problem.lower, problem.upper, engine,
-                params.pm_eta, params.mutation_prob)[0]
+            trial = oracle_polynomial_mutation(
+                trial, problem.lower, problem.upper, mutation[0, i] < rate,
+                mutation[1, i], params.pm_eta)
             trial_f = problem.evaluate_batch(trial[None, :])[0]
             batch[i] = trial_f
             targets = oracle_moead_nums_replacement(
                 trial_f, fs, weights, nbs[i], z, state, params.max_replace,
-                engine, params.rho)
+                order_keys[i], params.rho)
             if targets.size:
                 xs[targets] = trial
                 fs[targets] = trial_f

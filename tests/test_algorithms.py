@@ -324,9 +324,9 @@ class TestMoeadReplacement:
                           self.WEIGHTS[self.NB], state.z_lb, state.z_ub)
         incumbent = aasf(self.FS, ORIGIN, self.WEIGHTS, state.z_lb,
                          state.z_ub)[self.NB]
+        order = make_engine(seed).permutation(self.NB.size)
         return self.NB[moead_nums_replacement(trial_vals, incumbent,
-                                              max_replace,
-                                              make_engine(seed))]
+                                              max_replace, order)]
 
     def test_winning_set(self):
         for seed in range(5):
@@ -363,36 +363,46 @@ class TestMoeadReplacement:
                           state.z_ub)
         incumbent = aasf(np.array([[2.0, 0.1]]), ORIGIN, w, state.z_lb,
                          state.z_ub)
-        rep = moead_nums_replacement(trial_vals, incumbent, 5,
-                                     make_engine(0))
+        rep = moead_nums_replacement(trial_vals, incumbent, 5, np.arange(1))
         assert rep.size == 0
 
-    def test_bad_rho_raises(self):
-        # rho is checked at run set-up, before the engine is drawn from
+    @staticmethod
+    def assert_setup_rejects(params, fragment):
+        # checked at run set-up, before the engine is drawn from
         engine = make_engine(0)
         before = engine.bit_generator.state
-        with pytest.raises(ValueError, match="rho must be positive"):
+        with pytest.raises(ValueError, match=fragment):
             run_moead_nums(get_problem("dtlz2", 2), ORIGIN, "no", 12, 240,
-                           engine, AlgorithmParams(rho=0.0))
+                           engine, params)
         assert engine.bit_generator.state == before
+
+    def test_bad_rho_raises(self):
+        self.assert_setup_rejects(AlgorithmParams(rho=0.0),
+                                  "rho must be positive")
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_raises(self, cap):
-        with pytest.raises(ValueError, match="max_replace"):
-            self.call([0.25, 0.25], cap, 0)
+        self.assert_setup_rejects(AlgorithmParams(max_replace=cap),
+                                  "max_replace must be >= 1")
+
+    @pytest.mark.parametrize("t_size", [1, 2, 3])
+    def test_neighbourhood_below_four_raises(self, t_size):
+        self.assert_setup_rejects(AlgorithmParams(neighborhood_t=t_size),
+                                  "at least 4 slots")
 
 
 class TestMoeadByteIdentity:
-    """The cached-score trial loop against the re-scoring reference loop."""
+    """The block-drawing trial loop against the plain reference loop."""
 
     @given(m=st.integers(2, 5), pop=st.integers(4, 20),
            t_frac=st.floats(0.0, 1.0), max_replace=st.integers(1, 5),
            bounds=st.sampled_from(["identity", "random", "flat"]),
-           tie=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           tie=st.booleans(), key_ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_replacement_matches_reference_bytes(self, m, pop, t_frac,
                                                  max_replace, bounds, tie,
-                                                 seed):
+                                                 key_ties, seed):
         rng = np.random.default_rng(seed)
         fs = rng.random((pop, m))
         weights = rng.random((pop, m))
@@ -406,16 +416,17 @@ class TestMoeadByteIdentity:
             state.z_lb = rng.random(m) - 0.5
             state.z_ub = (state.z_lb if bounds == "flat"
                           else state.z_lb + rng.random(m) * 3.0)
-        got_engine, want_engine = make_engine(seed), make_engine(seed)
+        # visiting-order keys as the run draws them, or with ties
+        keys = (rng.integers(0, 3, nb.size).astype(float) if key_ties
+                else rng.random(nb.size))
         trial_vals = aasf(trial_f, z, weights[nb], state.z_lb, state.z_ub)
         incumbent = aasf(fs, z, weights, state.z_lb, state.z_ub)
         got = nb[moead_nums_replacement(trial_vals, incumbent[nb],
-                                        max_replace, got_engine)]
+                                        max_replace,
+                                        keys.argsort(kind="stable"))]
         want = oracle_moead_nums_replacement(trial_f, fs, weights, nb, z,
-                                             state, max_replace, want_engine)
+                                             state, max_replace, keys)
         assert got.tobytes() == want.tobytes()
-        assert (got_engine.bit_generator.state
-                == want_engine.bit_generator.state)
 
     @pytest.mark.parametrize("name", problem_names())
     def test_runs_match_reference_loop(self, name):
@@ -443,6 +454,40 @@ class TestMoeadByteIdentity:
                 assert got.tobytes() == want.tobytes()
                 assert (got_engine.bit_generator.state
                         == want_engine.bit_generator.state)
+
+
+class CountingEngine:
+    """A random generator that counts the calls made on it."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.engine, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestMoeadBlockDraws:
+
+    @pytest.mark.parametrize("kind", ["pp", "ba"])
+    def test_generation_engine_calls_do_not_grow_with_mu(self, kind):
+        # every draw of a generation happens before its first trial, in a
+        # fixed number of blocks, so no engine call sits in the trial loop
+        per_generation = {}
+        for mu in (12, 100):
+            engine = CountingEngine(make_engine(mu))
+            marks = []
+            run_moead_nums(get_problem("dtlz2", 3), np.full(3, 0.5), kind,
+                           mu, 5 * mu, engine, AlgorithmParams(),
+                           lambda evals, fs, state: marks.append(engine.calls))
+            per_generation[mu] = set(np.diff(marks).tolist())
+        assert per_generation == {12: {5}, 100: {5}}
 
 
 class TestAlgorithmRegistry:

@@ -1,0 +1,55 @@
+"""The benchmark's trace sites still resolve against the package.
+
+``bench/tracing.py`` patches functions at the places their callers look
+them up.  A refactor that renames or drops one of them makes
+``bench/run.py --trace 1`` crash; these tests catch that in tier-1.  The
+file is read and executed as source, so nothing is written under
+``bench/``.
+"""
+import types
+from pathlib import Path
+
+import numpy as np
+
+import prefnorm
+from prefnorm.algorithms import ALGORITHMS, AlgorithmParams
+from prefnorm.core import make_engine
+from prefnorm.problems import get_problem
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing() -> types.ModuleType:
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_every_traced_site_resolves():
+    tracing = load_tracing()
+    sites = tracing.traced_sites(prefnorm)
+    assert sites
+    for name, owner, attr in sites:
+        assert callable(tracing._lookup(owner, attr)), name
+
+
+def test_moead_trial_operators_are_traced_once_per_trial():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    mu, budget = 12, 240
+    tracer.install(tracing.traced_sites(prefnorm))
+    try:
+        ALGORITHMS["moead-nums"](get_problem("dtlz2", 3), np.full(3, 0.5),
+                                 "ba", mu, budget, make_engine(3),
+                                 AlgorithmParams())
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    trials = mu * (budget // mu - 1)
+    for name in ("variation.de_rand_1", "variation.polynomial_mutation",
+                 "algorithms.moead_nums_replacement"):
+        assert calls[name] == trials, name
+    assert calls["problems.evaluate_batch"] == trials + 1
+    assert tracer.rows == budget

@@ -163,6 +163,18 @@ class TestValidateConfig:
          "params.sbx_eta: must be >= 0"),
         (minimal_raw(params={"pm_eta": -1}), "params.pm_eta: must be >= 0"),
         (minimal_raw(params={"pm_eta": -0.5}), "params.pm_eta: must be >= 0"),
+        (minimal_raw(params={"epsilon_clear": -0.05}),
+         "params.epsilon_clear: must be >= 0"),
+        (minimal_raw(params={"crossover_prob": 1.5}),
+         "params.crossover_prob: must be [0, 1]"),
+        (minimal_raw(params={"crossover_prob": -1}),
+         "params.crossover_prob: must be [0, 1]"),
+        (minimal_raw(params={"mutation_prob": 1.5}),
+         "params.mutation_prob: must be [0, 1]"),
+        (minimal_raw(params={"mutation_prob": -1}),
+         "params.mutation_prob: must be [0, 1]"),
+        (minimal_raw(params={"de_cr": 1.5}), "params.de_cr: must be [0, 1]"),
+        (minimal_raw(params={"de_cr": -1}), "params.de_cr: must be [0, 1]"),
     ])
     def test_rejects_malformed_values(self, raw, fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -178,6 +190,10 @@ class TestValidateConfig:
         {"tau": 1.0, "delta": 0.0, "neighborhood_t": 4, "rho": 1e-12},
         {"tau": 1e-9, "delta": 1.0, "rho": 10**6},
         {"sbx_eta": 0, "pm_eta": 0.0},
+        {"epsilon_clear": 0, "crossover_prob": 0, "mutation_prob": 1,
+         "de_cr": 0.0},
+        {"epsilon_clear": 0.0, "crossover_prob": 1.0, "mutation_prob": 0.0,
+         "de_cr": 1},
     ])
     def test_accepts_params_at_their_bounds(self, params):
         assert validate_config(minimal_raw(params=params)).params == params

@@ -29,41 +29,41 @@ GOLDEN_DIGESTS = {
     "manifest.json":
         "316b1a3aec2efb93c9e03214b2e9290772bc425550f75aae060cb8d0196f1712",
     "rank_summary.csv":
-        "6a767861dc5ea5532d91a9b2fa14b7898ea188098750e626cc9acef9ec3ec601",
+        "897fbc2cbe76531caa1a3546e0aecc0f0fa27bce7fb36b9bd3c730a5a9ad722c",
     "ranks.csv":
-        "314fb8d795c906b677dfc54cf73c0272a8096b9a0b1bb362d9d4e2758b4d1b1d",
+        "1d2660e30789f10ee9ff2f4a512cbe7edd268da21dfa971c08750201f9800871",
     "runs/dtlz2_m2_moead-nums_ba_r00.csv":
-        "eb8401c45e74a6c3c339c573c789bb3330ed665095be8c47cb673955ac5f4d93",
+        "8e61e4b3f5443435871e868902ad6bfd9956caed62bc319c4a7f2c354a5822b8",
     "runs/dtlz2_m2_moead-nums_ba_r00_pop.csv":
-        "28586b59852d8ef7aa4179b55b5ce09c5d6637a6ef0c7d24a5ad1bd40b25e7c9",
+        "c55d2e0552b819bcca37f2cb68bd2bd7ec221bc45b18f0d58b1fc9d0237e5793",
     "runs/dtlz2_m2_moead-nums_ba_r01.csv":
-        "3d63f3bc57b601038b0a5018424096d5d9e18cdd2c4da299a82e493034c404ef",
+        "c4183ee7f5a64d8dea2547c7717d217fee417438cf1bace7c6035f4216fa29dd",
     "runs/dtlz2_m2_moead-nums_ba_r01_pop.csv":
-        "e6267c1c5d000ed5c0c2d532fe01b5eada8cb519160ada867276fdba1ad819a8",
+        "81672117268318a68c43798e1639bc7da157ff2c067ef50e336960058e8e0533",
     "runs/dtlz2_m2_moead-nums_bp_r00.csv":
-        "92d98cd76109c563fa824480babe71bec5c01ea7ab0c10c3e8692d122bd2775d",
+        "33d7280f04fe0dcc76cbd25549de43f883f285b250dde3f67bd9d56a881614b8",
     "runs/dtlz2_m2_moead-nums_bp_r00_pop.csv":
-        "9d1ec8979ddce16db6895bb82c594328ff5b99419e689a890db856ceea86218e",
+        "641eb9e47f3c02f630928bf81534732bd1b4d59d1bf564f20196122f80602eb6",
     "runs/dtlz2_m2_moead-nums_bp_r01.csv":
-        "f79bf5c45de3eb22e4a24af6dea1d85547eac03396777e0cd06bad4fb0d74dcd",
+        "535c23a30f7fb42face5639d6ef3d8c86800b0897d6f13dcc4d1205c8938f6ad",
     "runs/dtlz2_m2_moead-nums_bp_r01_pop.csv":
-        "f0a2ee992cd2a7517189597901ce394cfbd4599095ef5793ae378c5cb9758687",
+        "cd18c66bbd0fbea15c87f120fd8635962ae7b0832399feeb9fdd96db61005e2e",
     "runs/dtlz2_m2_moead-nums_no_r00.csv":
-        "fd0703516122611dbc52f4e3dd4b3f2775d0816f16e18cf0c03ffc6041b065e4",
+        "a76fc0ec769678d6a011236f82cbc0812e1dc8a6547435519de2a86e1e7a39e0",
     "runs/dtlz2_m2_moead-nums_no_r00_pop.csv":
-        "2a6d250e6fc9f8d5e114cacc932407a2cea3d4f616b2d531bdcea56c50752b05",
+        "7551e8fc48eacf4c7ee2790911c1d603055ab29e9ed8e6fdd8f6aef0e6279f6f",
     "runs/dtlz2_m2_moead-nums_no_r01.csv":
-        "b8bd70e68508a2ec41d9168ecbe6c5427a0ac2abe04cb9a706d01deaa86481db",
+        "1a6ad1ab1d4d5156068ab1c1182959bb934f790e9c6c2a22de18f1062a1aefcc",
     "runs/dtlz2_m2_moead-nums_no_r01_pop.csv":
-        "d88ff9568802888bf23349ff2e3cc15bb2d134fe4b224521300c599dcf0ac860",
+        "8d44f60552a06ac2ff3fb5bbf20a28ab34acf486674c303472ba1e9c41ac20cb",
     "runs/dtlz2_m2_moead-nums_pp_r00.csv":
-        "e4addea6ac38d6e9fc8eff39ab40575d2ea03a5f7033031bdfd9d6f8d3d87efc",
+        "2bd7337d1bebf94151aa5334660d402a81e6206f89038984b421d0856e4054de",
     "runs/dtlz2_m2_moead-nums_pp_r00_pop.csv":
-        "d0ff8f3f493c84be2561b84976350e61959551cc389a0c635896a025b51418ab",
+        "b81e5c14f93e006cbc91d64cbd298504b6c187aa054eb98978b700537c071d1a",
     "runs/dtlz2_m2_moead-nums_pp_r01.csv":
-        "8fc1a4fa24bb5139f1f4d71f81e5f21e008f96e8059dbb3b8c1cb6e906674acd",
+        "53bf050f910176701740f356e40d7af4a3e9a51d1d3ce22b076dcc265fea8b33",
     "runs/dtlz2_m2_moead-nums_pp_r01_pop.csv":
-        "775b2f356b656a308d55f213ec0b2d87ce4846d5f73f8eaa91c9edc7182dc2d5",
+        "46ea0fec4f83335caa27f717c2faa652ea3f0c847ea856766759e6a2270f639a",
     "runs/dtlz2_m2_nsga2_ba_r00.csv":
         "40169598a213c89d255c66fbba8725e985ab18eab1e42d379a69a2c2a5e539d2",
     "runs/dtlz2_m2_nsga2_ba_r00_pop.csv":
@@ -161,37 +161,37 @@ GOLDEN_DIGESTS = {
     "runs/dtlz2_m2_rnsga2_pp_r01_pop.csv":
         "4ff625fd2b8709313bb1941f8d322e94fe3f574a50c43f5177477c5907bbd8c7",
     "runs/sdtlz1_m3_moead-nums_ba_r00.csv":
-        "a98ee4826f333fb715410943eb5b4b2d367e6571f224d1f8f4401c87f9c50a23",
+        "8ba543f660aa932b8a5f74287a3d9bd6f361e70803520b2454c44d40be1cf79d",
     "runs/sdtlz1_m3_moead-nums_ba_r00_pop.csv":
-        "6a6b9e92a705e4f5b3906ebca2d6a609a8460dda7ec052b60ffda7fe5d0d12fe",
+        "934951037e10f700ac00a269adb93b3196520f94d449fc4bd4aeb8f00544725e",
     "runs/sdtlz1_m3_moead-nums_ba_r01.csv":
-        "ee942a1e8a3a584479376ad73a10909429aee0d9769776069dae7477f6e12034",
+        "39439b2984584e073a9075ff9bc1c7f5ee33ffefc8318f0f66cd3b5acba35b42",
     "runs/sdtlz1_m3_moead-nums_ba_r01_pop.csv":
-        "3fa960b2881f0b9c40058a2c766c124ade5e8cd96d813f1c9d18eb8bf7c25196",
+        "68dbd2da6aabf7c12e13be043fcf93ddc5d4762655efeb38fc52f4a5a2e228f4",
     "runs/sdtlz1_m3_moead-nums_bp_r00.csv":
-        "3d2fe33f688aa56087b5f12fcb5295d736cd080bcd1585a14abebd8b931ef99b",
+        "6e94921e47154741b5028036d60ae4ae80a7e63ee4037e1785d13d291face8c9",
     "runs/sdtlz1_m3_moead-nums_bp_r00_pop.csv":
-        "a0b4ed813ad0e41f32a19473b5f745df478a107bea12faae4d88ed36f99ee5a9",
+        "4f32b707b54e9f13b5516fbc273ce92b35a4805b6a5c4f95521596892e3ecd26",
     "runs/sdtlz1_m3_moead-nums_bp_r01.csv":
-        "3383efc534da38063207518b92db053160e204c7cf6d77a52c129c8605a44345",
+        "a42b7fce6b582de5c1061e3d258b02d3325032633e224a12913e83f78bfe078e",
     "runs/sdtlz1_m3_moead-nums_bp_r01_pop.csv":
-        "e6a5b260736701c575e6adccd2fdb443b9302eb812ef7aa8bf5e4255ac911aa5",
+        "b8c182dd3b0652673e755902ef6b4e3c9c990b992ab9947157b548c9630575a1",
     "runs/sdtlz1_m3_moead-nums_no_r00.csv":
-        "87068225d1c2cb297ed8e915c731f9c7a70ec47916538967571bf01dfc53ddb4",
+        "7423cd1d36870ce07e289f75a739bb2e7f0fc8bc57cf42ae256022ba5d47f6ee",
     "runs/sdtlz1_m3_moead-nums_no_r00_pop.csv":
-        "3b0ee562ec5c1bf678c8dc4fa87692f3629f9172cd38d7b3084991cbdae7c4e5",
+        "3a7d983dddbe6745a83a121958a69aecf36d663a0776ca181424c6c258582b50",
     "runs/sdtlz1_m3_moead-nums_no_r01.csv":
-        "8cbf24f90d0572e1e2a1c48411dce215819e13d67328a94adf6c4a1607ac1f7c",
+        "c0e240c0c4dc04bbc6219f79c2d0038f03be11dc9fb5ee106dc51940ccea54eb",
     "runs/sdtlz1_m3_moead-nums_no_r01_pop.csv":
-        "bb1657f107a9f0853f92649a64cc46b0fb6559159a10c8488b309973991e579a",
+        "39c67eb835ffca963119f17702a1d735ed546d66eccc41d115f8257cb04ef298",
     "runs/sdtlz1_m3_moead-nums_pp_r00.csv":
-        "a4f5afa8d81e6ec9b41e5fa956a3472f7f3179f4e3febc65d9d365acd4a6296b",
+        "861429862ac0db5e47e1d5d45e7a6d57f70d261ee14644739d0ce0321d24c7f3",
     "runs/sdtlz1_m3_moead-nums_pp_r00_pop.csv":
-        "713201fe694f5b35633b399c3685cfb77bfd2378e32207a616e39c8aa838f841",
+        "2556626aa5ef5d5f6ccaf2c22c9d8b28e5178ffa2c50912c4f1c8402a32ea6d7",
     "runs/sdtlz1_m3_moead-nums_pp_r01.csv":
-        "d2ec3027d950817a6f59bbc9c994751bc49958f3528aff1b40b51510f7a5b832",
+        "99fca70ba060b506abbc4271483b0538f1864d59916e2c0169ee0b0b2ed4de9d",
     "runs/sdtlz1_m3_moead-nums_pp_r01_pop.csv":
-        "eeb0534d66f090559e471f09d26fa7eb7e67184e7438a8906908afa6ccdbd65a",
+        "6a93bbb1fd3bc56a4e2a192c7c45835e75ae54cb42a58ab02396d2df1e589bf0",
     "runs/sdtlz1_m3_nsga2_ba_r00.csv":
         "3f3385d70574e293f0c806fd8e93f38921cf10ca7632b74d8bfcba84b78601cc",
     "runs/sdtlz1_m3_nsga2_ba_r00_pop.csv":
@@ -289,9 +289,9 @@ GOLDEN_DIGESTS = {
     "runs/sdtlz1_m3_rnsga2_pp_r01_pop.csv":
         "37a66133cfecc20a6c98bdd50837ec9d232872deb00b98139db93944f558838e",
     "summary.csv":
-        "c9c8b065a33b00264f49e271bc508691febb9e9d4508490c5ced623f1744e73e",
+        "dd56120b2c649ca0ad6da6a0270ae8c8ad7da44d5e509dfa700532b26b2641dc",
     "summary_checkpoints.csv":
-        "cd977053d35cd270c32f6f76b7c3473c0ad0e6274e7d090cb76e2858d1b8e466",
+        "4513d5714ff92fd552f3d432a36568ec92d2c641c3652a0a8b2a160817c25669",
 }
 
 

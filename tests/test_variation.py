@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_de_rand_1, oracle_polynomial_mutation_batch
+from conftest import (oracle_de_donor_slots, oracle_de_rand_1,
+                      oracle_polynomial_mutation,
+                      oracle_polynomial_mutation_batch)
 from prefnorm.core import make_engine
-from prefnorm.variation import (de_rand_1, polynomial_mutation,
-                                polynomial_mutation_batch, repair_clamp,
+from prefnorm.variation import (de_rand_1, de_rand_1_draws,
+                                polynomial_mutation,
+                                polynomial_mutation_batch,
+                                polynomial_mutation_draws, repair_clamp,
                                 sbx_batch)
 
 LOWER2 = np.zeros(2)
@@ -116,9 +120,17 @@ def test_polynomial_mutation_default_rate_is_one_over_n():
 
 def test_polynomial_mutation_single_wrapper():
     engine = make_engine(47)
-    out = polynomial_mutation(np.array([0.5, 0.5]), LOWER2, UPPER2, engine,
-                              mutation_prob=1.0)
+    do, u = polynomial_mutation_draws((2,), 1.0, engine)
+    out = polynomial_mutation(np.array([0.5, 0.5]), LOWER2, UPPER2, do, u)
     assert out.shape == (2,)
+    assert np.all(out != 0.5)
+
+
+def _de_trial(target, xs, nb, engine, f_scale=0.5, crossover_rate=1.0):
+    """One DE/rand/1 trial of ``target`` from a one-row block of draws."""
+    own = (nb == target)[None, :]
+    slots, cross = de_rand_1_draws(own, xs.shape[1], crossover_rate, engine)
+    return de_rand_1(target, xs, nb[slots[0]], cross[0], f_scale)
 
 
 def test_de_rand_1_linear_combination_with_full_crossover():
@@ -126,7 +138,7 @@ def test_de_rand_1_linear_combination_with_full_crossover():
                    [0.5, 0.5]])
     nb = np.array([0, 1, 2, 3, 4])
     engine = make_engine(53)
-    trial = de_rand_1(0, xs, nb, engine, f_scale=0.5, crossover_rate=1.0)
+    trial = _de_trial(0, xs, nb, engine, f_scale=0.5, crossover_rate=1.0)
     # with full crossover the trial is exactly a + 0.5 (b - c) for some
     # distinct a, b, c drawn from the neighbourhood minus the target
     candidates = [xs[i] + 0.5 * (xs[j] - xs[k])
@@ -140,7 +152,7 @@ def test_de_rand_1_excludes_target_from_donors():
     xs[0] = [100.0, 100.0]
     nb = np.array([0, 1, 2, 3, 4])
     for seed in range(20):
-        trial = de_rand_1(0, xs, nb, make_engine(seed))
+        trial = _de_trial(0, xs, nb, make_engine(seed))
         # donors are all zero vectors, so the target never leaks through
         assert np.allclose(trial, 0.0)
 
@@ -148,14 +160,14 @@ def test_de_rand_1_excludes_target_from_donors():
 def test_de_rand_1_needs_three_donors():
     xs = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        de_rand_1(0, xs, np.array([0, 1, 2]), make_engine(1))
+        _de_trial(0, xs, np.array([0, 1, 2]), make_engine(1))
 
 
 def test_de_rand_1_partial_crossover_keeps_target_coordinates():
     engine = make_engine(59)
     xs = engine.uniform(size=(10, 8))
     nb = np.arange(10)
-    trial = de_rand_1(2, xs, nb, engine, crossover_rate=0.0)
+    trial = _de_trial(2, xs, nb, engine, crossover_rate=0.0)
     # with rate zero only the forced coordinate changes
     diff = trial != xs[2]
     assert diff.sum() == 1
@@ -203,21 +215,24 @@ def test_polynomial_mutation_batch_matches_reference_bytes(case):
 @settings(max_examples=200, deadline=None)
 def test_polynomial_mutation_matches_reference_row_bytes(case):
     x, lower, upper, eta, prob, seed = case
-    got_engine, want_engine = make_engine(seed), make_engine(seed)
+    do, u = polynomial_mutation_draws(x.shape, prob, make_engine(seed))
     with np.errstate(all="ignore"):
-        got = polynomial_mutation(x[0], lower, upper, got_engine, eta, prob)
-        want = oracle_polynomial_mutation_batch(x[:1], lower, upper,
-                                                want_engine, eta, prob)[0]
-    assert got.tobytes() == want.tobytes()
-    assert got_engine.bit_generator.state == want_engine.bit_generator.state
+        # each row of a block, as a trial takes it, and the whole block
+        for rows in [np.s_[i] for i in range(x.shape[0])] + [np.s_[:]]:
+            got = polynomial_mutation(x[rows], lower, upper, do[rows],
+                                      u[rows], eta)
+            want = oracle_polynomial_mutation(x[rows], lower, upper,
+                                              do[rows], u[rows], eta)
+            assert got.tobytes() == want.tobytes()
 
 
 @st.composite
 def _de_case(draw):
     pop, cols = draw(st.integers(3, 12)), draw(st.integers(1, 6))
-    nb = draw(st.permutations(range(pop)))[:draw(st.integers(1, pop))]
-    return (_gene_matrix(draw, pop, cols), draw(st.integers(0, pop - 1)),
-            np.array(nb, dtype=np.int64),
+    t_size = draw(st.integers(1, pop))
+    # one neighbourhood per target; some may lack their own target
+    nbs = [draw(st.permutations(range(pop)))[:t_size] for _ in range(pop)]
+    return (_gene_matrix(draw, pop, cols), np.array(nbs, dtype=np.int64),
             draw(st.one_of(st.just(0.5), st.floats(0.0, 2.0))),
             draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
             draw(st.integers(0, 2**32 - 1)))
@@ -226,14 +241,42 @@ def _de_case(draw):
 @given(_de_case())
 @settings(max_examples=200, deadline=None)
 def test_de_rand_1_matches_reference_bytes(case):
-    xs, target, nb, f_scale, rate, seed = case
+    xs, nbs, f_scale, rate, seed = case
+    pop, cols = xs.shape
+    own = nbs == np.arange(pop)[:, None]
     got_engine, want_engine = make_engine(seed), make_engine(seed)
     try:
-        want = oracle_de_rand_1(target, xs, nb, want_engine, f_scale, rate)
-    except ValueError:
+        slots, cross = de_rand_1_draws(own, cols, rate, got_engine)
+    except ValueError as exc:
+        assert "3 distinct" in str(exc)
         with pytest.raises(ValueError, match="3 distinct"):
-            de_rand_1(target, xs, nb, got_engine, f_scale, rate)
+            for i in range(pop):
+                oracle_de_donor_slots(np.zeros(nbs.shape[1]), nbs[i], i)
         return
-    got = de_rand_1(target, xs, nb, got_engine, f_scale, rate)
-    assert got.tobytes() == want.tobytes()
+    # the same three blocks, read row by row
+    keys = want_engine.random(nbs.shape)
+    cross_draws = want_engine.random((pop, cols))
+    forced = want_engine.integers(cols, size=pop)
     assert got_engine.bit_generator.state == want_engine.bit_generator.state
+    for i in range(pop):
+        want_slots = oracle_de_donor_slots(keys[i], nbs[i], i)
+        assert slots[i].tolist() == want_slots
+        want_cross = cross_draws[i] < rate
+        want_cross[forced[i]] = True
+        assert cross[i].tobytes() == want_cross.tobytes()
+        got = de_rand_1(i, xs, nbs[i][slots[i]], cross[i], f_scale)
+        want = oracle_de_rand_1(i, xs, nbs[i][want_slots], want_cross,
+                                f_scale)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_de_rand_1_donors_are_uniform_over_ordered_triples():
+    # 4 candidates besides the target give 24 ordered triples; the key
+    # sort must reach each about equally often, as choice(replace=False)
+    nb = np.arange(5)
+    own = np.tile(nb == 2, (6000, 1))
+    slots, _ = de_rand_1_draws(own, 1, 1.0, make_engine(61))
+    triples, counts = np.unique(slots, axis=0, return_counts=True)
+    assert len(triples) == 24
+    assert not np.isin(2, triples)
+    assert counts.min() > 0.75 * 250 and counts.max() < 1.25 * 250
