@@ -20,7 +20,7 @@ from .indicators import (DEFAULT_ROI_RADIUS, RoiReferenceSet,
                          build_roi_reference_set, e_ideal, e_nadir,
                          igd_plus_c, ore)
 from .normalization import (KINDS, NormalizationState, TrueScaler,
-                            init_state, normalize_value, update_state)
+                            normalize_value, update_state)
 from .problems import Problem, get_problem, problem_names
 from .ranking import crowding_distance, nondominated_mask, nondominated_sort
 from .refpoints import default_reference_point
@@ -34,8 +34,7 @@ __all__ = [
     "crowding_distance", "das_dennis_lattice", "default_reference_point",
     "derive_run_seed", "e_ideal", "e_nadir",
     "epsilon_clear", "execute_campaign", "friedman_average_ranks",
-    "friedman_ranks_from_means", "get_problem", "igd_plus_c",
-    "init_state", "load_config",
+    "friedman_ranks_from_means", "get_problem", "igd_plus_c", "load_config",
     "make_engine", "nondominated_mask", "nondominated_sort",
     "normalize_value", "nums_shift", "ore",
     "problem_names", "rank_from_results",

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .normalization import (EPS_DENOM, NormalizationState, init_state,
-                            normalize_value, update_state)
+from .normalization import (EPS_DENOM, NormalizationState, normalize_value,
+                            update_state)
 from .problems import Problem
 from .ranking import (_sq_dists, crowding_distance, nondominated_sort,
                       r_domination_matrix, fronts_from_matrix)
@@ -74,7 +74,7 @@ def weighted_ref_distance(objs: np.ndarray, z: np.ndarray, w: np.ndarray,
     range floored the same way as :func:`normalize_value`.
     """
     objs = np.asarray(objs, dtype=float)
-    span = np.maximum(np.asarray(z_ub, dtype=float) - z_lb, 1e-12)
+    span = np.maximum(np.asarray(z_ub, dtype=float) - z_lb, EPS_DENOM)
     scaled = (objs - z) / span
     return np.sqrt(np.sum(w * scaled * scaled, axis=-1))
 
@@ -221,7 +221,7 @@ def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
     xs = _random_population(problem, mu, engine)
     fs = problem.evaluate_batch(xs)
     evals = mu
-    state = init_state(kind, problem.m)
+    state = NormalizationState(kind, problem.m)
     update_state(state, fs)
     # the initial population keys itself through the same selection; every
     # member survives, so only the selection's reordering is undone
@@ -385,7 +385,7 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     xs = _random_population(problem, mu, engine)
     fs = problem.evaluate_batch(xs)
     evals = mu
-    state = init_state(kind, problem.m)
+    state = NormalizationState(kind, problem.m)
     update_state(state, fs)
     if recorder:
         recorder(evals, fs, state)

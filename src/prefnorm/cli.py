@@ -90,7 +90,7 @@ def _cmd_validate(args) -> int:
              * len(config.normalizations))
     print(f"ok: {cells} cells x {config.runs} runs, "
           f"{config.budget} evaluations each")
-    for name, m in dict.fromkeys(config.problems):
+    for name, m in config.problems:
         size = build_cell_roi(config, name, m)[1].points.shape[0]
         flag = f" (under {ROI_SIZE_FLOOR})" if size < ROI_SIZE_FLOOR else ""
         print(f"roi {name}:{m}: {size} points{flag}")

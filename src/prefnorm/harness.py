@@ -165,7 +165,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 errors.append(f"{path}.name: unknown problem {name!r}")
                 continue
             m = _as_int(entry.get("m"), f"{path}.m", errors, minimum=2)
-            if m is not None:
+            if (name, m) in problems:
+                errors.append(f"{path}: duplicate problem {name}:{m}")
+            elif m is not None:
                 problems.append((name, m))
     v["problems"] = problems
 
@@ -182,6 +184,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if item not in known:
                 errors.append(f"{key}[{i}]: unknown {what} {item!r}; "
                               f"known: {', '.join(known)}")
+            elif item in v[key][:i]:
+                errors.append(f"{key}[{i}]: duplicate {what} {item!r}")
 
     for key, minimum in (("runs", 1), ("budget", 1), ("mu", 4), ("seed", 0),
                          ("pf_size", 10)):

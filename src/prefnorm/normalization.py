@@ -11,11 +11,12 @@ Four strategies share one state container:
 ``no``
     identity transform (lower bound 0, upper bound 1 in every objective).
 
-The bounded archive keeps exactly one slot per objective: after filtering
-the old archive plus the new solutions down to the non-dominated subset, slot
-i holds a maximizer of objective i (lowest index on ties, duplicates across
-slots allowed).  Its componentwise maximum provably equals the maximum over
-the full unbounded non-dominated archive.
+The bounded archive keeps exactly one slot per objective: slot i holds a
+maximizer of objective i over the non-dominated subset of the previous
+archive plus the new batch (lowest index on ties, duplicates across slots
+allowed).  On mutually non-dominated streams its maximum equals the
+unbounded non-dominated archive's; otherwise, from three objectives on, it
+approximates it, since a vector extreme in no objective leaves the archive.
 """
 from __future__ import annotations
 
@@ -28,28 +29,6 @@ from .ranking import nondominated_mask
 EPS_DENOM = 1e-12
 
 KINDS = ("pp", "bp", "ba", "no")
-
-
-def estimate_ideal_population(objs: np.ndarray) -> np.ndarray:
-    """Componentwise minimum over a non-empty objective array."""
-    objs = np.asarray(objs, dtype=float)
-    if objs.size == 0:
-        raise ValueError("empty objective set")
-    return objs.min(axis=0)
-
-
-def estimate_ideal_best_so_far(best: np.ndarray,
-                               objs: np.ndarray) -> np.ndarray:
-    """Fold a batch into the running componentwise minimum."""
-    return np.minimum(best, estimate_ideal_population(objs))
-
-
-def estimate_nadir_population(objs: np.ndarray) -> np.ndarray:
-    """Componentwise maximum over a non-empty objective array."""
-    objs = np.asarray(objs, dtype=float)
-    if objs.size == 0:
-        raise ValueError("empty objective set")
-    return objs.max(axis=0)
 
 
 def update_bounded_archive_objs(arch_objs: np.ndarray,
@@ -83,7 +62,7 @@ def update_bounded_archive_objs(arch_objs: np.ndarray,
 
 def estimate_nadir_archive(arch_objs: np.ndarray) -> np.ndarray:
     """Componentwise maximum over the bounded archive's objectives."""
-    return estimate_nadir_population(arch_objs)
+    return np.asarray(arch_objs, dtype=float).max(axis=0)
 
 
 @dataclass
@@ -121,11 +100,6 @@ class NormalizationState:
         self.arch_objs = np.empty((0, self.m))
 
 
-def init_state(kind: str, m: int) -> NormalizationState:
-    """Fresh normalization state; identity bounds until the first update."""
-    return NormalizationState(kind=kind, m=m)
-
-
 def update_state(state: NormalizationState, pop_objs: np.ndarray,
                  off_objs: np.ndarray | None = None) -> NormalizationState:
     """Refresh the estimated bounds after a generation.
@@ -146,13 +120,13 @@ def update_state(state: NormalizationState, pop_objs: np.ndarray,
         union = np.vstack([pop_objs, off_objs])
         batch = off_objs
     if state.kind == "pp":
-        state.z_lb = estimate_ideal_population(union)
-        state.z_ub = estimate_nadir_population(union)
+        state.z_lb = union.min(axis=0)
+        state.z_ub = union.max(axis=0)
         return state
-    state.best_min = estimate_ideal_best_so_far(state.best_min, union)
+    state.best_min = np.minimum(state.best_min, union.min(axis=0))
     state.z_lb = state.best_min.copy()
     if state.kind == "bp":
-        state.z_ub = estimate_nadir_population(union)
+        state.z_ub = union.max(axis=0)
     else:  # ba
         state.arch_objs = update_bounded_archive_objs(state.arch_objs, batch)
         state.z_ub = estimate_nadir_archive(state.arch_objs)

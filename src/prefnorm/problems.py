@@ -133,15 +133,6 @@ class Problem:
     def _objectives(self, x: np.ndarray) -> np.ndarray:
         return self._g_and_f(x)[1]
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Objective vector of a single decision vector (bounds checked)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},), got {x.shape}")
-        if np.any(x < self.lower) or np.any(x > self.upper):
-            raise ValueError("decision vector outside bounds")
-        return self._objectives(x[None, :])[0]
-
     def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
         """Objective matrix of an (N, n) batch; no bounds check (hot path)."""
         return self._objectives(_check_batch(x, self.n))

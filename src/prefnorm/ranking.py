@@ -90,44 +90,15 @@ def nondominated_mask(objs: np.ndarray) -> np.ndarray:
     """Boolean mask of the rows of ``objs`` not Pareto-dominated by any row.
 
     Duplicate rows do not dominate each other, so all copies of a
-    non-dominated vector are kept.  Rows are processed in lexicographic order
-    (a dominator always sorts before what it dominates) in vectorized chunks,
-    which keeps large sampling pools affordable.
+    non-dominated vector are kept.  Two objectives take a sorted O(N log N)
+    pass, which the large DTLZ5/6 sampling pools need; more take all pairs.
     """
     objs = np.asarray(objs, dtype=float)
-    n = objs.shape[0]
-    if n == 0:
+    if objs.shape[0] == 0:
         return np.zeros(0, dtype=bool)
     if objs.shape[1] == 2:
         return _nondominated_mask_2d(objs)
-    if n <= 512:
-        # small pools skip the sort, one full pairwise pass is cheaper
-        le = _all_le(objs, objs)
-        return ~(le & ~le.T).any(axis=0)
-    order = np.lexsort(objs.T[::-1])
-    ordered = objs[order]
-    kept = np.empty_like(ordered)
-    k = 0
-    kept_sorted = np.zeros(n, dtype=bool)
-    chunk = 512
-    for lo in range(0, n, chunk):
-        block = ordered[lo:lo + chunk]
-        alive = np.ones(block.shape[0], dtype=bool)
-        if k:
-            le = _all_le(kept[:k], block)
-            ge = _all_le(block, kept[:k]).T
-            alive = ~np.any(le & ~ge, axis=0)
-        # dominance inside the chunk (any row may dominate any other)
-        le = _all_le(block, block)
-        alive &= ~(le & ~le.T).any(axis=0)
-        cnt = int(alive.sum())
-        if cnt:
-            kept[k:k + cnt] = block[alive]
-            kept_sorted[lo:lo + block.shape[0]][alive] = True
-            k += cnt
-    mask = np.zeros(n, dtype=bool)
-    mask[order[kept_sorted]] = True
-    return mask
+    return ~domination_matrix(objs).any(axis=0)
 
 
 def fronts_from_matrix(dom: np.ndarray, size: int | None = None

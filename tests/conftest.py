@@ -17,7 +17,8 @@ import pytest
 
 from prefnorm.algorithms import epsilon_clear
 from prefnorm.core import make_engine
-from prefnorm.normalization import init_state, normalize_value, update_state
+from prefnorm.normalization import (NormalizationState, normalize_value,
+                                    update_state)
 from prefnorm.ranking import domination_matrix
 from prefnorm.weights import neighborhoods, nums_shift, uniform_simplex_set
 
@@ -239,7 +240,7 @@ def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
     xs = problem.lower + engine.random((mu, problem.n)) * span
     fs = problem.evaluate_batch(xs)
     evals = mu
-    state = init_state(kind, problem.m)
+    state = NormalizationState(kind, problem.m)
     update_state(state, fs)
     recorder(evals, fs, state)
     while evals + mu <= budget:

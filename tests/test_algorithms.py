@@ -20,7 +20,7 @@ from prefnorm.algorithms import (ALGORITHMS, AlgorithmParams, aasf,
                                  rnsga2_environmental_selection, run_nsga2,
                                  run_moead_nums, run_rnsga2,
                                  weighted_ref_distance)
-from prefnorm.normalization import KINDS, init_state
+from prefnorm.normalization import KINDS, NormalizationState
 from prefnorm.problems import problem_names
 from prefnorm.ranking import _sq_dists, nondominated_sort
 
@@ -319,7 +319,7 @@ class TestMoeadReplacement:
     NB = np.arange(5)
 
     def call(self, trial, max_replace, seed, state=None):
-        state = state or init_state("no", 2)
+        state = state or NormalizationState("no", 2)
         trial_vals = aasf(np.asarray(trial, dtype=float), ORIGIN,
                           self.WEIGHTS[self.NB], state.z_lb, state.z_ub)
         incumbent = aasf(self.FS, ORIGIN, self.WEIGHTS, state.z_lb,
@@ -356,7 +356,7 @@ class TestMoeadReplacement:
     def test_uses_normalized_objectives(self):
         # raw objectives would let the trial win; with the first range
         # stretched to 10 the normalized comparison rejects it
-        state = init_state("no", 2)
+        state = NormalizationState("no", 2)
         state.z_ub = np.array([10.0, 1.0])
         w = np.array([[0.5, 0.5]])
         trial_vals = aasf(np.array([1.0, 0.9]), ORIGIN, w, state.z_lb,
@@ -411,7 +411,7 @@ class TestMoeadByteIdentity:
         z = rng.random(m) - 0.25
         # a tied trial duplicates one incumbent of the neighbourhood
         trial_f = fs[nb[0]].copy() if tie else rng.random(m)
-        state = init_state("no", m)
+        state = NormalizationState("no", m)
         if bounds != "identity":
             state.z_lb = rng.random(m) - 0.5
             state.z_ub = (state.z_lb if bounds == "flat"

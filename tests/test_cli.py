@@ -43,12 +43,12 @@ class TestValidate:
         # at the default pf_size a radius-0.1 ball on the m = 5 front holds
         # a point or two; the instance is flagged, the config still passes
         path = tmp_path / "config.yaml"
-        config = dict(TINY, problems=["dtlz2:2", "dtlz2:5", "dtlz2:2"])
+        config = dict(TINY, problems=["dtlz2:2", "dtlz2:5"])
         del config["pf_size"]
         path.write_text(yaml.safe_dump(config))
         assert main(["validate", "--config", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "ok: 6 cells x 2 runs, 200 evaluations each"
+        assert lines[0] == "ok: 4 cells x 2 runs, 200 evaluations each"
         assert [line.split(": ")[0] for line in lines[1:]] == [
             "roi dtlz2:2", "roi dtlz2:5"]
         m2, m5 = (int(line.split()[2]) for line in lines[1:])

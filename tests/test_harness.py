@@ -116,6 +116,17 @@ class TestValidateConfig:
         (minimal_raw(params={"zeta": 1.0}), "unknown parameter"),
         (minimal_raw(params=[1]), "params"),
         (minimal_raw(workers=0), "workers"),
+        (minimal_raw(problems=["dtlz2:2", "dtlz2:2"]),
+         "problems[1]: duplicate problem dtlz2:2"),
+        (minimal_raw(problems=["dtlz2:3", "dtlz2:2", {"name": "dtlz2",
+                                                     "m": 2}]),
+         "problems[2]: duplicate problem dtlz2:2"),
+        (minimal_raw(algorithms=["nsga2", "rnsga2", "nsga2"]),
+         "algorithms[2]: duplicate algorithm 'nsga2'"),
+        (minimal_raw(normalizations=["pp", "pp"]),
+         "normalizations[1]: duplicate kind 'pp'"),
+        (minimal_raw(normalizations=["no", False]),
+         "normalizations[1]: duplicate kind 'no'"),
     ])
     def test_rejects(self, raw, fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):

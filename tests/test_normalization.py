@@ -4,11 +4,7 @@ import pytest
 
 from prefnorm.core import make_engine
 from prefnorm.normalization import (EPS_DENOM, KINDS, NormalizationState,
-                                    estimate_ideal_best_so_far,
-                                    estimate_ideal_population,
-                                    estimate_nadir_archive,
-                                    estimate_nadir_population, init_state,
-                                    normalize_value,
+                                    estimate_nadir_archive, normalize_value,
                                     update_bounded_archive_objs,
                                     update_state, TrueScaler)
 
@@ -17,18 +13,22 @@ from conftest import oracle_unbounded_nadir, random_objs
 
 def test_population_bound_estimates():
     objs = np.array([[1.0, 4.0], [2.0, 1.0], [3.0, 3.0]])
-    assert np.array_equal(estimate_ideal_population(objs), [1.0, 1.0])
-    assert np.array_equal(estimate_nadir_population(objs), [3.0, 4.0])
-    with pytest.raises(ValueError):
-        estimate_ideal_population(np.empty((0, 2)))
+    state = update_state(NormalizationState("pp", 2), objs)
+    assert np.array_equal(state.z_lb, [1.0, 1.0])
+    assert np.array_equal(state.z_ub, [3.0, 4.0])
+    for kind in ("pp", "bp", "ba"):
+        with pytest.raises(ValueError):
+            update_state(NormalizationState(kind, 2), np.empty((0, 2)))
 
 
 def test_best_so_far_only_improves():
-    best = np.array([2.0, 2.0])
-    out = estimate_ideal_best_so_far(best, np.array([[1.0, 5.0]]))
-    assert np.array_equal(out, [1.0, 2.0])
-    out = estimate_ideal_best_so_far(out, np.array([[9.0, 9.0]]))
-    assert np.array_equal(out, [1.0, 2.0])
+    state = NormalizationState("bp", 2)
+    update_state(state, np.array([[2.0, 2.0]]))
+    update_state(state, np.array([[2.0, 2.0]]), np.array([[1.0, 5.0]]))
+    assert np.array_equal(state.best_min, [1.0, 2.0])
+    update_state(state, np.array([[9.0, 9.0]]))
+    assert np.array_equal(state.best_min, [1.0, 2.0])
+    assert np.array_equal(state.z_lb, [1.0, 2.0])
 
 
 class TestBoundedArchive:
@@ -94,6 +94,20 @@ class TestBoundedArchive:
         arch = update_bounded_archive_objs(arch, np.array([[-1.0, -1.0]]))
         assert np.allclose(arch, [[-1.0, -1.0], [-1.0, -1.0]])
 
+    def test_approximates_unbounded_archive_at_three_objectives(self):
+        # (0.7, 0.5, 0.5) is extreme in no objective and leaves the archive;
+        # once (0.6, 0.6, 0) dominates the f1 extreme (1, 0.6, 0), the
+        # dropped vector holds the unbounded archive's f1 maximum
+        first = np.array([[1.0, 0.6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                          [0.7, 0.5, 0.5]])
+        second = np.array([[0.6, 0.6, 0.0]])
+        arch = update_bounded_archive_objs(np.empty((0, 3)), first)
+        assert not (arch == first[3]).all(axis=1).any()
+        arch = update_bounded_archive_objs(arch, second)
+        assert np.array_equal(estimate_nadir_archive(arch), [0.6, 1.0, 1.0])
+        unbounded = oracle_unbounded_nadir(np.vstack([first, second]))
+        assert np.array_equal(unbounded, [0.7, 1.0, 1.0])
+
     def test_ties_resolve_to_lowest_index(self):
         batch = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         arch = update_bounded_archive_objs(np.empty((0, 2)), batch)
@@ -103,23 +117,23 @@ class TestBoundedArchive:
 
 def test_init_state_by_kind():
     for kind in KINDS:
-        state = init_state(kind, 3)
+        state = NormalizationState(kind, 3)
         assert state.kind == kind
         assert np.array_equal(state.z_lb, np.zeros(3))
         assert np.array_equal(state.z_ub, np.ones(3))
     with pytest.raises(ValueError):
-        init_state("zz", 3)
+        NormalizationState("zz", 3)
 
 
 def test_update_state_no_kind_is_identity():
-    state = init_state("no", 2)
+    state = NormalizationState("no", 2)
     update_state(state, np.array([[5.0, 5.0], [9.0, -3.0]]))
     assert np.array_equal(state.z_lb, [0.0, 0.0])
     assert np.array_equal(state.z_ub, [1.0, 1.0])
 
 
 def test_update_state_pp_tracks_current_union_only():
-    state = init_state("pp", 2)
+    state = NormalizationState("pp", 2)
     update_state(state, np.array([[0.0, 4.0], [2.0, 2.0]]))
     assert np.array_equal(state.z_lb, [0.0, 2.0])
     assert np.array_equal(state.z_ub, [2.0, 4.0])
@@ -130,7 +144,7 @@ def test_update_state_pp_tracks_current_union_only():
 
 
 def test_update_state_bp_lower_bound_never_rises():
-    state = init_state("bp", 2)
+    state = NormalizationState("bp", 2)
     update_state(state, np.array([[0.0, 4.0], [2.0, 2.0]]))
     lb1 = state.z_lb.copy()
     update_state(state, np.array([[1.0, 3.0]]))
@@ -140,7 +154,7 @@ def test_update_state_bp_lower_bound_never_rises():
 
 
 def test_update_state_ba_upper_bound_from_archive():
-    state = init_state("ba", 2)
+    state = NormalizationState("ba", 2)
     update_state(state, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(state.z_ub, [1.0, 1.0])
     # dominated newcomers cannot inflate the archive nadir
@@ -153,7 +167,7 @@ def test_update_state_ba_upper_bound_from_archive():
 
 def test_update_state_ba_golden_three_generations():
     # hand-computed trace: archive and bounds after each generation
-    state = init_state("ba", 2)
+    state = NormalizationState("ba", 2)
     update_state(state, np.array([[1.0, 5.0], [4.0, 2.0], [6.0, 6.0]]))
     assert np.array_equal(state.z_lb, [1.0, 2.0])
     assert np.array_equal(state.z_ub, [4.0, 5.0])
@@ -176,7 +190,7 @@ def test_update_state_ba_golden_three_generations():
 
 def test_update_state_offspring_fold_into_union():
     for kind in ("pp", "bp"):
-        state = init_state(kind, 2)
+        state = NormalizationState(kind, 2)
         update_state(state, np.array([[1.0, 1.0]]),
                      off_objs=np.array([[0.0, 2.0]]))
         assert np.array_equal(state.z_lb, [0.0, 1.0])
