@@ -169,16 +169,22 @@ def _check_setup(mu: int, budget: int, m: int) -> None:
         raise ValueError(f"budget {budget} smaller than one population {mu}")
 
 
-def _level_ranks(fronts: list[list[int]], n: int) -> np.ndarray:
-    """Level index of each of ``n`` members of a level partition.
+def _truncate(fronts: list[list[int]], mu: int, take: Callable
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Up to mu survivors of a walk down the levels, with the level of each.
 
-    Members beyond the last level, which a sort stopped early did not
-    place, get -1.
+    ``take(idx, room)`` picks at most ``room`` members of level ``idx``; a
+    level that fits must come back whole, in its sorted order.
     """
-    rank = np.full(n, -1)
+    keep, rank = [], []
     for level, front in enumerate(fronts):
-        rank[np.asarray(front, dtype=int)] = level
-    return rank
+        room = mu - len(keep)
+        if room <= 0:
+            break
+        idx = take(np.asarray(front, dtype=int), room)
+        keep.extend(idx.tolist())
+        rank.extend([level] * idx.size)
+    return np.asarray(keep, dtype=int), np.asarray(rank, dtype=int)
 
 
 def _crowding_truncation(uf: np.ndarray, fronts: list[list[int]], mu: int
@@ -189,20 +195,16 @@ def _crowding_truncation(uf: np.ndarray, fronts: list[list[int]], mu: int
     up its least crowded members.  Returns the survivors with their levels
     and their crowding distances within their level.
     """
-    keep: list[int] = []
     crowd = np.empty(uf.shape[0])
-    for front in fronts:
-        room = mu - len(keep)
-        if room <= 0:
-            break
-        idx = np.asarray(front, dtype=int)
+
+    def take(idx, room):
         crowd[idx] = crowding_distance(uf[idx])
         if idx.size > room:
             idx = idx[np.argsort(-crowd[idx], kind="stable")[:room]]
-        keep.extend(idx.tolist())
-    keep_arr = np.asarray(keep, dtype=int)
-    return (keep_arr, _level_ranks(fronts, uf.shape[0])[keep_arr],
-            crowd[keep_arr])
+        return idx
+
+    keep, rank = _truncate(fronts, mu, take)
+    return keep, rank, crowd[keep]
 
 
 def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
@@ -271,28 +273,21 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
     epsilon-clearing in the normalized objective space; cleared-away members
     re-enter (still by ascending distance) only when the level's survivors
     cannot fill the remaining room, so a level is never skipped over.
-    Returns the survivors and their levels; every level before the last
-    one taken survives whole, so these are also the survivors' own levels.
+    Returns the survivors and their levels.
     """
-    fronts = nondominated_sort(uf, mu)
     norm = normalize_value(uf, z_lb, z_ub)
-    keep: list[int] = []
-    for front in fronts:
-        room = mu - len(keep)
-        if room <= 0:
-            break
-        idx = np.asarray(front, dtype=int)
+
+    def take(idx, room):
         if idx.size <= room:
-            # clearing cannot change membership here, order is irrelevant
-            keep.extend(idx.tolist())
-            continue
+            # clearing cannot change membership here; keep the sorted order
+            return idx
         survivors, reserve = epsilon_clear(norm[idx], epsilon, engine)
         # survivors first, each group by ascending distance, ties by position
         ordered = np.concatenate([pos[np.lexsort((pos, dists[idx[pos]]))]
                                   for pos in (survivors, reserve)])
-        keep.extend(idx[ordered[:room]].tolist())
-    keep_arr = np.asarray(keep, dtype=int)
-    return keep_arr, _level_ranks(fronts, uf.shape[0])[keep_arr]
+        return idx[ordered[:room]]
+
+    return _truncate(nondominated_sort(uf, mu), mu, take)
 
 
 def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,

@@ -9,9 +9,9 @@ import argparse
 import logging
 import sys
 
-from .harness import (SUITES, ConfigError, build_cell_roi, execute_campaign,
+from .harness import (ConfigError, build_cell_roi, execute_campaign,
                       load_config, rank_from_results, write_results)
-from .problems import problem_names
+from .problems import SUITES, problem_names
 
 # IGD+-C read off fewer ROI points than this measures a few points, not a
 # region; validate flags such instances but still accepts the config

@@ -28,7 +28,7 @@ from .indicators import (DEFAULT_ROI_RADIUS, RoiReferenceSet,
                          build_roi_reference_set, e_ideal, e_nadir,
                          igd_plus_c, ore)
 from .normalization import KINDS, TrueScaler
-from .problems import get_problem, problem_names
+from .problems import SUITES, get_problem, problem_names
 from .refpoints import SETTINGS, default_reference_point
 
 logger = logging.getLogger(__name__)
@@ -37,13 +37,6 @@ WORKERS_ENV = "PREFNORM_WORKERS"
 
 DEFAULT_CHECKPOINTS = (1000, 3000, 5000, 8000, 10000, 15000, 20000, 25000,
                        30000, 35000, 40000, 45000, 50000)
-
-SUITES = {
-    "dtlz": tuple(f"dtlz{i}" for i in range(1, 8)),
-    "sdtlz": tuple(f"sdtlz{i}" for i in range(1, 5)),
-    "idtlz": tuple(f"idtlz{i}" for i in range(1, 5)),
-}
-
 
 class ConfigError(Exception):
     """Invalid experiment configuration; message lists offending fields."""

@@ -1,5 +1,7 @@
 """DTLZ test problems, their scaled and inverted variants, and front samplers.
 
+Only this module maps a name to a problem: the registry, the suites that
+group its names in rank tables and each problem's base ``family`` live here.
 All problems are box-constrained to [0, 1]^n for minimization.  The number of
 distance variables k is fixed per problem (5 for DTLZ1, 10 for DTLZ2-6, 20
 for DTLZ7), so n = m + k - 1.  Scaled variants multiply the i-th objective by
@@ -15,6 +17,9 @@ the strict running-maximum set of t (1 + sin(3 pi t)); the numeric constants
 that function.
 """
 from __future__ import annotations
+
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -108,7 +113,8 @@ class Problem:
         Exact objective-space extremes of the (sampled) front.
     """
 
-    family: int = 0
+    family: int = 0  # DTLZ number; a variant has its base's
+    factors: float | np.ndarray = 1.0  # 10^(i-1) on scaled variants
 
     def __init__(self, name: str, m: int):
         if m < 2:
@@ -143,7 +149,7 @@ class Problem:
         raise NotImplementedError
 
     def __repr__(self):
-        return f"{type(self).__name__}(m={self.m}, n={self.n})"
+        return f"{self.name}(m={self.m}, n={self.n})"
 
 
 class DTLZ1(Problem):
@@ -299,57 +305,39 @@ class DTLZ7(Problem):
         return farthest_point_subsample(f, count)
 
 
-class _Scaled(Problem):
-    """Objective i of the base problem multiplied by 10^(i-1)."""
+class _Variant(Problem):
+    """A base problem with its objectives transformed; same family."""
 
-    base_cls: type[Problem] = Problem
-
-    def __init__(self, name: str, m: int):
-        self._base = self.base_cls(name, m)
+    def __init__(self, name: str, m: int, base_cls: type[Problem]):
+        self._base = base_cls(name, m)
         self.family = self._base.family
-        self._factors = 10.0 ** np.arange(m)
         super().__init__(name, m)
 
+
+class _Scaled(_Variant):
+    """Objective i of the base problem multiplied by 10^(i-1)."""
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        return 10.0 ** np.arange(self.m)
+
     def _front_box(self):
-        return (self._base.true_ideal * self._factors,
-                self._base.true_nadir * self._factors)
+        return (self._base.true_ideal * self.factors,
+                self._base.true_nadir * self.factors)
 
     def _objectives(self, x):
-        return self._base._objectives(x) * self._factors
+        return self._base._objectives(x) * self.factors
 
     def sample_pf(self, count, engine):
-        return self._base.sample_pf(count, engine) * self._factors
+        return self._base.sample_pf(count, engine) * self.factors
 
 
-class SDTLZ1(_Scaled):
-    base_cls = DTLZ1
-
-
-class SDTLZ2(_Scaled):
-    base_cls = DTLZ2
-
-
-class SDTLZ3(_Scaled):
-    base_cls = DTLZ3
-
-
-class SDTLZ4(_Scaled):
-    base_cls = DTLZ4
-
-
-class _Inverted(Problem):
+class _Inverted(_Variant):
     """The base problem with each objective flipped inside its front box.
 
     f_i' = c (1 + g) - f_i, where c is the base front's nadir value (0.5
     for DTLZ1, 1 for DTLZ2/3/4), so the front box maps onto itself.
     """
-
-    base_cls: type[Problem] = Problem
-
-    def __init__(self, name: str, m: int):
-        self._base = self.base_cls(name, m)
-        self.family = self._base.family
-        super().__init__(name, m)
 
     def _front_box(self):
         return self._base.true_ideal, self._base.true_nadir
@@ -362,28 +350,17 @@ class _Inverted(Problem):
         return self.true_nadir - self._base.sample_pf(count, engine)
 
 
-class IDTLZ1(_Inverted):
-    base_cls = DTLZ1
-
-
-class IDTLZ2(_Inverted):
-    base_cls = DTLZ2
-
-
-class IDTLZ3(_Inverted):
-    base_cls = DTLZ3
-
-
-class IDTLZ4(_Inverted):
-    base_cls = DTLZ4
-
-
-_REGISTRY: dict[str, type[Problem]] = {
-    "dtlz1": DTLZ1, "dtlz2": DTLZ2, "dtlz3": DTLZ3, "dtlz4": DTLZ4,
-    "dtlz5": DTLZ5, "dtlz6": DTLZ6, "dtlz7": DTLZ7,
-    "sdtlz1": SDTLZ1, "sdtlz2": SDTLZ2, "sdtlz3": SDTLZ3, "sdtlz4": SDTLZ4,
-    "idtlz1": IDTLZ1, "idtlz2": IDTLZ2, "idtlz3": IDTLZ3, "idtlz4": IDTLZ4,
+_BASES = (DTLZ1, DTLZ2, DTLZ3, DTLZ4, DTLZ5, DTLZ6, DTLZ7)
+# suite -> name -> constructor; only DTLZ1-4 have scaled and inverted ones
+_BY_SUITE: dict[str, dict[str, Callable[[str, int], Problem]]] = {
+    "dtlz": {f"dtlz{cls.family}": cls for cls in _BASES},
+    "sdtlz": {f"sdtlz{cls.family}": partial(_Scaled, base_cls=cls)
+              for cls in _BASES[:4]},
+    "idtlz": {f"idtlz{cls.family}": partial(_Inverted, base_cls=cls)
+              for cls in _BASES[:4]},
 }
+SUITES = {suite: tuple(names) for suite, names in _BY_SUITE.items()}
+_REGISTRY = {k: v for names in _BY_SUITE.values() for k, v in names.items()}
 
 
 def problem_names() -> list[str]:

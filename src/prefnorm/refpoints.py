@@ -13,14 +13,16 @@ The *extreme* setting pushes toward one edge of the front and is bundled
 only for the listed m; there is no faithful reconstruction rule for it, so
 other m require an explicit reference point in the config.
 
-Scaled problems multiply coordinate i by 10^(i-1); inverted problems reuse
-the base values unchanged.
+Variants take their base family's values times the problem's ``factors``
+(10^(i-1) on scaled problems, 1.0 elsewhere), both read off the problem.
 """
 from __future__ import annotations
 
 from math import sqrt
 
 import numpy as np
+
+from .problems import get_problem
 
 SETTINGS = ("balanced", "extreme")
 
@@ -98,8 +100,8 @@ def default_reference_point(problem_name: str, m: int,
     Parameters
     ----------
     problem_name : str
-        Registry name, e.g. ``"sdtlz2"``; scaled variants get coordinate i
-        multiplied by 10^(i-1), inverted variants reuse the base values.
+        Registry name, e.g. ``"sdtlz2"``, else ``KeyError``; the base
+        family's value is multiplied by the problem's ``factors``.
     m : int
     setting : str
         ``"balanced"`` (any m >= 2) or ``"extreme"`` (listed m only).
@@ -107,14 +109,8 @@ def default_reference_point(problem_name: str, m: int,
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}; "
                          f"known: {', '.join(SETTINGS)}")
-    key = problem_name.lower()
-    scaled = key.startswith("s")
-    base = key[1:] if key[0] in "si" else key
-    try:
-        family = int(base.replace("dtlz", ""))
-    except ValueError:
-        raise KeyError(f"no bundled reference points for {problem_name!r}")
-    group = _GROUP_BY_FAMILY[family]
+    problem = get_problem(problem_name, m)
+    group = _GROUP_BY_FAMILY[problem.family]
     table = _BALANCED if setting == "balanced" else _EXTREME
     if (group, m) in table:
         z = np.array(table[(group, m)], dtype=float)
@@ -124,6 +120,4 @@ def default_reference_point(problem_name: str, m: int,
         raise KeyError(
             f"no bundled extreme reference point for {problem_name} m={m}; "
             "set one explicitly in the config")
-    if scaled:
-        z = z * 10.0 ** np.arange(m)
-    return z
+    return z * problem.factors

@@ -14,7 +14,7 @@ import numpy as np
 import prefnorm
 from prefnorm.algorithms import ALGORITHMS, AlgorithmParams
 from prefnorm.core import make_engine
-from prefnorm.problems import get_problem
+from prefnorm.problems import get_problem, problem_names
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -33,6 +33,18 @@ def test_every_traced_site_resolves():
     assert sites
     for name, owner, attr in sites:
         assert callable(tracing._lookup(owner, attr)), name
+
+
+def test_every_front_sampler_is_traced():
+    # the sites are found by walking the problem classes, so a registry
+    # that builds its problems some other way could leave one untraced
+    tracing = load_tracing()
+    samplers = [tracing._lookup(owner, attr)
+                for name, owner, attr in tracing.traced_sites(prefnorm)
+                if name == "problems.sample_pf"]
+    for name in problem_names():
+        sampler = type(get_problem(name, 3)).sample_pf
+        assert any(sampler is traced for traced in samplers), name
 
 
 def test_moead_trial_operators_are_traced_once_per_trial():

@@ -4,8 +4,9 @@ import pytest
 
 from conftest import oracle_linear_objectives, oracle_spherical_objectives
 from prefnorm.core import make_engine
-from prefnorm.problems import (_linear_objectives, _spherical_objectives,
-                               get_problem, problem_names)
+from prefnorm.problems import (SUITES, _linear_objectives,
+                               _spherical_objectives, get_problem,
+                               problem_names)
 from prefnorm.ranking import nondominated_mask
 
 ALL_NAMES = problem_names()
@@ -22,10 +23,13 @@ def test_registry_contains_all_families():
     assert "dtlz1" in ALL_NAMES and "sdtlz4" in ALL_NAMES
     assert "idtlz4" in ALL_NAMES and "dtlz7" in ALL_NAMES
     assert "sdtlz5" not in ALL_NAMES and "idtlz7" not in ALL_NAMES
+    # every name sits in exactly one suite, suites in registry order
+    assert [name for suite in SUITES.values() for name in suite] == ALL_NAMES
 
 
 def test_get_problem_is_case_insensitive():
     assert get_problem("DTLZ2", 3).name == "dtlz2"
+    assert repr(get_problem("SDTLZ2", 3)) == "sdtlz2(m=3, n=12)"
 
 
 def test_get_problem_unknown_name():
@@ -134,6 +138,8 @@ def test_scaled_families_multiply_objectives():
         engine = make_engine(40 + i)
         x = engine.uniform(size=(5, base.n))
         factors = 10.0 ** np.arange(3)
+        assert base.factors == 1.0
+        assert np.array_equal(scaled.factors, factors)
         assert np.allclose(scaled.evaluate_batch(x),
                            base.evaluate_batch(x) * factors)
 

@@ -3,7 +3,8 @@
 Bundled table values are frozen, reconstructed values follow the family
 rules (linear 0.6/m, spherical 1.2/sqrt(m), degenerate curve 1.2 times
 the center curve point), scaled variants multiply coordinate i by
-10^(i-1), and inverted variants reuse the base values.
+10^(i-1), and inverted variants reuse the base values; names outside the
+problem registry have none.
 """
 import math
 
@@ -92,12 +93,18 @@ class TestReconstruction:
         assert z6[-1] == 10.2809
 
 
+VARIANT_MS = (2, 3, 4, 5, 6, 8, 10)
+
+
 class TestVariants:
 
     def test_scaled_multiplies_by_powers_of_ten(self):
-        base = default_reference_point("dtlz1", 3)
-        scaled = default_reference_point("sdtlz1", 3)
-        assert np.allclose(scaled, base * [1.0, 10.0, 100.0], rtol=1e-12)
+        for family in (1, 2, 3, 4):
+            for m in VARIANT_MS:
+                base = default_reference_point(f"dtlz{family}", m)
+                scaled = default_reference_point(f"sdtlz{family}", m)
+                assert np.array_equal(scaled, base * 10.0 ** np.arange(m)), (
+                    family, m)
 
     def test_scaled_spherical_m2(self):
         z = default_reference_point("sdtlz2", 2)
@@ -106,9 +113,10 @@ class TestVariants:
 
     def test_inverted_reuses_base(self):
         for family in (1, 2, 3, 4):
-            assert np.array_equal(
-                default_reference_point(f"idtlz{family}", 3),
-                default_reference_point(f"dtlz{family}", 3))
+            for m in VARIANT_MS:
+                assert np.array_equal(
+                    default_reference_point(f"idtlz{family}", m),
+                    default_reference_point(f"dtlz{family}", m)), (family, m)
 
 
 class TestMissingEntries:
@@ -118,8 +126,10 @@ class TestMissingEntries:
             default_reference_point("dtlz2", 3, "midway")
 
     def test_unknown_problem(self):
-        with pytest.raises(KeyError):
-            default_reference_point("zdt1", 2)
+        # only registered names have reference points, whatever they parse as
+        for name in ("zdt1", "sdtlz5", "sdtlz7", "idtlz6", "dtlz9"):
+            with pytest.raises(KeyError, match="known: dtlz1"):
+                default_reference_point(name, 3)
 
     def test_extreme_has_no_reconstruction(self):
         with pytest.raises(KeyError, match="set one explicitly"):
