@@ -359,6 +359,18 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     scored once per generation and cached; a replaced slot takes over the
     trial's value.  The cache therefore always equals a fresh :func:`aasf`
     of ``fs`` under the current bounds.
+
+    Those draws let each generation build, evaluate and score all mu
+    trials at once from its starting rows.  The sequential pass then keeps
+    the slots replaced so far; trial i is stale when one of its donors is
+    among them, or its target is and its crossover mask leaves the target
+    at least one gene (with ``de_cr`` = 1 the target row is never read).
+    A stale trial is rebuilt, evaluated and scored alone from the current
+    rows, exactly as a one-at-a-time loop would; its speculative row was
+    evaluated for nothing, is discarded and never counts against the
+    budget.  Replacement against the cached incumbents stays sequential,
+    so the result is the same, byte for byte, as building every trial in
+    turn.
     """
     params = params or AlgorithmParams()
     if params.rho <= 0.0:
@@ -375,7 +387,8 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     weights = nums_shift(weights, z, params.tau)
     nbs = neighborhoods(weights, t_size)
     nb_weights = weights[nbs]
-    own = nbs == np.arange(mu)[:, None]
+    rows = np.arange(mu)
+    own = nbs == rows[:, None]
     lower, upper = problem.lower, problem.upper
     xs = _random_population(problem, mu, engine)
     fs = problem.evaluate_batch(xs)
@@ -384,27 +397,43 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     update_state(state, fs)
     if recorder:
         recorder(evals, fs, state)
+
+    def build(target, donors, cross, do, u):
+        trial = de_rand_1(target, xs, donors, cross, params.de_f)
+        trial = repair_clamp(trial, lower, upper)
+        return polynomial_mutation(trial, lower, upper, do, u, params.pm_eta)
+
+    def score(w, f):
+        # AASF under the bounds of the generation the loop below is in
+        return _aasf_of_gap(w, (f - z_lb) / span - zn, params.rho)
+
     while evals + mu <= budget:
         slots, cross = de_rand_1_draws(own, problem.n, params.de_cr, engine)
-        donors = np.take_along_axis(nbs, slots, axis=1).tolist()
+        donors = np.take_along_axis(nbs, slots, axis=1)
         do, u = polynomial_mutation_draws(xs.shape, params.mutation_prob,
                                           engine)
         order = engine.random(nbs.shape).argsort(axis=1, kind="stable")
-        batch = np.empty((mu, problem.m))
         z_lb = state.z_lb
         span = np.maximum(state.z_ub - z_lb, EPS_DENOM)
         zn = (z - z_lb) / span
-        incumbent = _aasf_of_gap(weights, (fs - z_lb) / span - zn, params.rho)
+        incumbent = score(weights, fs)
+        trials = build(rows, donors.T, cross, do, u)
+        # row i ends up holding trial i's objectives, speculative or rebuilt
+        batch = problem.evaluate_batch(trials)
+        scores = score(nb_weights, batch[:, None])
+        donors = donors.tolist()
+        reads_target = (~cross.all(axis=1)).tolist()
+        touched: set[int] = set()
         for i in range(mu):
             nb = nbs[i]
-            trial = de_rand_1(i, xs, donors[i], cross[i], params.de_f)
-            trial = repair_clamp(trial, lower, upper)
-            trial = polynomial_mutation(trial, lower, upper, do[i], u[i],
-                                        params.pm_eta)
-            trial_f = problem.evaluate_batch(trial[None, :])[0]
-            batch[i] = trial_f
-            trial_vals = _aasf_of_gap(nb_weights[i],
-                                      (trial_f - z_lb) / span - zn, params.rho)
+            if (touched.isdisjoint(donors[i])
+                    and not (reads_target[i] and i in touched)):
+                trial, trial_f, trial_vals = trials[i], batch[i], scores[i]
+            else:
+                trial = build(i, donors[i], cross[i], do[i], u[i])
+                trial_f = problem.evaluate_batch(trial[None, :])[0]
+                batch[i] = trial_f
+                trial_vals = score(nb_weights[i], trial_f)
             won = moead_nums_replacement(trial_vals, incumbent[nb],
                                          params.max_replace, order[i])
             if won.size:
@@ -412,6 +441,7 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
                 xs[targets] = trial
                 fs[targets] = trial_f
                 incumbent[targets] = trial_vals[won]
+                touched.update(targets.tolist())
         evals += mu
         update_state(state, fs, batch)
         if recorder:

@@ -144,13 +144,17 @@ def de_rand_1_draws(own: np.ndarray, n_var: int, crossover_rate: float,
     return slots, cross
 
 
-def de_rand_1(target_index: int, xs: np.ndarray, donors: Sequence[int],
-              cross: np.ndarray, f_scale: float = 0.5) -> np.ndarray:
+def de_rand_1(target_index: int | np.ndarray, xs: np.ndarray,
+              donors: Sequence, cross: np.ndarray,
+              f_scale: float = 0.5) -> np.ndarray:
     """DE/rand/1 mutant with binomial crossover against the target.
 
-    ``donors`` holds the population indices r1, r2, r3 and ``cross`` the
-    genes taken from the mutant (see :func:`de_rand_1_draws`); the trial is
-    clamped to the box by the caller.
+    ``donors`` holds r1, r2, r3 and ``cross`` the genes taken from the
+    mutant (see :func:`de_rand_1_draws`).  For one trial they are three
+    population indices and an n-mask; for a block of N trials,
+    ``target_index`` holds N indices, ``donors`` three index arrays of
+    length N and ``cross`` an (N, n) mask.  The trial is clamped to the box
+    by the caller.
     """
     r1, r2, r3 = donors
     mutant = xs[r1] + f_scale * (xs[r2] - xs[r3])

@@ -15,8 +15,9 @@ from conftest import (oracle_dominates, oracle_epsilon_clear,
                       oracle_rnsga2_environmental_selection,
                       oracle_run_moead_nums)
 from prefnorm import get_problem, make_engine
-from prefnorm.algorithms import (ALGORITHMS, AlgorithmParams, aasf,
-                                 epsilon_clear, moead_nums_replacement,
+from prefnorm.algorithms import (AASF_RHO, ALGORITHMS, AlgorithmParams,
+                                 _aasf_of_gap, aasf, epsilon_clear,
+                                 moead_nums_replacement,
                                  rnsga2_environmental_selection, run_nsga2,
                                  run_moead_nums, run_rnsga2,
                                  weighted_ref_distance)
@@ -108,6 +109,24 @@ class TestAasf:
             best = int(np.argmin(vals))
             for j in range(30):
                 assert not oracle_dominates(objs[j], objs[best])
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 10])
+    def test_block_scores_match_row_bytes(self, m):
+        # moead-nums scores a generation's trials as one (mu, T, m) block
+        # and a rebuilt trial alone under its (T, m) neighbour weights
+        engine = make_engine(m)
+        for mu in (40, 100, 101):
+            weights = engine.random((mu, m))
+            weights /= weights.sum(axis=1, keepdims=True)
+            nb_weights = weights[np.argsort(engine.random((mu, mu)),
+                                            axis=1)[:, :20]]
+            gap = engine.normal(size=(mu, m))
+            gap[::7, 0] = 0.0
+            block = _aasf_of_gap(nb_weights, gap[:, None], AASF_RHO)
+            assert block.shape == (mu, 20)
+            for i in range(mu):
+                row = _aasf_of_gap(nb_weights[i], gap[i], AASF_RHO)
+                assert row.tobytes() == block[i].tobytes()
 
 
 class TestEpsilonClear:
@@ -454,6 +473,38 @@ class TestMoeadByteIdentity:
                 assert got.tobytes() == want.tobytes()
                 assert (got_engine.bit_generator.state
                         == want_engine.bit_generator.state)
+
+
+class TestMoeadStaleTrials:
+    """Trials rebuilt because an earlier trial replaced a row they read."""
+
+    @pytest.mark.parametrize("de_cr", [0.5, 0.0])
+    def test_partial_crossover_runs_match_reference_loop(self, de_cr):
+        # masks that leave genes to the target make a replaced target stale
+        # too, and mu above the neighbourhood size leaves trials whose
+        # target or donors no earlier trial touched
+        params = AlgorithmParams(de_cr=de_cr)
+        mu = 40
+        assert mu > params.neighborhood_t
+        for name in problem_names():
+            for m in (2, 3, 5):
+                problem = get_problem(name, m)
+                z = problem.true_ideal + 0.4 * (problem.true_nadir
+                                                - problem.true_ideal)
+                for kind in ("pp", "ba"):
+                    seed = 10 * m + KINDS.index(kind)
+                    runs = []
+                    for run in (run_moead_nums, oracle_run_moead_nums):
+                        log, engine = [], make_engine(seed)
+                        final = run(
+                            problem, z, kind, mu, 6 * mu, engine, params,
+                            lambda evals, fs, state, log=log: log.append(
+                                (evals, fs.tobytes(), state.z_lb.tobytes(),
+                                 state.z_ub.tobytes())))
+                        runs.append((log, final.tobytes(),
+                                     engine.bit_generator.state))
+                    assert len(runs[0][0]) == 6
+                    assert runs[0] == runs[1], (name, m, kind)
 
 
 class CountingEngine:

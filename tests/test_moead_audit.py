@@ -1,11 +1,15 @@
 """Per-trial and per-generation audit of MOEA/D-NUMS against the oracles.
 
 The audit needs no hook in ``src/``: it wraps the names ``run_moead_nums``
-looks up in ``prefnorm.algorithms`` (``neighborhoods``, ``de_rand_1`` and
-``moead_nums_replacement``) and the problem's ``evaluate_batch``, as the
-benchmark's tracer does.  It keeps its own copy of the population
-objectives, changed only by the replacements ``moead_nums_replacement``
-returns, and re-derives every rule from ``conftest``'s oracles.
+looks up in ``prefnorm.algorithms`` (``neighborhoods``,
+``moead_nums_replacement`` and ``update_state``), as the benchmark's tracer
+does.  The replacement hook records, in call order, the slots each trial of
+the generation won.  The ``update_state`` hook sees the generation's final
+offspring batch, whose row i holds trial i's objectives, and checks every
+recorded trial against that row in turn.  The audit keeps its own copy of
+the population objectives, changed only by those replacements, and
+re-derives every rule from ``conftest``'s oracles.  Speculative rows that
+the run evaluates and discards never reach these hooks.
 
 On every trial:
 
@@ -57,8 +61,8 @@ class MoeadAudit:
         self.unbounded = problem.m == 2
         self.fs = None          # the audit's copy of the population
         self.weights = self.nbs = None
-        self.target = self.trial_f = None
-        self.batch: list[np.ndarray] = []
+        self.wins: list[tuple[int, np.ndarray]] = []
+        self.batch = None
         self.ideal = None       # minimum over every vector evaluated
         # every vector evaluated so far that none of them dominates; the
         # non-dominated set of a union equals that of (earlier set + batch)
@@ -69,54 +73,54 @@ class MoeadAudit:
 
     def install(self, monkeypatch):
         neighborhoods = algorithms.neighborhoods
-        de_rand_1 = algorithms.de_rand_1
         replacement = algorithms.moead_nums_replacement
-        evaluate = self.problem.evaluate_batch
+        update_state = algorithms.update_state
 
         def watch_neighborhoods(weights, t_size):
             nbs = neighborhoods(weights, t_size)
             self.weights, self.nbs = weights.copy(), nbs.copy()
             return nbs
 
-        def watch_de_rand_1(target_index, *args, **kwargs):
-            self.target = int(target_index)
-            return de_rand_1(target_index, *args, **kwargs)
-
-        def watch_evaluate(x):
-            f = evaluate(x)
-            if self.fs is None:
-                self.fs = f.copy()
-            else:
-                self.trial_f = f[0].copy()
-            return f
-
         def watch_replacement(*args, **kwargs):
             won = replacement(*args, **kwargs)
-            self.check_trial(np.asarray(won))
+            self.wins.append((len(self.wins), np.array(won)))
             return won
 
+        def watch_update_state(state, pop_objs, off_objs=None):
+            if off_objs is None:
+                self.fs = np.array(pop_objs)
+            else:
+                self.check_generation(np.array(off_objs))
+            return update_state(state, pop_objs, off_objs)
+
         monkeypatch.setattr(algorithms, "neighborhoods", watch_neighborhoods)
-        monkeypatch.setattr(algorithms, "de_rand_1", watch_de_rand_1)
         monkeypatch.setattr(algorithms, "moead_nums_replacement",
                             watch_replacement)
-        monkeypatch.setattr(self.problem, "evaluate_batch", watch_evaluate)
+        monkeypatch.setattr(algorithms, "update_state", watch_update_state)
 
     def scores(self, f, slots):
         return oracle_aasf(f, self.z, self.weights[slots], self.z_lb,
                            self.z_ub, self.params.rho)
 
-    def check_trial(self, won):
-        nb = self.nbs[self.target]
+    def check_generation(self, batch):
+        assert len(self.wins) == batch.shape[0] == self.nbs.shape[0], (
+            "not one replacement per trial")
+        for target, won in self.wins:
+            self.check_trial(target, batch[target], won)
+        self.wins = []
+        self.batch = batch
+
+    def check_trial(self, target, trial_f, won):
+        nb = self.nbs[target]
         cap = self.params.max_replace
         assert won.size <= cap
         assert np.unique(won).size == won.size
         assert np.all((won >= 0) & (won < nb.size))
-        beats = self.scores(self.trial_f, nb) < self.scores(self.fs[nb], nb)
+        beats = self.scores(trial_f, nb) < self.scores(self.fs[nb], nb)
         assert beats[won].all(), "replaced an incumbent the trial did not beat"
         if won.size < cap:
             assert beats.sum() == won.size, "left a beaten incumbent in place"
-        self.fs[nb[won]] = self.trial_f
-        self.batch.append(self.trial_f)
+        self.fs[nb[won]] = trial_f
         self.trials += 1
 
     def replay_archive(self, batch):
@@ -130,8 +134,8 @@ class MoeadAudit:
 
     def record(self, evals, fs, state):
         assert fs.tobytes() == self.fs.tobytes()
-        batch = np.asarray(self.batch) if self.batch else self.fs
-        union = np.vstack([self.fs, batch]) if self.batch else self.fs
+        batch = self.fs if self.batch is None else self.batch
+        union = self.fs if self.batch is None else np.vstack([self.fs, batch])
         lowest = batch.min(axis=0)
         self.ideal = lowest if self.ideal is None else np.minimum(self.ideal,
                                                                   lowest)
@@ -156,7 +160,7 @@ class MoeadAudit:
                     assert np.array_equal(z_ub, oracle_unbounded_nadir(pool))
                     self.front = pool[oracle_nondominated_mask(pool)]
         self.z_lb, self.z_ub = z_lb.copy(), z_ub.copy()
-        self.batch = []
+        self.batch = None
         self.generations += 1
 
 

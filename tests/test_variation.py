@@ -270,6 +270,30 @@ def test_de_rand_1_matches_reference_bytes(case):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("mu, n", [(40, 11), (100, 12), (101, 14)])
+def test_block_trials_match_row_bytes(mu, n):
+    # moead-nums builds a generation's trials as one block and rebuilds a
+    # stale trial alone: both must give the same genes, byte for byte
+    engine = make_engine(mu)
+    lower, upper = np.full(n, -1.0), np.full(n, 2.0)
+    xs = lower + 3.0 * engine.random((mu, n))
+    nbs = np.argsort(engine.random((mu, mu)), axis=1)[:, :20]
+    own = nbs == np.arange(mu)[:, None]
+    for rate, prob in ((1.0, None), (0.5, 0.5), (0.0, 1.0)):
+        slots, cross = de_rand_1_draws(own, n, rate, engine)
+        donors = np.take_along_axis(nbs, slots, axis=1)
+        do, u = polynomial_mutation_draws((mu, n), prob, engine)
+        block = de_rand_1(np.arange(mu), xs, donors.T, cross, 0.9)
+        mutated = polynomial_mutation(repair_clamp(block, lower, upper),
+                                      lower, upper, do, u)
+        for i in range(mu):
+            row = de_rand_1(i, xs, donors[i].tolist(), cross[i], 0.9)
+            assert row.tobytes() == block[i].tobytes()
+            row = polynomial_mutation(repair_clamp(row, lower, upper),
+                                      lower, upper, do[i], u[i])
+            assert row.tobytes() == mutated[i].tobytes()
+
+
 def test_de_rand_1_donors_are_uniform_over_ordered_triples():
     # 4 candidates besides the target give 24 ordered triples; the key
     # sort must reach each about equally often, as choice(replace=False)
