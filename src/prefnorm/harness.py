@@ -9,6 +9,7 @@ output files byte for byte.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import json
@@ -382,15 +383,20 @@ def resolve_workers(config: ExperimentConfig,
     return 1
 
 
+def _attempt_run(task: tuple) -> RunTrace | str:
+    """A campaign run's trace, or the message of the error that stopped it."""
+    try:
+        return _execute_run(*task)
+    except Exception as exc:
+        return str(exc)
+
+
 def execute_campaign(config: ExperimentConfig,
                      workers: int | None = None) -> list[RunTrace]:
     """Run every cell of the campaign; traces come back in canonical order."""
     tasks = []
-    roi_cache: dict[tuple[str, int], tuple[np.ndarray, RoiReferenceSet]] = {}
     for name, m in config.problems:
-        if (name, m) not in roi_cache:
-            roi_cache[(name, m)] = build_cell_roi(config, name, m)
-        z, roi = roi_cache[(name, m)]
+        z, roi = build_cell_roi(config, name, m)
         for algorithm in config.algorithms:
             for kind in config.normalizations:
                 cid = cell_id(name, m, algorithm, kind)
@@ -399,36 +405,27 @@ def execute_campaign(config: ExperimentConfig,
                     tasks.append((name, m, algorithm, kind, run_index, seed,
                                   config, z, roi))
     n_workers = resolve_workers(config, workers)
-    results: dict[int, RunTrace] = {}
+    traces: list[RunTrace] = []
     failures: list[str] = []
-
-    def note_failure(task, exc):
-        label = f"{cell_id(*task[:4])} run {task[4]}"
-        logger.error("run failed: %s: %s", label, exc)
-        failures.append(f"{label}: {exc}")
-
-    if n_workers <= 1:
-        for idx, task in enumerate(tasks):
-            try:
-                results[idx] = _execute_run(*task)
-            except Exception as exc:
-                note_failure(task, exc)
-    else:
-        logger.info("running %d tasks on %d workers", len(tasks), n_workers)
-        with concurrent.futures.ProcessPoolExecutor(n_workers) as pool:
-            futures = {pool.submit(_execute_run, *task): idx
-                       for idx, task in enumerate(tasks)}
-            for future in concurrent.futures.as_completed(futures):
-                idx = futures[future]
-                try:
-                    results[idx] = future.result()
-                except Exception as exc:
-                    note_failure(tasks[idx], exc)
+    with contextlib.ExitStack() as stack:
+        run_all = map
+        if n_workers > 1:
+            logger.info("running %d tasks on %d workers", len(tasks),
+                        n_workers)
+            run_all = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(n_workers)).map
+        for task, outcome in zip(tasks, run_all(_attempt_run, tasks)):
+            if isinstance(outcome, RunTrace):
+                traces.append(outcome)
+                continue
+            label = f"{cell_id(*task[:4])} run {task[4]}"
+            logger.error("run failed: %s: %s", label, outcome)
+            failures.append(f"{label}: {outcome}")
     if failures:
         raise RuntimeError("%d of %d runs failed:\n%s"
                            % (len(failures), len(tasks),
                               "\n".join(failures)))
-    return [results[idx] for idx in range(len(tasks))]
+    return traces
 
 
 def _midranks(values) -> np.ndarray:

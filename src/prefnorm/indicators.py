@@ -30,16 +30,11 @@ class RoiReferenceSet:
         (n_ref, m) normalized front points within the region of interest.
     center : np.ndarray
         Normalized front point closest to the reference point.
-    z_norm : np.ndarray
-        Normalized reference point.
-    radius : float
     scaler : TrueScaler
     """
 
     points: np.ndarray
     center: np.ndarray
-    z_norm: np.ndarray
-    radius: float
     scaler: TrueScaler
 
 
@@ -65,18 +60,16 @@ def build_roi_reference_set(pf_sample: np.ndarray, z: np.ndarray,
     points = norm_pf[keep]
     logger.debug("ROI reference set: %d of %d front points within r=%g",
                  points.shape[0], pf_sample.shape[0], radius)
-    return RoiReferenceSet(points=points, center=center, z_norm=z_norm,
-                           radius=float(radius), scaler=scaler)
+    return RoiReferenceSet(points=points, center=center, scaler=scaler)
 
 
-def igd_plus_c(objs: np.ndarray, roi: RoiReferenceSet,
-               scaler: TrueScaler | None = None) -> float:
+def igd_plus_c(objs: np.ndarray, roi: RoiReferenceSet) -> float:
     """Mean over the ROI reference points of the closest IGD+ distance.
 
     The per-pair distance only counts coordinates where the solution is
     worse than the reference point, so weakly dominating solution sets can
-    never score worse.  ``scaler`` defaults to the one the reference set
-    was built with.
+    never score worse.  Solutions are normalized with the reference set's
+    scaler.
     """
     objs = np.asarray(objs, dtype=float)
     if objs.ndim != 2 or objs.shape[0] == 0:
@@ -84,7 +77,7 @@ def igd_plus_c(objs: np.ndarray, roi: RoiReferenceSet,
     if objs.shape[1] != roi.points.shape[1]:
         raise ValueError(f"objective array has {objs.shape[1]} columns, "
                          f"the ROI has m = {roi.points.shape[1]}")
-    sols = (scaler or roi.scaler).normalize(objs)
+    sols = roi.scaler.normalize(objs)
     # sqrt is monotone and correctly rounded, so it commutes with the min
     d2 = _sq_dists(sols, roi.points, plus=True).min(axis=0)
     return float(np.mean(np.sqrt(d2)))

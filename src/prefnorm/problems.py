@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+# unused here; kept only because bench/tracing.py patches this name
 from .ranking import nondominated_mask
 from .weights import farthest_point_subsample, uniform_simplex_set
 
@@ -205,9 +206,10 @@ class DTLZ4(DTLZ2):
 class _DegenerateCurve(Problem):
     """Common geometry of DTLZ5/6: the g = 0 surface is a curve.
 
-    On that curve every objective except the last is proportional to
-    cos(theta_1), so dominance reduces to the (f_1, f_m) profile; the sampler
-    exploits this when filtering.
+    On that curve every objective except the last is a positive multiple of
+    cos(theta_1) and the last is sin(theta_1).  The sampler's pool steps
+    theta_1 up through [0, pi/2], so f_1..f_(m-1) fall and f_m rises row by
+    row: no pool row dominates another, and the pool needs no filter.
     """
 
     xm_opt: float  # distance-variable value at which g = 0
@@ -226,10 +228,7 @@ class _DegenerateCurve(Problem):
         x = np.full((pool_n, self.n), 0.5)
         x[:, 0] = np.linspace(0.0, 1.0, pool_n)
         x[:, self.m - 1:] = self.xm_opt
-        f = self.evaluate_batch(x)
-        profile = f[:, [0, self.m - 1]]
-        f = f[nondominated_mask(profile)]
-        return farthest_point_subsample(f, count)
+        return farthest_point_subsample(self.evaluate_batch(x), count)
 
 
 class DTLZ5(_DegenerateCurve):

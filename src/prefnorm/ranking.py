@@ -62,42 +62,15 @@ def domination_matrix(objs: np.ndarray) -> np.ndarray:
     return le & ~le.T
 
 
-def _nondominated_mask_2d(objs: np.ndarray) -> np.ndarray:
-    """O(N log N) non-dominated mask for two objectives."""
-    n = objs.shape[0]
-    order = np.lexsort((objs[:, 1], objs[:, 0]))
-    f0 = objs[order, 0]
-    f1 = objs[order, 1]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = f0[1:] != f0[:-1]
-    group = np.cumsum(starts) - 1
-    # smallest f1 inside each f0 group (first element, f1 ascending)
-    group_min = f1[starts][group]
-    # smallest f1 among all strictly smaller f0 values
-    cummin = np.minimum.accumulate(f1)
-    start_idx = np.flatnonzero(starts)
-    strict = np.empty(start_idx.size)
-    strict[0] = np.inf
-    strict[1:] = cummin[start_idx[1:] - 1]
-    strict_min = strict[group]
-    kept_sorted = (f1 == group_min) & (f1 < strict_min)
-    mask = np.zeros(n, dtype=bool)
-    mask[order[kept_sorted]] = True
-    return mask
-
-
 def nondominated_mask(objs: np.ndarray) -> np.ndarray:
     """Boolean mask of the rows of ``objs`` not Pareto-dominated by any row.
 
     Duplicate rows do not dominate each other, so all copies of a
-    non-dominated vector are kept.  Two objectives take a sorted O(N log N)
-    pass, which the large DTLZ5/6 sampling pools need; more take all pairs.
+    non-dominated vector are kept.
     """
     objs = np.asarray(objs, dtype=float)
     if objs.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    if objs.shape[1] == 2:
-        return _nondominated_mask_2d(objs)
     return ~domination_matrix(objs).any(axis=0)
 
 

@@ -310,10 +310,10 @@ def oracle_epsilon_matrix(points, epsilon):
     return np.add.reduce(diff * diff, axis=-1) < epsilon * epsilon
 
 
-def oracle_igd_plus_c(objs, roi, scaler=None):
+def oracle_igd_plus_c(objs, roi):
     """IGD+-C reduced from the full (n_ref, N, m) difference array."""
     objs = np.asarray(objs, dtype=float)
-    sols = (scaler or roi.scaler).normalize(objs)
+    sols = roi.scaler.normalize(objs)
     diff = sols[None, :, :] - roi.points[:, None, :]
     np.maximum(diff, 0.0, out=diff)
     d = np.sqrt(np.sum(diff * diff, axis=2))

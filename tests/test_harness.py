@@ -6,10 +6,12 @@ layout including byte-for-byte reproducibility.
 """
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -380,6 +382,28 @@ class TestExecuteCampaign:
         message = str(err.value)
         assert "2 of 2 runs failed" in message
         assert "dtlz2:m2:nsga2:ba run 0: boom" in message
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched registry only "
+                               "when forked")
+    def test_pooled_failures_are_reported_in_task_order(self, monkeypatch):
+        config = validate_config(tiny_raw(algorithms=["nsga2"]))
+        first = derive_run_seed(config.seed, "dtlz2:m2:nsga2:ba", 0)
+
+        def broken(problem, z, kind, mu, budget, engine, *args):
+            # run 0 fails last, so completion order would list it second
+            if engine.bit_generator.seed_seq.entropy == first:
+                time.sleep(0.5)
+            raise ValueError("boom")
+
+        monkeypatch.setitem(harness.ALGORITHMS, "nsga2", broken)
+        with pytest.raises(RuntimeError) as err:
+            execute_campaign(config, workers=2)
+        assert str(err.value).splitlines() == [
+            "2 of 2 runs failed:",
+            "dtlz2:m2:nsga2:ba run 0: boom",
+            "dtlz2:m2:nsga2:ba run 1: boom",
+        ]
 
 
 class TestResolveWorkers:

@@ -106,12 +106,6 @@ class TestIgdPlusC:
         extended = np.vstack([objs, engine.uniform(0.0, 1.5, size=(5, 2))])
         assert igd_plus_c(extended, roi) <= base + 1e-15
 
-    def test_explicit_scaler_argument_matches_embedded(self):
-        pf = circle_front(60)
-        roi = build_roi_reference_set(pf, np.array([0.6, 0.4]), 0.2, UNIT)
-        objs = np.array([[0.4, 0.9], [0.9, 0.2]])
-        assert igd_plus_c(objs, roi) == igd_plus_c(objs, roi, UNIT)
-
     @given(st.integers(2, 4), st.integers(0, 10000))
     @settings(max_examples=60, deadline=None)
     def test_weak_pareto_compliance(self, m, seed):
@@ -171,8 +165,7 @@ class TestIgdPlusC:
             ideal = rng.uniform(-1.0, 0.0, m)
             scaler = TrueScaler(ideal=ideal,
                                 nadir=ideal + rng.uniform(0.5, 3.0, m))
-        roi = RoiReferenceSet(points=points, center=points[0],
-                              z_norm=points[0], radius=0.1, scaler=scaler)
+        roi = RoiReferenceSet(points=points, center=points[0], scaler=scaler)
         got = igd_plus_c(objs, roi)
         want = oracle_igd_plus_c(objs, roi)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -164,18 +164,20 @@ class MoeadAudit:
         self.generations += 1
 
 
-def audited_run(monkeypatch, name, m, kind):
+def audited_run(monkeypatch, name, m, kind, mu=12, budget=240):
     problem = get_problem(name, m)
     z = problem.true_ideal + 0.4 * (problem.true_nadir - problem.true_ideal)
     params = AlgorithmParams()
     audit = MoeadAudit(problem, z, kind, params)
     with monkeypatch.context() as patch:
         audit.install(patch)
-        run_moead_nums(problem, z, kind, 12, 240,
+        run_moead_nums(problem, z, kind, mu, budget,
                        make_engine(100 * m + KINDS.index(kind)), params,
                        audit.record)
-    assert audit.generations == 20
-    assert audit.trials == 12 * 19
+    generations = budget // mu
+    assert audit.generations == generations
+    assert audit.trials == mu * (generations - 1)
+    return audit
 
 
 @pytest.mark.parametrize("name", problem_names())
@@ -183,3 +185,13 @@ def test_every_trial_and_generation(name, monkeypatch):
     for m in (2, 3, 5):
         for kind in KINDS:
             audited_run(monkeypatch, name, m, kind)
+
+
+@pytest.mark.parametrize("name,m,kind", [("dtlz2", 3, "ba"),
+                                         ("sdtlz2", 5, "ba"),
+                                         ("dtlz1", 2, "pp")])
+def test_proper_subset_neighbourhoods(name, m, kind, monkeypatch):
+    # at mu 12 the default neighborhood_t of 20 takes the whole population;
+    # at mu 40 each trial sees a proper subset of 20 slots
+    audit = audited_run(monkeypatch, name, m, kind, mu=40, budget=400)
+    assert audit.nbs.shape == (40, 20)

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from conftest import oracle_linear_objectives, oracle_spherical_objectives
+from prefnorm import problems
 from prefnorm.core import make_engine
-from prefnorm.problems import (SUITES, _linear_objectives,
+from prefnorm.problems import (SUITES, _linear_objectives, _pf_pool_size,
                                _spherical_objectives, get_problem,
                                problem_names)
 from prefnorm.ranking import nondominated_mask
@@ -181,6 +182,28 @@ def test_pareto_sample_is_mutually_nondominated(name):
     problem = get_problem(name, 3)
     pf = problem.sample_pf(600, make_engine(2))
     assert nondominated_mask(pf).all()
+
+
+@pytest.mark.parametrize("name", ["dtlz5", "dtlz6"])
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("count", [300, 1000, 10000])
+def test_degenerate_curve_pool_has_no_dominated_row(name, m, count,
+                                                    monkeypatch):
+    # the sampler thins its pool unfiltered; f_1 falling and f_m rising
+    # row by row make every row better than each later one in f_1 and worse
+    # in f_m, so no row dominates another
+    pools = []
+
+    def capture(pool, k):
+        pools.append(pool)
+        return pool[:k]
+
+    monkeypatch.setattr(problems, "farthest_point_subsample", capture)
+    get_problem(name, m).sample_pf(count, make_engine(1))
+    (pool,) = pools
+    assert pool.shape == (_pf_pool_size(count), m)
+    assert np.all(np.diff(pool[:, 0]) < 0)
+    assert np.all(np.diff(pool[:, -1]) > 0)
 
 
 @pytest.mark.parametrize("name,m", [("dtlz2", 3), ("dtlz5", 3),

@@ -295,19 +295,29 @@ GOLDEN_DIGESTS = {
 }
 
 
-def campaign_digests(out_dir) -> dict[str, str]:
+def campaign_digests(out_dir, workers=1) -> dict[str, str]:
     """SHA-256 of every file the golden campaign writes, by relative path."""
     config = validate_config(dict(GOLDEN_CONFIG))
-    write_results(execute_campaign(config, workers=1), config, out_dir)
+    write_results(execute_campaign(config, workers=workers), config, out_dir)
     return {path.relative_to(out_dir).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out_dir.rglob("*")) if path.is_file()}
 
 
-def test_campaign_files_match_pinned_digests(tmp_path, caplog):
-    # r2nsga2 logs each cyclic r-dominance event; keep them off the report
-    caplog.set_level(logging.ERROR)
-    got = campaign_digests(tmp_path)
+def check_campaign_digests(out_dir, workers):
+    got = campaign_digests(out_dir, workers)
     assert sorted(got) == sorted(GOLDEN_DIGESTS)
     changed = [rel for rel in sorted(got) if got[rel] != GOLDEN_DIGESTS[rel]]
     assert changed == []
+
+
+def test_campaign_files_match_pinned_digests(tmp_path, caplog):
+    # r2nsga2 logs each cyclic r-dominance event; keep them off the report
+    caplog.set_level(logging.ERROR)
+    check_campaign_digests(tmp_path, workers=1)
+
+
+def test_pooled_campaign_files_match_pinned_digests(tmp_path):
+    # per-run seeds and task-order collection make two workers write the
+    # bytes of one
+    check_campaign_digests(tmp_path, workers=2)
