@@ -361,16 +361,18 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     of ``fs`` under the current bounds.
 
     Those draws let each generation build, evaluate and score all mu
-    trials at once from its starting rows.  The sequential pass then keeps
-    the slots replaced so far; trial i is stale when one of its donors is
-    among them, or its target is and its crossover mask leaves the target
-    at least one gene (with ``de_cr`` = 1 the target row is never read).
-    A stale trial is rebuilt, evaluated and scored alone from the current
-    rows, exactly as a one-at-a-time loop would; its speculative row was
-    evaluated for nothing, is discarded and never counts against the
-    budget.  Replacement against the cached incumbents stays sequential,
-    so the result is the same, byte for byte, as building every trial in
-    turn.
+    trials at once from its starting rows.  A trial reads its three donors,
+    and its target when its crossover mask leaves the target at least one
+    gene (with ``de_cr`` = 1 the target row is never read).  Replacing a
+    slot flags every trial that reads it as stale.  When the sequential
+    pass reaches a flagged trial i, it rebuilds, evaluates and scores as
+    one block (a wave) every trial from i on flagged at that moment, from
+    the current rows, and clears their flags; a later replacement can flag
+    a rebuilt trial again.  So each trial is built from the rows a
+    one-at-a-time loop would read.  A row a wave replaces was evaluated
+    for nothing, is discarded and never counts against the budget.
+    Replacement against the cached incumbents stays sequential, so the
+    result is the same, byte for byte, as building every trial in turn.
     """
     params = params or AlgorithmParams()
     if params.rho <= 0.0:
@@ -421,27 +423,29 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
         # row i ends up holding trial i's objectives, speculative or rebuilt
         batch = problem.evaluate_batch(trials)
         scores = score(nb_weights, batch[:, None])
-        donors = donors.tolist()
-        reads_target = (~cross.all(axis=1)).tolist()
-        touched: set[int] = set()
+        # readers[s, j]: trial j reads slot s, so replacing s makes j stale
+        readers = np.zeros((mu, mu), dtype=bool)
+        readers[donors, rows[:, None]] = True
+        readers[rows, rows] = ~cross.all(axis=1)
+        stale = np.zeros(mu, dtype=bool)
         for i in range(mu):
+            if stale[i]:
+                wave = i + np.flatnonzero(stale[i:])
+                trials[wave] = build(wave, donors[wave].T, cross[wave],
+                                     do[wave], u[wave])
+                batch[wave] = problem.evaluate_batch(trials[wave])
+                scores[wave] = score(nb_weights[wave], batch[wave][:, None])
+                stale[wave] = False
             nb = nbs[i]
-            if (touched.isdisjoint(donors[i])
-                    and not (reads_target[i] and i in touched)):
-                trial, trial_f, trial_vals = trials[i], batch[i], scores[i]
-            else:
-                trial = build(i, donors[i], cross[i], do[i], u[i])
-                trial_f = problem.evaluate_batch(trial[None, :])[0]
-                batch[i] = trial_f
-                trial_vals = score(nb_weights[i], trial_f)
-            won = moead_nums_replacement(trial_vals, incumbent[nb],
+            won = moead_nums_replacement(scores[i], incumbent[nb],
                                          params.max_replace, order[i])
             if won.size:
                 targets = nb[won]
-                xs[targets] = trial
-                fs[targets] = trial_f
-                incumbent[targets] = trial_vals[won]
-                touched.update(targets.tolist())
+                xs[targets] = trials[i]
+                fs[targets] = batch[i]
+                incumbent[targets] = scores[i, won]
+                for slot in targets.tolist():
+                    stale |= readers[slot]
         evals += mu
         update_state(state, fs, batch)
         if recorder:

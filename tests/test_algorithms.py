@@ -113,7 +113,7 @@ class TestAasf:
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 10])
     def test_block_scores_match_row_bytes(self, m):
         # moead-nums scores a generation's trials as one (mu, T, m) block
-        # and a rebuilt trial alone under its (T, m) neighbour weights
+        # and each wave of rebuilt trials as a sub-block of 1 to mu rows
         engine = make_engine(m)
         for mu in (40, 100, 101):
             weights = engine.random((mu, m))
@@ -127,6 +127,11 @@ class TestAasf:
             for i in range(mu):
                 row = _aasf_of_gap(nb_weights[i], gap[i], AASF_RHO)
                 assert row.tobytes() == block[i].tobytes()
+            for size in (1, 2, 17, mu):
+                wave = np.sort(engine.choice(mu, size, replace=False))
+                sub = _aasf_of_gap(nb_weights[wave], gap[wave][:, None],
+                                   AASF_RHO)
+                assert sub.tobytes() == block[wave].tobytes()
 
 
 class TestEpsilonClear:

@@ -49,13 +49,15 @@ def test_every_front_sampler_is_traced():
 
 
 def test_moead_trial_operators_are_traced_once_per_trial(monkeypatch):
-    # a generation builds its trials in one block, then rebuilds alone each
-    # trial that reads a row an earlier trial of the generation replaced;
-    # the rebuilt trials are replayed here from the draws and the wins
+    # a generation builds its trials in one block; a replacement flags each
+    # later trial that reads a replaced row, and the pass rebuilds every
+    # trial flagged from the first flagged one it reaches on as one block
+    # (a wave).  The waves and their rows are replayed here from the draws
+    # and the wins, as are the trials a one-row rebuild would have redone
     tracing = load_tracing()
     tracer = tracing.Tracer()
     mu, budget = 12, 240
-    seen = {"rebuilt": 0}
+    seen = {"rebuilt": 0, "waves": 0, "wave_rows": 0}
     draws = algorithms.de_rand_1_draws
     replacement = algorithms.moead_nums_replacement
     neighborhoods = algorithms.neighborhoods
@@ -65,19 +67,29 @@ def test_moead_trial_operators_are_traced_once_per_trial(monkeypatch):
         return seen["nbs"]
 
     def watch_draws(*args):
-        seen["slots"], seen["cross"] = draws(*args)
-        seen["touched"], seen["trial"] = set(), 0
-        return seen["slots"], seen["cross"]
+        slots, cross = draws(*args)
+        nbs = seen["nbs"]
+        seen["reads"] = [
+            set(nbs[i][slots[i]].tolist())
+            | ({i} if not cross[i].all() else set())
+            for i in range(len(nbs))]
+        seen["touched"], seen["stale"], seen["trial"] = set(), set(), 0
+        return slots, cross
 
     def watch_replacement(*args):
-        won = replacement(*args)
-        i, touched = seen["trial"], seen["touched"]
-        nb = seen["nbs"][i]
-        donors = nb[seen["slots"][i]].tolist()
-        if (not touched.isdisjoint(donors)
-                or (i in touched and not seen["cross"][i].all())):
+        i, touched, stale = seen["trial"], seen["touched"], seen["stale"]
+        reads = seen["reads"]
+        if not touched.isdisjoint(reads[i]):
             seen["rebuilt"] += 1
-        touched.update(nb[won].tolist())
+        if i in stale:
+            seen["waves"] += 1
+            seen["wave_rows"] += len(stale)
+            stale.clear()
+        won = replacement(*args)
+        targets = set(seen["nbs"][i][won].tolist())
+        touched.update(targets)
+        stale.update(j for j in range(i + 1, len(reads))
+                     if not targets.isdisjoint(reads[j]))
         seen["trial"] += 1
         return won
 
@@ -95,9 +107,11 @@ def test_moead_trial_operators_are_traced_once_per_trial(monkeypatch):
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     generations = budget // mu - 1
     trials, rebuilt = mu * generations, seen["rebuilt"]
+    waves, wave_rows = seen["waves"], seen["wave_rows"]
     assert 0 < rebuilt < trials
+    assert 0 < waves < rebuilt
     assert calls["algorithms.moead_nums_replacement"] == trials
     for name in ("variation.de_rand_1", "variation.polynomial_mutation"):
-        assert calls[name] == generations + rebuilt, name
-    assert calls["problems.evaluate_batch"] == 1 + generations + rebuilt
-    assert tracer.rows == budget + rebuilt
+        assert calls[name] == generations + waves, name
+    assert calls["problems.evaluate_batch"] == 1 + generations + waves
+    assert tracer.rows == budget + wave_rows

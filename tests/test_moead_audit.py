@@ -8,8 +8,11 @@ the generation won.  The ``update_state`` hook sees the generation's final
 offspring batch, whose row i holds trial i's objectives, and checks every
 recorded trial against that row in turn.  The audit keeps its own copy of
 the population objectives, changed only by those replacements, and
-re-derives every rule from ``conftest``'s oracles.  Speculative rows that
-the run evaluates and discards never reach these hooks.
+re-derives every rule from ``conftest``'s oracles.  The run builds a
+generation's trials in one block and rebuilds its stale trials in waves,
+each wave one block of every trial flagged from the current one on; the
+speculative rows a wave replaces are evaluated and discarded, and never
+reach these hooks.
 
 On every trial:
 

@@ -51,13 +51,14 @@ def test_dimensions_follow_family_rule(name, m):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_evaluate_batch_matches_single(name):
-    # moead-nums evaluates a generation's trials as one block and a rebuilt
-    # trial alone, the GA family whole batches: a row's objectives must not
-    # depend on the rows evaluated with it
+    # moead-nums evaluates a generation's trials as one block and each wave
+    # of rebuilt trials, 1 to mu rows, as another, the GA family whole
+    # batches: a row's objectives must not depend on the rows evaluated
+    # with it
     for m in (2, 3, 5, 8, 10):
         problem = get_problem(name, m)
         engine = make_engine(17)
-        for rows in (8, 100, 101):
+        for rows in (2, 3, 8, 17, 100, 101):
             xs = engine.uniform(size=(rows, problem.n))
             batch = problem.evaluate_batch(xs)
             for i in range(rows):

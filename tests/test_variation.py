@@ -272,8 +272,10 @@ def test_de_rand_1_matches_reference_bytes(case):
 
 @pytest.mark.parametrize("mu, n", [(40, 11), (100, 12), (101, 14)])
 def test_block_trials_match_row_bytes(mu, n):
-    # moead-nums builds a generation's trials as one block and rebuilds a
-    # stale trial alone: both must give the same genes, byte for byte
+    # moead-nums builds a generation's trials as one block and rebuilds
+    # stale trials in waves, each a sub-block of 1 to mu rows: a row, a
+    # random subset and the whole block must give the same genes, byte for
+    # byte
     engine = make_engine(mu)
     lower, upper = np.full(n, -1.0), np.full(n, 2.0)
     xs = lower + 3.0 * engine.random((mu, n))
@@ -292,6 +294,13 @@ def test_block_trials_match_row_bytes(mu, n):
             row = polynomial_mutation(repair_clamp(row, lower, upper),
                                       lower, upper, do[i], u[i])
             assert row.tobytes() == mutated[i].tobytes()
+        for size in (1, 2, 17, mu):
+            wave = np.sort(engine.choice(mu, size, replace=False))
+            sub = de_rand_1(wave, xs, donors[wave].T, cross[wave], 0.9)
+            assert sub.tobytes() == block[wave].tobytes()
+            sub = polynomial_mutation(repair_clamp(sub, lower, upper), lower,
+                                      upper, do[wave], u[wave])
+            assert sub.tobytes() == mutated[wave].tobytes()
 
 
 def test_de_rand_1_donors_are_uniform_over_ordered_triples():
