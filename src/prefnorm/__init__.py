@@ -8,14 +8,14 @@ region-of-interest quality indicators, and a seeded campaign harness.
 
 __version__ = "0.1.0"
 
-from .algorithms import (ALGORITHMS, AlgorithmParams, aasf, epsilon_clear,
+from .algorithms import (ALGORITHMS, AlgorithmParams, epsilon_clear,
                          run_moead_nums, run_nsga2, run_r2nsga2, run_rnsga2,
                          weighted_ref_distance)
 from .core import derive_run_seed, make_engine
 from .harness import (DEFAULT_CHECKPOINTS, ConfigError, ExperimentConfig,
-                      RunTrace, execute_campaign, friedman_average_ranks,
-                      friedman_ranks_from_means, load_config,
-                      rank_from_results, validate_config, write_results)
+                      RunTrace, execute_campaign, friedman_ranks_from_means,
+                      load_config, rank_from_results, validate_config,
+                      write_results)
 from .indicators import (DEFAULT_ROI_RADIUS, RoiReferenceSet,
                          build_roi_reference_set, e_ideal, e_nadir,
                          igd_plus_c, ore)
@@ -30,10 +30,10 @@ __all__ = [
     "ALGORITHMS", "AlgorithmParams", "ConfigError", "DEFAULT_CHECKPOINTS",
     "DEFAULT_ROI_RADIUS", "ExperimentConfig", "KINDS",
     "NormalizationState", "Problem", "RoiReferenceSet", "RunTrace",
-    "TrueScaler", "aasf", "build_roi_reference_set",
+    "TrueScaler", "build_roi_reference_set",
     "crowding_distance", "das_dennis_lattice", "default_reference_point",
     "derive_run_seed", "e_ideal", "e_nadir",
-    "epsilon_clear", "execute_campaign", "friedman_average_ranks",
+    "epsilon_clear", "execute_campaign",
     "friedman_ranks_from_means", "get_problem", "igd_plus_c", "load_config",
     "make_engine", "nondominated_mask", "nondominated_sort",
     "normalize_value", "nums_shift", "ore",

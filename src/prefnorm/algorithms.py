@@ -34,7 +34,7 @@ from .ranking import (_sq_dists, crowding_distance, nondominated_sort,
                       r_domination_matrix, fronts_from_matrix)
 from .variation import (de_rand_1, de_rand_1_draws, polynomial_mutation,
                         polynomial_mutation_batch, polynomial_mutation_draws,
-                        repair_clamp, sbx_batch)
+                        sbx_batch)
 from .weights import neighborhoods, nums_shift, uniform_simplex_set
 
 AASF_RHO = 1e-6
@@ -79,22 +79,13 @@ def weighted_ref_distance(objs: np.ndarray, z: np.ndarray, w: np.ndarray,
     return np.sqrt(np.sum(w * scaled * scaled, axis=-1))
 
 
-def aasf(f: np.ndarray, z: np.ndarray, w: np.ndarray, z_lb: np.ndarray,
-         z_ub: np.ndarray, rho: float = AASF_RHO) -> float | np.ndarray:
-    """Augmented achievement scalarizing value of objective vectors.
-
-    ``f`` is one vector or an array of them along the last axis, and ``w``
-    broadcasts against it; one value comes back per vector.  Both ``f`` and
-    ``z`` pass through the current normalization bounds first; identity
-    bounds leave them untouched.
-    """
-    return _aasf_of_gap(w, normalize_value(f, z_lb, z_ub)
-                        - normalize_value(z, z_lb, z_ub), rho)
-
-
 def _aasf_of_gap(w: np.ndarray, gap: np.ndarray,
                  rho: float) -> float | np.ndarray:
-    """AASF from the normalized gap ``f - z`` (rows along the last axis)."""
+    """Augmented achievement scalarizing value from the normalized gap.
+
+    ``gap`` is ``f - z`` after both pass through the current bounds (rows
+    along the last axis), and ``w`` broadcasts against it.
+    """
     return (w * gap).max(axis=-1) + rho * gap.sum(axis=-1)
 
 
@@ -357,8 +348,8 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     steps, and replacement visiting orders.  The bounds change only between
     generations, so each incumbent's AASF value under its own weight is
     scored once per generation and cached; a replaced slot takes over the
-    trial's value.  The cache therefore always equals a fresh :func:`aasf`
-    of ``fs`` under the current bounds.
+    trial's value.  The cache therefore always equals a fresh
+    :func:`_aasf_of_gap` score of ``fs`` under the current bounds.
 
     Those draws let each generation build, evaluate and score all mu
     trials at once from its starting rows.  A trial reads its three donors,
@@ -402,7 +393,7 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
 
     def build(target, donors, cross, do, u):
         trial = de_rand_1(target, xs, donors, cross, params.de_f)
-        trial = repair_clamp(trial, lower, upper)
+        trial = trial.clip(lower, upper)
         return polynomial_mutation(trial, lower, upper, do, u, params.pm_eta)
 
     def score(w, f):

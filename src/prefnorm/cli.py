@@ -29,9 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="YAML or JSON config")
     run.add_argument("--out", default="results", help="output directory "
                      "(default: results)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="parallel worker processes (default: config, then "
-                          "PREFNORM_WORKERS, then 1)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="parallel worker processes (default: 1)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config base seed")
     run.set_defaults(func=_cmd_run)
@@ -60,11 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    # --workers outranks the config key, which outranks PREFNORM_WORKERS
-    overrides = {name: getattr(args, name) for name in ("seed", "workers")
-                 if getattr(args, name) is not None}
+    overrides = {"seed": args.seed} if args.seed is not None else None
     config = load_config(args.config, overrides)
-    traces = execute_campaign(config)
+    traces = execute_campaign(config, args.workers)
     out = write_results(traces, config, args.out)
     print(f"wrote {len(traces)} runs to {out}")
     return 0

@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -33,8 +32,6 @@ from .problems import SUITES, get_problem, problem_names
 from .refpoints import SETTINGS, default_reference_point
 
 logger = logging.getLogger(__name__)
-
-WORKERS_ENV = "PREFNORM_WORKERS"
 
 DEFAULT_CHECKPOINTS = (1000, 3000, 5000, 8000, 10000, 15000, 20000, 25000,
                        30000, 35000, 40000, 45000, 50000)
@@ -60,12 +57,10 @@ class ExperimentConfig:
     reference_setting: str = "balanced"
     reference_points: dict[str, list[float]] = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    workers: int | None = None
 
     def canonical(self) -> dict:
         """JSON-stable form used for hashing and the manifest."""
         data = asdict(self)
-        del data["workers"]
         # the JSON round trip turns tuples into the lists a manifest holds
         return json.loads(json.dumps(data))
 
@@ -187,8 +182,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     mu = v["mu"]
     if mu is not None and mu % 2:
         errors.append(f"mu: must be even, got {mu}")
-    if v["workers"] is not None:
-        v["workers"] = _as_int(v["workers"], "workers", errors, minimum=1)
 
     checkpoints = v["checkpoints"]
     if (not isinstance(checkpoints, (list, tuple)) or not checkpoints or
@@ -371,18 +364,6 @@ def build_cell_roi(config: ExperimentConfig, problem_name: str,
     return z, roi
 
 
-def resolve_workers(config: ExperimentConfig,
-                    override: int | None = None) -> int:
-    if override is not None:
-        return max(1, override)
-    if config.workers is not None:
-        return max(1, config.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env and env.isdigit() and int(env) > 0:
-        return int(env)
-    return 1
-
-
 def _attempt_run(task: tuple) -> RunTrace | str:
     """A campaign run's trace, or the message of the error that stopped it."""
     try:
@@ -392,8 +373,14 @@ def _attempt_run(task: tuple) -> RunTrace | str:
 
 
 def execute_campaign(config: ExperimentConfig,
-                     workers: int | None = None) -> list[RunTrace]:
-    """Run every cell of the campaign; traces come back in canonical order."""
+                     workers: int = 1) -> list[RunTrace]:
+    """Run every cell of the campaign; traces come back in canonical order.
+
+    ``workers`` > 1 runs the tasks in that many processes; the traces and
+    the files written from them do not depend on it.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers: must be >= 1, got {workers}")
     tasks = []
     for name, m in config.problems:
         z, roi = build_cell_roi(config, name, m)
@@ -404,16 +391,15 @@ def execute_campaign(config: ExperimentConfig,
                     seed = derive_run_seed(config.seed, cid, run_index)
                     tasks.append((name, m, algorithm, kind, run_index, seed,
                                   config, z, roi))
-    n_workers = resolve_workers(config, workers)
     traces: list[RunTrace] = []
     failures: list[str] = []
     with contextlib.ExitStack() as stack:
         run_all = map
-        if n_workers > 1:
+        if workers > 1:
             logger.info("running %d tasks on %d workers", len(tasks),
-                        n_workers)
+                        workers)
             run_all = stack.enter_context(
-                concurrent.futures.ProcessPoolExecutor(n_workers)).map
+                concurrent.futures.ProcessPoolExecutor(workers)).map
         for task, outcome in zip(tasks, run_all(_attempt_run, tasks)):
             if isinstance(outcome, RunTrace):
                 traces.append(outcome)
@@ -518,22 +504,6 @@ def _suite_ranks(means: dict, suite: str, checkpoint: int
         raise ValueError(f"no traces for suite {suite!r} at checkpoint "
                          f"{checkpoint}")
     return friedman_ranks_from_means(table)
-
-
-def friedman_average_ranks(traces: list[RunTrace], suite: str,
-                           checkpoint: int) -> dict[str, float]:
-    """Average Friedman ranks over one problem suite at one checkpoint.
-
-    Each (problem, m) pair present in the traces and belonging to the suite
-    counts as one ranking instance; treatments are ranked by their mean
-    indicator value over runs.  Raises when the design is incomplete (a
-    treatment missing for some problem) or the suite has no data.
-    """
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; "
-                         f"known: {', '.join(SUITES)}")
-    return _suite_ranks(_instance_means(_stats_table(traces)), suite,
-                        checkpoint)
 
 
 def _fmt(value) -> str:

@@ -28,13 +28,10 @@ class RoiReferenceSet:
     ----------
     points : np.ndarray
         (n_ref, m) normalized front points within the region of interest.
-    center : np.ndarray
-        Normalized front point closest to the reference point.
     scaler : TrueScaler
     """
 
     points: np.ndarray
-    center: np.ndarray
     scaler: TrueScaler
 
 
@@ -60,7 +57,7 @@ def build_roi_reference_set(pf_sample: np.ndarray, z: np.ndarray,
     points = norm_pf[keep]
     logger.debug("ROI reference set: %d of %d front points within r=%g",
                  points.shape[0], pf_sample.shape[0], radius)
-    return RoiReferenceSet(points=points, center=center, scaler=scaler)
+    return RoiReferenceSet(points=points, scaler=scaler)
 
 
 def igd_plus_c(objs: np.ndarray, roi: RoiReferenceSet) -> float:

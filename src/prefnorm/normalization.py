@@ -60,11 +60,6 @@ def update_bounded_archive_objs(arch_objs: np.ndarray,
     return survivors[picks]
 
 
-def estimate_nadir_archive(arch_objs: np.ndarray) -> np.ndarray:
-    """Componentwise maximum over the bounded archive's objectives."""
-    return np.asarray(arch_objs, dtype=float).max(axis=0)
-
-
 @dataclass
 class NormalizationState:
     """Mutable per-run state of one normalization strategy.
@@ -129,7 +124,7 @@ def update_state(state: NormalizationState, pop_objs: np.ndarray,
         state.z_ub = union.max(axis=0)
     else:  # ba
         state.arch_objs = update_bounded_archive_objs(state.arch_objs, batch)
-        state.z_ub = estimate_nadir_archive(state.arch_objs)
+        state.z_ub = state.arch_objs.max(axis=0)
     return state
 
 

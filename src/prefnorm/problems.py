@@ -43,10 +43,8 @@ def _pf_pool_size(count: int) -> int:
 
 def _check_batch(x: np.ndarray, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != n:
-        raise ValueError(f"expected {n} decision variables, got {x.shape[1]}")
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"expected an (N, {n}) batch, got shape {x.shape}")
     return x
 
 
@@ -373,12 +371,11 @@ def get_problem(name: str, m: int) -> Problem:
     Parameters
     ----------
     name : str
-        Case-insensitive registry name, e.g. ``"sdtlz2"``.
+        Registry name, e.g. ``"sdtlz2"``.
     m : int
         Number of objectives, at least 2.
     """
-    key = name.lower()
-    if key not in _REGISTRY:
+    if name not in _REGISTRY:
         raise KeyError(f"unknown problem {name!r}; known: "
                        f"{', '.join(_REGISTRY)}")
-    return _REGISTRY[key](key, m)
+    return _REGISTRY[name](name, m)

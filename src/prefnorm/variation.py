@@ -1,4 +1,4 @@
-"""Variation operators: SBX, polynomial mutation, DE/rand/1, bound repair.
+"""Variation operators: SBX, polynomial mutation and DE/rand/1.
 
 All operators work on [lower, upper] box bounds and take every random number
 from the engine passed in, or from blocks that a ``*_draws`` function drew
@@ -12,12 +12,6 @@ from collections.abc import Sequence
 import numpy as np
 
 _EPS_SAME = 1e-14
-
-
-def repair_clamp(x: np.ndarray, lower: np.ndarray,
-                 upper: np.ndarray) -> np.ndarray:
-    """Clamp each violated coordinate to the bound it crossed."""
-    return x.clip(lower, upper)
 
 
 def sbx_batch(pa: np.ndarray, pb: np.ndarray, lower: np.ndarray,

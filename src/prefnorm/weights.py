@@ -5,6 +5,7 @@ front samples (linear/spherical DTLZ families).
 """
 from __future__ import annotations
 
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -23,20 +24,17 @@ def das_dennis_lattice(m: int, divisions: int) -> np.ndarray:
         raise ValueError("m must be >= 1")
     if divisions < 0:
         raise ValueError("divisions must be >= 0")
-    if m == 1:
-        return np.ones((1, 1))
-    rows = []
-    stack = [(0, [])]
-    while stack:
-        used, prefix = stack.pop()
-        if len(prefix) == m - 1:
-            rows.append(prefix + [divisions - used])
-            continue
-        # push in reverse so the natural lexicographic order pops first
-        for v in range(divisions - used, -1, -1):
-            stack.append((used + v, prefix + [v]))
-    return np.array(rows, dtype=float) / float(divisions) if divisions else \
-        np.full((1, m), 1.0 / m)
+    if divisions == 0:
+        return np.full((1, m), 1.0 / m)
+    # stars and bars: the m - 1 bar positions among divisions + m - 1 slots
+    # come in lexicographic order, and so do the gap counts between them
+    slots = divisions + m - 1
+    size = lattice_size(m, divisions)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), m - 1)),
+                       dtype=np.intp, count=size * (m - 1))
+    edges = np.pad(bars.reshape(size, m - 1), ((0, 0), (1, 1)),
+                   constant_values=(-1, slots))
+    return (np.diff(edges, axis=1) - 1) / float(divisions)
 
 
 def lattice_size(m: int, divisions: int) -> int:

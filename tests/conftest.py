@@ -2,11 +2,11 @@
 
 The oracles deliberately use plain double loops and per-level recomputation
 so they share no code path with the vectorized implementations they check.
-The reference copies of the problem objective shapes, of the 3-d distance
-reductions and of the full level peel are instead earlier implementations,
-and the MOEA/D-NUMS reference loop reads the package's blocks of random
-numbers with plain loops and sorts; tests pin the current code to them
-byte for byte.
+The reference copies of the problem objective shapes, of the Das-Dennis
+lattice, of the 3-d distance reductions and of the full level peel are
+instead earlier implementations, and the MOEA/D-NUMS reference loop reads
+the package's blocks of random numbers with plain loops and sorts; tests
+pin the current code to them byte for byte.
 """
 from __future__ import annotations
 
@@ -123,6 +123,24 @@ def oracle_farthest_picks(points, dist, count) -> np.ndarray:
         np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1),
                    out=dist)
     return chosen
+
+
+def oracle_das_dennis_lattice(m, divisions) -> np.ndarray:
+    """Simplex lattice built by the stack walk it had before stars and bars."""
+    if m == 1:
+        return np.ones((1, 1))
+    rows = []
+    stack = [(0, [])]
+    while stack:
+        used, prefix = stack.pop()
+        if len(prefix) == m - 1:
+            rows.append(prefix + [divisions - used])
+            continue
+        # push in reverse so the natural lexicographic order pops first
+        for v in range(divisions - used, -1, -1):
+            stack.append((used + v, prefix + [v]))
+    return np.array(rows, dtype=float) / float(divisions) if divisions else \
+        np.full((1, m), 1.0 / m)
 
 
 # Reference copies of the MOEA/D-NUMS trial path and the operators it calls.

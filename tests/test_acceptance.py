@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from prefnorm.harness import (execute_campaign, friedman_average_ranks,
-                              friedman_ranks_from_means, validate_config,
-                              write_results)
-from prefnorm.harness import RunTrace
+from prefnorm.harness import (ExperimentConfig, RunTrace, execute_campaign,
+                              friedman_ranks_from_means, rank_from_results,
+                              validate_config, write_results)
 from prefnorm.indicators import build_roi_reference_set, igd_plus_c
-from prefnorm.normalization import (TrueScaler, estimate_nadir_archive,
-                                    update_bounded_archive_objs)
+from prefnorm.normalization import (NormalizationState, TrueScaler,
+                                    update_state)
 from prefnorm.problems import get_problem
 from prefnorm.ranking import (domination_matrix, nondominated_sort,
                               r_domination_matrix)
@@ -53,14 +52,15 @@ def test_criterion_01_bounded_archive_matches_unbounded_oracle():
         for _ in range(1000):
             gauss = np.abs(rng.standard_normal((10000, m)))
             points = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-            archive = np.empty((0, m))
+            # the ba state feeds each batch to its archive and reads the
+            # nadir estimate off it as z_ub
+            state = NormalizationState("ba", m)
             oracle = np.full(m, -np.inf)
             for lo in range(0, 10000, 100):
                 batch = points[lo:lo + 100]
-                archive = update_bounded_archive_objs(archive, batch)
+                update_state(state, batch)
                 oracle = np.maximum(oracle, batch.max(axis=0))
-                assert np.array_equal(estimate_nadir_archive(archive),
-                                      oracle)
+                assert np.array_equal(state.z_ub, oracle)
                 checked += 1
     elapsed = time.time() - start
     assert elapsed < 120.0
@@ -277,7 +277,7 @@ def test_criterion_09_campaign_replay_is_byte_identical(desk_campaign,
     print(f"criterion 9: PASS — {compared} files byte-identical on replay")
 
 
-def test_criterion_10_friedman_matches_hand_computed_tables():
+def test_criterion_10_friedman_matches_hand_computed_tables(tmp_path):
     """Synthetic 4-treatment x 7-problem tables, exact midrank agreement."""
     plain = {
         "p1": {"A": 0.1, "B": 0.2, "C": 0.3, "D": 0.4},
@@ -303,8 +303,9 @@ def test_criterion_10_friedman_matches_hand_computed_tables():
     assert friedman_ranks_from_means(tied) == {
         "A": 16 / 7, "B": 14.5 / 7, "C": 19.5 / 7, "D": 20 / 7}
 
-    # the trace-level entry point reproduces the first table when every
-    # treatment mean comes from single-run records
+    # a campaign's rank_summary.csv, as `prefnorm rank` reads it back,
+    # reproduces the first table when every treatment mean comes from
+    # single-run records
     traces = []
     algorithms = {"A": ("nsga2", "pp"), "B": ("nsga2", "ba"),
                   "C": ("rnsga2", "pp"), "D": ("rnsga2", "ba")}
@@ -317,9 +318,17 @@ def test_criterion_10_friedman_matches_hand_computed_tables():
             traces.append(RunTrace(
                 problem=name, m=3, algorithm=algorithm, normalization=kind,
                 run_index=0, seed=0,
-                records=[{"checkpoint": 1000, "igd_plus_c": value}],
+                records=[{"checkpoint": 1000, "evals": 1000,
+                          "igd_plus_c": value, "e_ideal": 0.0,
+                          "e_nadir": 0.0, "ore": 0.0, "z_lb": np.zeros(3),
+                          "z_ub": np.ones(3)}],
                 final_objs=np.zeros((1, 3))))
-    avg = friedman_average_ranks(traces, "dtlz", 1000)
+    config = ExperimentConfig(
+        problems=[(f"dtlz{i}", 3) for i in range(1, 8)],
+        algorithms=["nsga2", "rnsga2"], normalizations=["pp", "ba"],
+        runs=1, budget=1000, checkpoints=(1000,))
+    write_results(traces, config, tmp_path)
+    avg = rank_from_results(tmp_path, "dtlz", 1000)
     relabeled = {label_of[k]: v for k, v in avg.items()}
     assert relabeled == {"A": 15 / 7, "B": 16 / 7, "C": 19 / 7, "D": 20 / 7}
     print("criterion 10: PASS — hand-computed tables including midranks "

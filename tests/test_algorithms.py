@@ -16,12 +16,12 @@ from conftest import (oracle_dominates, oracle_epsilon_clear,
                       oracle_run_moead_nums)
 from prefnorm import get_problem, make_engine
 from prefnorm.algorithms import (AASF_RHO, ALGORITHMS, AlgorithmParams,
-                                 _aasf_of_gap, aasf, epsilon_clear,
+                                 _aasf_of_gap, epsilon_clear,
                                  moead_nums_replacement,
                                  rnsga2_environmental_selection, run_nsga2,
                                  run_moead_nums, run_rnsga2,
                                  weighted_ref_distance)
-from prefnorm.normalization import KINDS, NormalizationState
+from prefnorm.normalization import KINDS, NormalizationState, normalize_value
 from prefnorm.problems import problem_names
 from prefnorm.ranking import _sq_dists, nondominated_sort
 
@@ -29,6 +29,12 @@ IDENT_LB = np.zeros(2)
 IDENT_UB = np.ones(2)
 ORIGIN = np.zeros(2)
 HALF_W = np.full(2, 0.5)
+
+
+def aasf(f, z, w, z_lb, z_ub, rho=AASF_RHO):
+    """AASF of ``f`` as moead-nums scores it: the normalized gap to ``z``."""
+    gap = normalize_value(f, z_lb, z_ub) - normalize_value(z, z_lb, z_ub)
+    return _aasf_of_gap(w, gap, rho)
 
 
 class TestWeightedRefDistance:

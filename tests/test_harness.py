@@ -26,9 +26,8 @@ from prefnorm import harness
 from prefnorm.core import derive_run_seed
 from prefnorm.harness import (DEFAULT_CHECKPOINTS, SUITES, ConfigError,
                               ExperimentConfig, RunTrace, cell_id,
-                              execute_campaign, friedman_average_ranks,
-                              friedman_ranks_from_means, load_config,
-                              rank_from_results, resolve_workers,
+                              execute_campaign, friedman_ranks_from_means,
+                              load_config, rank_from_results,
                               validate_config, write_results)
 from prefnorm.refpoints import default_reference_point
 
@@ -74,7 +73,6 @@ class TestValidateConfig:
         assert config.roi_radius == 0.1
         assert config.pf_size == 10000
         assert config.reference_setting == "balanced"
-        assert config.workers is None
 
     def test_problem_mapping_form(self):
         config = validate_config(minimal_raw(
@@ -117,7 +115,9 @@ class TestValidateConfig:
          "expected 2 values"),
         (minimal_raw(params={"zeta": 1.0}), "unknown parameter"),
         (minimal_raw(params=[1]), "params"),
-        (minimal_raw(workers=0), "workers"),
+        # the worker count is a run option, not part of a campaign
+        pytest.param(minimal_raw(workers=0), "workers: unknown key",
+                     id="raw29-workers"),
         (minimal_raw(problems=["dtlz2:2", "dtlz2:2"]),
          "problems[1]: duplicate problem dtlz2:2"),
         (minimal_raw(problems=["dtlz2:3", "dtlz2:2", {"name": "dtlz2",
@@ -288,11 +288,12 @@ class TestConfigIdentity:
 
     def test_canonical_holds_every_key_but_workers(self):
         config = validate_config(minimal_raw(
-            workers=2, reference_points={"dtlz2:2": [1, 0.5]},
+            reference_points={"dtlz2:2": [1, 0.5]},
             params={"tau": 0.5, "mutation_prob": None}))
         canonical = config.canonical()
-        assert set(canonical) == {f.name for f in fields(ExperimentConfig)
-                                  if f.name != "workers"}
+        # no worker count: it never entered the hash or the manifest
+        assert set(canonical) == {f.name for f in fields(ExperimentConfig)}
+        assert "workers" not in canonical
         assert canonical["problems"] == [["dtlz2", 2]]
         assert canonical["checkpoints"] == list(DEFAULT_CHECKPOINTS)
         assert canonical["reference_points"] == {"dtlz2:2": [1.0, 0.5]}
@@ -406,33 +407,6 @@ class TestExecuteCampaign:
         ]
 
 
-class TestResolveWorkers:
-
-    def config(self, workers=None):
-        return validate_config(minimal_raw(
-            **({"workers": workers} if workers else {})))
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
-        assert resolve_workers(self.config()) == 1
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV, "3")
-        assert resolve_workers(self.config()) == 3
-
-    def test_non_numeric_environment_ignored(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV, "many")
-        assert resolve_workers(self.config()) == 1
-
-    def test_config_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV, "3")
-        assert resolve_workers(self.config(workers=2)) == 2
-
-    def test_override_beats_all(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV, "3")
-        assert resolve_workers(self.config(workers=2), override=4) == 4
-
-
 class TestFriedman:
 
     def test_hand_computed_midranks(self):
@@ -499,12 +473,25 @@ class TestFriedman:
 
     @staticmethod
     def synthetic_trace(problem, m, algorithm, kind, run_index, value):
+        record = {"checkpoint": 100, "evals": 100, "igd_plus_c": value,
+                  "e_ideal": 0.0, "e_nadir": 0.0, "ore": 0.0,
+                  "z_lb": np.zeros(m), "z_ub": np.ones(m)}
         return RunTrace(problem=problem, m=m, algorithm=algorithm,
                         normalization=kind, run_index=run_index, seed=0,
-                        records=[{"checkpoint": 100, "igd_plus_c": value}],
-                        final_objs=np.zeros((1, m)))
+                        records=[record], final_objs=np.zeros((1, m)))
 
-    def test_average_ranks_from_traces(self):
+    @staticmethod
+    def write(traces, out):
+        """Write ``traces`` as a campaign with one checkpoint at 100."""
+        config = ExperimentConfig(
+            problems=sorted({(t.problem, t.m) for t in traces}),
+            algorithms=sorted({t.algorithm for t in traces}),
+            normalizations=sorted({t.normalization for t in traces}),
+            runs=2, budget=100, checkpoints=(100,))
+        write_results(traces, config, out)
+        return out
+
+    def test_average_ranks_from_traces(self, tmp_path):
         traces = []
         # dtlz1: nsga2-no mean 0.2, rnsga2-ba mean 0.1 -> ranks 2, 1
         # dtlz2: nsga2-no mean 0.1, rnsga2-ba mean 0.3 -> ranks 1, 2
@@ -523,18 +510,21 @@ class TestFriedman:
         # an sdtlz trace must not leak into the dtlz suite
         traces.append(self.synthetic_trace("sdtlz1", 2, "nsga2", "no",
                                            0, 9.9))
-        avg = friedman_average_ranks(traces, "dtlz", 100)
+        avg = rank_from_results(self.write(traces, tmp_path), "dtlz", 100)
         assert avg == {"nsga2-no": pytest.approx(1.5),
                        "rnsga2-ba": pytest.approx(1.5)}
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ValueError, match="unknown suite"):
-            friedman_average_ranks([], "mystery", 100)
-
-    def test_no_data_rejected(self):
+    def test_unknown_suite_rejected(self, tmp_path):
         trace = self.synthetic_trace("dtlz1", 2, "nsga2", "no", 0, 0.1)
-        with pytest.raises(ValueError, match="no traces"):
-            friedman_average_ranks([trace], "sdtlz", 100)
+        out = self.write([trace], tmp_path)
+        with pytest.raises(ValueError, match="unknown suite"):
+            rank_from_results(out, "mystery", 100)
+
+    def test_no_data_rejected(self, tmp_path):
+        trace = self.synthetic_trace("dtlz1", 2, "nsga2", "no", 0, 0.1)
+        out = self.write([trace], tmp_path)
+        with pytest.raises(ValueError, match="no rows for suite 'sdtlz'"):
+            rank_from_results(out, "sdtlz", 100)
 
     def test_suite_membership(self):
         assert SUITES["dtlz"] == tuple(f"dtlz{i}" for i in range(1, 8))
@@ -657,8 +647,13 @@ class TestWriteResults:
     def test_rank_from_results_round_trip(self, written):
         config, traces, out = written
         avg = rank_from_results(out, "dtlz", 200)
-        direct = friedman_average_ranks(traces, "dtlz", 200)
-        assert avg == direct
+        # the one dtlz instance ranks the run-mean IGD+-C of each treatment
+        runs: dict[str, list[float]] = {}
+        for trace in traces:
+            (record,) = [r for r in trace.records if r["checkpoint"] == 200]
+            runs.setdefault(trace.treatment, []).append(record["igd_plus_c"])
+        means = {t: float(np.mean(v)) for t, v in runs.items()}
+        assert avg == friedman_ranks_from_means({"dtlz2:m2": means})
 
     def test_rank_from_results_errors(self, written, tmp_path):
         config, traces, out = written

@@ -25,6 +25,11 @@ def circle_front(count=200):
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
+def nearest_row(points, z):
+    """The first of the rows of ``points`` closest to ``z``."""
+    return points[np.argmin(np.linalg.norm(points - z, axis=1))]
+
+
 def test_default_radius_value():
     assert DEFAULT_ROI_RADIUS == 0.1
 
@@ -34,13 +39,16 @@ class TestBuildRoi:
         pf = circle_front()
         z = np.array([0.6, 0.4])
         roi = build_roi_reference_set(pf, z, 0.1, UNIT)
-        dists = np.linalg.norm(pf - z, axis=1)
-        assert np.allclose(roi.center, pf[np.argmin(dists)])
+        pivot = nearest_row(pf, z)
+        near = np.linalg.norm(pf - pivot, axis=1) < 0.1
+        assert np.array_equal(roi.points, pf[near])
+        assert (roi.points == pivot).all(axis=1).any()
 
     def test_members_within_strict_radius(self):
         pf = circle_front()
         roi = build_roi_reference_set(pf, np.array([0.6, 0.4]), 0.1, UNIT)
-        d = np.linalg.norm(roi.points - roi.center, axis=1)
+        pivot = nearest_row(pf, np.array([0.6, 0.4]))
+        d = np.linalg.norm(roi.points - pivot, axis=1)
         assert np.all(d < 0.1)
         assert roi.points.shape[0] >= 1
 
@@ -53,19 +61,22 @@ class TestBuildRoi:
         pf = circle_front(50)
         roi = build_roi_reference_set(pf, np.array([0.6, 0.4]), 1e-9, UNIT)
         assert roi.points.shape[0] == 1
-        assert np.allclose(roi.points[0], roi.center)
+        assert np.array_equal(roi.points[0],
+                              nearest_row(pf, np.array([0.6, 0.4])))
 
     def test_center_tie_resolves_to_lowest_index(self):
         pf = np.array([[0.0, 1.0], [1.0, 0.0]])
         z = np.array([0.5, 0.5])
         roi = build_roi_reference_set(pf, z, 0.1, UNIT)
-        assert np.allclose(roi.center, [0.0, 1.0])
+        # both rows lie at the same distance from z; the pivot is the first
+        assert np.array_equal(roi.points, [[0.0, 1.0]])
 
     def test_normalization_uses_scaler(self):
         scaler = TrueScaler(ideal=np.zeros(2), nadir=np.array([1.0, 10.0]))
         pf = np.array([[0.0, 10.0], [0.5, 5.0], [1.0, 0.0]])
         roi = build_roi_reference_set(pf, np.array([0.5, 5.0]), 0.2, scaler)
-        assert np.allclose(roi.center, [0.5, 0.5])
+        # normalized, the rows sit 0.707 apart and z on the middle one
+        assert np.allclose(roi.points, [[0.5, 0.5]])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -165,7 +176,7 @@ class TestIgdPlusC:
             ideal = rng.uniform(-1.0, 0.0, m)
             scaler = TrueScaler(ideal=ideal,
                                 nadir=ideal + rng.uniform(0.5, 3.0, m))
-        roi = RoiReferenceSet(points=points, center=points[0], scaler=scaler)
+        roi = RoiReferenceSet(points=points, scaler=scaler)
         got = igd_plus_c(objs, roi)
         want = oracle_igd_plus_c(objs, roi)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -233,8 +244,8 @@ def test_roi_on_real_problem_tracks_reference_point():
     pf = problem.sample_pf(500, make_engine(3))
     scaler = TrueScaler(ideal=problem.true_ideal, nadir=problem.true_nadir)
     roi = build_roi_reference_set(pf, np.array([0.6, 0.4]), 0.1, scaler)
-    # all ROI members sit on the normalized unit circle near the center
+    # all ROI members sit on the normalized unit circle near the pivot
     assert np.allclose(np.linalg.norm(roi.points, axis=1), 1.0, atol=1e-9)
-    gap = np.linalg.norm(roi.center - np.array([0.6, 0.4]))
-    others = np.linalg.norm(pf - np.array([0.6, 0.4]), axis=1)
-    assert gap == pytest.approx(others.min())
+    pivot = nearest_row(scaler.normalize(pf), np.array([0.6, 0.4]))
+    assert (roi.points == pivot).all(axis=1).any()
+    assert np.all(np.linalg.norm(roi.points - pivot, axis=1) < 0.1)

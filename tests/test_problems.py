@@ -28,9 +28,18 @@ def test_registry_contains_all_families():
     assert [name for suite in SUITES.values() for name in suite] == ALL_NAMES
 
 
-def test_get_problem_is_case_insensitive():
-    assert get_problem("DTLZ2", 3).name == "dtlz2"
-    assert repr(get_problem("SDTLZ2", 3)) == "sdtlz2(m=3, n=12)"
+def test_get_problem_takes_registry_spelling():
+    assert repr(get_problem("sdtlz2", 3)) == "sdtlz2(m=3, n=12)"
+    # one spelling names one problem, as in a validated config
+    with pytest.raises(KeyError, match="known: dtlz1, dtlz2"):
+        get_problem("DTLZ2", 3)
+
+
+def test_evaluate_batch_takes_only_a_batch():
+    problem = get_problem("dtlz2", 3)
+    for x in (np.full(problem.n, 0.5), np.full((1, problem.n + 1), 0.5)):
+        with pytest.raises(ValueError, match=r"expected an \(N, 12\) batch"):
+            problem.evaluate_batch(x)
 
 
 def test_get_problem_unknown_name():
@@ -70,7 +79,7 @@ def test_dtlz1_optimal_plane():
     problem = get_problem("dtlz1", 3)
     x = np.full(problem.n, 0.5)
     x[0], x[1] = 0.3, 0.7
-    f = problem.evaluate_batch(x)[0]
+    f = problem.evaluate_batch(x[None])[0]
     # distance part is zero, objectives sum to one half
     assert f.sum() == pytest.approx(0.5)
     assert np.allclose(f, [0.5 * 0.3 * 0.7, 0.5 * 0.3 * 0.3, 0.5 * 0.7])
@@ -80,10 +89,10 @@ def test_dtlz2_corner_and_sphere():
     problem = get_problem("dtlz2", 3)
     x = np.full(problem.n, 0.5)
     x[0] = x[1] = 0.0
-    assert np.allclose(problem.evaluate_batch(x)[0], [1.0, 0.0, 0.0],
+    assert np.allclose(problem.evaluate_batch(x[None])[0], [1.0, 0.0, 0.0],
                        atol=1e-12)
     x[0], x[1] = 0.4, 0.8
-    f = problem.evaluate_batch(x)[0]
+    f = problem.evaluate_batch(x[None])[0]
     assert np.linalg.norm(f) == pytest.approx(1.0)
 
 
@@ -92,14 +101,14 @@ def test_dtlz3_reduces_to_sphere_when_distance_is_zero():
     dtlz3 = get_problem("dtlz3", 3)
     x = np.full(dtlz3.n, 0.5)
     x[0], x[1] = 0.25, 0.75
-    assert np.allclose(dtlz3.evaluate_batch(x)[0],
-                       dtlz2.evaluate_batch(x)[0])
+    assert np.allclose(dtlz3.evaluate_batch(x[None])[0],
+                       dtlz2.evaluate_batch(x[None])[0])
 
 
 def test_dtlz4_bias_pushes_to_corner():
     problem = get_problem("dtlz4", 3)
     x = np.full(problem.n, 0.5)
-    f = problem.evaluate_batch(x)[0]
+    f = problem.evaluate_batch(x[None])[0]
     # 0.5**100 is numerically zero, so the point lands on the f1 corner
     assert f[0] == pytest.approx(1.0, abs=1e-8)
     assert abs(f[1]) < 1e-8 and abs(f[2]) < 1e-8
@@ -114,7 +123,7 @@ def test_dtlz5_collapses_to_curve():
     for _ in range(4):
         x[1], x[2] = engine.uniform(size=2)
         x[0] = 0.3
-        fs.append(problem.evaluate_batch(x.copy())[0])
+        fs.append(problem.evaluate_batch(x[None].copy())[0])
     assert np.allclose(fs[0], fs[1]) and np.allclose(fs[0], fs[3])
 
 
@@ -122,7 +131,7 @@ def test_dtlz6_distance_minimum_at_zero():
     problem = get_problem("dtlz6", 3)
     x = np.zeros(problem.n)
     x[0] = 0.5
-    f = problem.evaluate_batch(x)[0]
+    f = problem.evaluate_batch(x[None])[0]
     assert np.linalg.norm(f) == pytest.approx(1.0)
 
 
@@ -130,7 +139,7 @@ def test_dtlz7_known_corner():
     for m in (2, 3, 5):
         problem = get_problem("dtlz7", m)
         x = np.zeros(problem.n)
-        f = problem.evaluate_batch(x)[0]
+        f = problem.evaluate_batch(x[None])[0]
         assert np.allclose(f[:-1], 0.0)
         assert f[-1] == pytest.approx(2.0 * m)
 
@@ -154,8 +163,8 @@ def test_inverted_dtlz1_identity():
     x = np.full(base.n, 0.5)
     x[0], x[1] = 0.2, 0.9
     g = 0.0
-    assert np.allclose(inv.evaluate_batch(x)[0],
-                       0.5 * (1.0 + g) - base.evaluate_batch(x)[0])
+    assert np.allclose(inv.evaluate_batch(x[None])[0],
+                       0.5 * (1.0 + g) - base.evaluate_batch(x[None])[0])
 
 
 def test_inverted_dtlz2_identity():
@@ -164,8 +173,8 @@ def test_inverted_dtlz2_identity():
     engine = make_engine(77)
     x = engine.uniform(size=base.n)
     g = np.sum((x[3:] - 0.5) ** 2)
-    assert np.allclose(inv.evaluate_batch(x)[0],
-                       (1.0 + g) - base.evaluate_batch(x)[0])
+    assert np.allclose(inv.evaluate_batch(x[None])[0],
+                       (1.0 + g) - base.evaluate_batch(x[None])[0])
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

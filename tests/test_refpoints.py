@@ -57,9 +57,9 @@ class TestBundledValues:
                               default_reference_point("dtlz2", 3,
                                                       "balanced"))
 
-    def test_case_insensitive(self):
-        assert np.array_equal(default_reference_point("DTLZ2", 3),
-                              default_reference_point("dtlz2", 3))
+    def test_takes_registry_spelling(self):
+        with pytest.raises(KeyError, match="unknown problem 'DTLZ2'"):
+            default_reference_point("DTLZ2", 3)
 
 
 class TestReconstruction:

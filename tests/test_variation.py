@@ -11,17 +11,10 @@ from prefnorm.core import make_engine
 from prefnorm.variation import (de_rand_1, de_rand_1_draws,
                                 polynomial_mutation,
                                 polynomial_mutation_batch,
-                                polynomial_mutation_draws, repair_clamp,
-                                sbx_batch)
+                                polynomial_mutation_draws, sbx_batch)
 
 LOWER2 = np.zeros(2)
 UPPER2 = np.ones(2)
-
-
-def test_repair_clamp_projects_to_box():
-    x = np.array([-0.5, 0.5, 1.5])
-    out = repair_clamp(x, np.zeros(3), np.ones(3))
-    assert np.array_equal(out, [0.0, 0.5, 1.0])
 
 
 def test_sbx_children_stay_in_bounds():
@@ -286,19 +279,19 @@ def test_block_trials_match_row_bytes(mu, n):
         donors = np.take_along_axis(nbs, slots, axis=1)
         do, u = polynomial_mutation_draws((mu, n), prob, engine)
         block = de_rand_1(np.arange(mu), xs, donors.T, cross, 0.9)
-        mutated = polynomial_mutation(repair_clamp(block, lower, upper),
+        mutated = polynomial_mutation(block.clip(lower, upper),
                                       lower, upper, do, u)
         for i in range(mu):
             row = de_rand_1(i, xs, donors[i].tolist(), cross[i], 0.9)
             assert row.tobytes() == block[i].tobytes()
-            row = polynomial_mutation(repair_clamp(row, lower, upper),
+            row = polynomial_mutation(row.clip(lower, upper),
                                       lower, upper, do[i], u[i])
             assert row.tobytes() == mutated[i].tobytes()
         for size in (1, 2, 17, mu):
             wave = np.sort(engine.choice(mu, size, replace=False))
             sub = de_rand_1(wave, xs, donors[wave].T, cross[wave], 0.9)
             assert sub.tobytes() == block[wave].tobytes()
-            sub = polynomial_mutation(repair_clamp(sub, lower, upper), lower,
+            sub = polynomial_mutation(sub.clip(lower, upper), lower,
                                       upper, do[wave], u[wave])
             assert sub.tobytes() == mutated[wave].tobytes()
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from conftest import oracle_distance_to_set, oracle_farthest_picks
+from conftest import (oracle_das_dennis_lattice, oracle_distance_to_set,
+                      oracle_farthest_picks)
 from prefnorm.algorithms import AlgorithmParams
 from prefnorm.core import make_engine
 from prefnorm.weights import (_distance_to_set, _farthest_picks,
@@ -34,6 +35,17 @@ def test_das_dennis_count_and_membership(m, divisions):
         vertex = np.zeros(m)
         vertex[i] = 1.0
         assert np.any(np.all(np.isclose(lattice, vertex), axis=1))
+
+
+@pytest.mark.parametrize("m,divisions", [
+    *((m, h) for m in range(1, 11) for h in range(16)),
+    # the lattices under the default 10,000-point front samples
+    (2, 9999), (3, 139), (5, 19)])
+def test_das_dennis_matches_reference_bytes(m, divisions):
+    want = oracle_das_dennis_lattice(m, divisions)
+    got = das_dennis_lattice(m, divisions)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_das_dennis_rows_are_unique():
