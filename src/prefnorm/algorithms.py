@@ -180,11 +180,12 @@ def _truncate(fronts: list[list[int]], mu: int, take: Callable
 
 def _crowding_truncation(uf: np.ndarray, fronts: list[list[int]], mu: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank+crowding truncation of the union to mu members.
+    """NSGA-II's rank+crowding truncation of the union to mu members.
 
     Whole levels are taken while they fit; the level that overflows gives
     up its least crowded members.  Returns the survivors with their levels
-    and their crowding distances within their level.
+    and their crowding distances within their level, which nsga2's
+    tournament reads.
     """
     crowd = np.empty(uf.shape[0])
 
@@ -313,8 +314,17 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
     def select(uf, state):
         dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
         fronts = fronts_from_matrix(
-            r_domination_matrix(uf, dist, params.delta))
-        keep, rank, _ = _crowding_truncation(uf, fronts, mu)
+            r_domination_matrix(uf, dist, params.delta), mu)
+
+        def take(idx, room):
+            # the tournament reads distances, so only an overflowing level
+            # needs its crowding
+            if idx.size <= room:
+                return idx
+            crowd = crowding_distance(uf[idx])
+            return idx[np.argsort(-crowd, kind="stable")[:room]]
+
+        keep, rank = _truncate(fronts, mu, take)
         return keep, rank, dist[keep]
 
     return _run_generational(problem, kind, mu, budget, engine, params,

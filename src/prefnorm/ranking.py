@@ -120,10 +120,10 @@ def nondominated_sort(objs: np.ndarray, size: int | None = None
     """Fast non-dominated sorting of an (N, m) objective array.
 
     Sorting stops once the levels returned hold at least ``size`` rows;
-    ``None`` sorts every row.  nsga2 and rnsga2 pass their mu, so they sort
-    only as far as their survivors.  r2nsga2 peels its r-dominance levels
-    with ``fronts_from_matrix`` in full, so every cycle is still lumped and
-    logged.
+    ``None`` sorts every row.  nsga2 and rnsga2 pass their mu, and r2nsga2
+    passes it to ``fronts_from_matrix``, so every GA sorts only as far as
+    its survivors; an r-dominance cycle is lumped and logged only when the
+    peel reaches it.
 
     Returns
     -------

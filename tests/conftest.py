@@ -19,7 +19,8 @@ from prefnorm.algorithms import epsilon_clear
 from prefnorm.core import make_engine
 from prefnorm.normalization import (NormalizationState, normalize_value,
                                     update_state)
-from prefnorm.ranking import domination_matrix
+from prefnorm.ranking import (crowding_distance, domination_matrix,
+                              r_domination_matrix)
 from prefnorm.weights import neighborhoods, nums_shift, uniform_simplex_set
 
 
@@ -338,9 +339,10 @@ def oracle_igd_plus_c(objs, roi):
     return float(np.mean(d.min(axis=1)))
 
 
-# Reference copies of the level peel and of R-NSGA-II's selection as they
-# stood before sorting stopped once the survivors were placed; the current
-# code must reproduce their levels, survivors and warnings.
+# Reference copies of the level peel and of the R-NSGA-II and r2nsga2
+# selections as they stood before sorting stopped once the survivors were
+# placed; the current code must reproduce their levels, survivors and
+# warnings.
 
 reference_logger = logging.getLogger("conftest.reference")
 
@@ -393,6 +395,31 @@ def oracle_rnsga2_environmental_selection(uf, dists, mu, epsilon, z_lb,
     for level, front in enumerate(fronts):
         rank[np.asarray(front, dtype=int)] = level
     return keep_arr, rank[keep_arr]
+
+
+def oracle_r2nsga2_selection(uf, dists, delta, mu):
+    """r2nsga2's selection on a full r-dominance peel, crowding every level.
+
+    Levels are taken whole while they fit; the level that overflows keeps
+    its most crowded members, ties by position.  Returns the survivors,
+    their levels, their tournament keys (reference distances) and the full
+    peel.
+    """
+    fronts = oracle_fronts_from_matrix(r_domination_matrix(uf, dists, delta))
+    keep, rank = [], []
+    for level, front in enumerate(fronts):
+        room = mu - len(keep)
+        if room <= 0:
+            break
+        idx = np.asarray(front, dtype=int)
+        crowd = crowding_distance(uf[idx])
+        if idx.size > room:
+            order = sorted(range(idx.size), key=lambda p: (-crowd[p], p))
+            idx = idx[order[:room]]
+        keep.extend(idx.tolist())
+        rank.extend([level] * idx.size)
+    keep_arr = np.asarray(keep, dtype=int)
+    return keep_arr, np.asarray(rank, dtype=int), dists[keep_arr], fronts
 
 
 @pytest.fixture

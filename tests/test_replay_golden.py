@@ -312,7 +312,8 @@ def check_campaign_digests(out_dir, workers):
 
 
 def test_campaign_files_match_pinned_digests(tmp_path, caplog):
-    # r2nsga2 logs each cyclic r-dominance event; keep them off the report
+    # r2nsga2 logs each cyclic r-dominance event its peel reaches; keep
+    # them off the report
     caplog.set_level(logging.ERROR)
     check_campaign_digests(tmp_path, workers=1)
 
