@@ -9,9 +9,14 @@ Each of the four algorithms runs dtlz2 with ``ba`` normalization, mu 100,
 5 and 8, once per seed 1-3 in each of three passes over that grid.  A
 run's cost is its ``time.process_time`` seconds divided by the offspring
 it evaluated against the budget (every evaluation after the initial
-population).  The table shows, per (m, algorithm), the minimum over those
-nine runs in microseconds, so a run slowed by other load on the host does
-not count.
+population).  The first table shows, per (m, algorithm), the minimum over
+those nine runs in microseconds, so a run slowed by other load on the host
+does not count.
+
+The GA family steps a cell's runs together, so a cell of many runs costs
+less per offspring than a run on its own.  The second table sets, at
+m = 3, each GA's one-run figure beside the cost per offspring of a 31-run
+cell (seeds 1-31 in one runner call, the minimum of three passes).
 
 r2nsga2's per-generation cyclic-dominance warnings are not printed.
 """
@@ -24,35 +29,50 @@ from prefnorm.problems import get_problem
 from prefnorm.refpoints import default_reference_point
 
 MU, BUDGET, SEEDS, OBJECTIVES = 100, 5_000, (1, 2, 3), (2, 3, 5, 8)
-REPEATS = 3
+REPEATS, CELL_RUNS, CELL_M = 3, 31, 3
+GA = ("nsga2", "rnsga2", "r2nsga2")
 
 
-def us_per_offspring(name: str, m: int, seed: int) -> float:
+def us_per_offspring(name: str, m: int, seeds) -> float:
+    """CPU µs per offspring of one runner call on the runs of ``seeds``."""
     problem = get_problem("dtlz2", m)
     evals = []
     start = time.process_time()
     ALGORITHMS[name](problem, default_reference_point("dtlz2", m), "ba", MU,
-                     BUDGET, make_engine(seed), AlgorithmParams(),
-                     lambda done, fs, state: evals.append(done))
-    return 1e6 * (time.process_time() - start) / (evals[-1] - MU)
+                     BUDGET, [make_engine(seed) for seed in seeds],
+                     AlgorithmParams(),
+                     [lambda done, fs, state: evals.append(done)
+                      for _ in seeds])
+    offspring = len(seeds) * (evals[-1] - MU)
+    return 1e6 * (time.process_time() - start) / offspring
 
 
 def main():
     logging.getLogger("prefnorm").setLevel(logging.ERROR)
     best: dict[tuple[int, str], float] = {}
+    cell: dict[str, float] = {}
     # each repeat sweeps the whole grid, so a burst of load on the host
     # slows one pass over a cell, not all of its runs
     for _ in range(REPEATS):
         for m in OBJECTIVES:
             for name in ALGORITHMS:
                 for seed in SEEDS:
-                    cost = us_per_offspring(name, m, seed)
+                    cost = us_per_offspring(name, m, [seed])
                     best[m, name] = min(cost, best.get((m, name), cost))
+        for name in GA:
+            cost = us_per_offspring(name, CELL_M, range(1, CELL_RUNS + 1))
+            cell[name] = min(cost, cell.get(name, cost))
     print("| m | " + " | ".join(ALGORITHMS) + " |")
     print("| --- |" + " --- |" * len(ALGORITHMS))
     for m in OBJECTIVES:
-        print(f"| {m} | " + " | ".join(f"{best[m, name]:.0f}"
+        print(f"| {m} | " + " | ".join(f"{best[m, name]:.1f}"
                                       for name in ALGORITHMS) + " |")
+    print()
+    print(f"| m = {CELL_M} | 1 run | {CELL_RUNS}-run cell |")
+    print("| --- | --- | --- |")
+    for name in GA:
+        print(f"| {name} | {best[CELL_M, name]:.1f} | {cell[name]:.1f} |")
+
 
 if __name__ == "__main__":
     main()

@@ -22,6 +22,7 @@ Identifiers
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +35,7 @@ from .ranking import (_sq_dists, crowding_distance, nondominated_sort,
                       r_domination_matrix, fronts_from_matrix)
 from .variation import (de_rand_1, de_rand_1_draws, polynomial_mutation,
                         polynomial_mutation_batch, polynomial_mutation_draws,
-                        sbx_batch)
+                        run_draws, sbx_batch)
 from .weights import neighborhoods, nums_shift, uniform_simplex_set
 
 AASF_RHO = 1e-6
@@ -90,14 +91,17 @@ def _aasf_of_gap(w: np.ndarray, gap: np.ndarray,
 
 
 def _binary_tournament(primary: np.ndarray, secondary: np.ndarray,
-                       count: int, engine: np.random.Generator) -> np.ndarray:
-    """Indices of ``count`` winners; lower (primary, secondary) wins."""
-    n = primary.shape[0]
-    cand = engine.integers(0, n, size=(count, 2))
-    a, b = cand[:, 0], cand[:, 1]
-    a_wins = (primary[a] < primary[b]) | (
-        (primary[a] == primary[b]) & (secondary[a] <= secondary[b]))
-    return np.where(a_wins, a, b)
+                       count: int, engines: Sequence[np.random.Generator]
+                       ) -> np.ndarray:
+    """(R, count) winners of (R, N) keys, as positions in the R·N members
+    stacked run after run; lower (primary, secondary) wins."""
+    n = primary.shape[1]
+    cand = np.array([engine.integers(0, n, size=(count, 2))
+                     for engine in engines])
+    first = n * np.arange(len(engines))[:, None]
+    a, b = cand[..., 0] + first, cand[..., 1] + first
+    p, s = primary.ravel(), secondary.ravel()
+    return np.where((p[a] < p[b]) | ((p[a] == p[b]) & (s[a] <= s[b])), a, b)
 
 
 def epsilon_clear(points: np.ndarray, epsilon: float,
@@ -130,24 +134,28 @@ def epsilon_clear(points: np.ndarray, epsilon: float,
 
 
 def _random_population(problem: Problem, mu: int,
-                       engine: np.random.Generator) -> np.ndarray:
+                       engines: Sequence[np.random.Generator]) -> np.ndarray:
     span = problem.upper - problem.lower
-    return problem.lower + engine.random((mu, problem.n)) * span
+    return problem.lower + run_draws(engines, (mu, problem.n)) * span
+
+
+def _evaluate(problem: Problem, xs: np.ndarray) -> np.ndarray:
+    """Objectives of an (R, N, n) block, evaluated as one batch."""
+    return problem.evaluate_batch(xs.reshape(-1, problem.n)).reshape(
+        *xs.shape[:-1], problem.m)
 
 
 def _ga_offspring(xs: np.ndarray, winners: np.ndarray, problem: Problem,
                   params: AlgorithmParams,
-                  engine: np.random.Generator) -> np.ndarray:
+                  engines: Sequence[np.random.Generator]) -> np.ndarray:
     """SBX + polynomial mutation on tournament-selected parent pairs."""
-    pa = xs[winners[0::2]]
-    pb = xs[winners[1::2]]
-    ca, cb = sbx_batch(pa, pb, problem.lower, problem.upper, engine,
-                       params.sbx_eta, params.crossover_prob)
-    children = np.empty((winners.size, problem.n))
-    children[0::2] = ca
-    children[1::2] = cb
+    parents = xs.reshape(-1, problem.n)[winners]
+    children = np.empty_like(parents)
+    children[:, 0::2], children[:, 1::2] = sbx_batch(
+        parents[:, 0::2], parents[:, 1::2], problem.lower, problem.upper,
+        engines, params.sbx_eta, params.crossover_prob)
     return polynomial_mutation_batch(children, problem.lower, problem.upper,
-                                     engine, params.pm_eta,
+                                     engines, params.pm_eta,
                                      params.mutation_prob)
 
 
@@ -200,57 +208,68 @@ def _crowding_truncation(uf: np.ndarray, fronts: list[list[int]], mu: int
 
 
 def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
-                      engine: np.random.Generator, params: AlgorithmParams,
-                      recorder: Recorder | None,
-                      select: Callable) -> np.ndarray:
+                      engines: Sequence[np.random.Generator],
+                      params: AlgorithmParams,
+                      recorders: Sequence[Recorder],
+                      select: Callable) -> list[np.ndarray]:
     """The NSGA-II generational loop with a pluggable survivor selection.
 
-    ``select(union_objs, state)`` returns the positions of the mu survivors
-    and their primary and secondary tournament keys (lower wins).  Returns
-    the final (mu, m) population objectives.
+    The runs of ``engines`` step together: a generation's tournament, SBX
+    and mutation form one (R, mu, n) block, run r drawing from
+    ``engines[r]`` in its own order, and its R·mu offspring one evaluation.
+    The state update, ``select(union_objs, state, engine)`` (the mu
+    survivors' positions and primary and secondary tournament keys, lower
+    wins) and ``recorders[r]`` stay per run.  Returns each run's final
+    (mu, m) objectives.
     """
     if mu % 2:
         raise ValueError(f"mu must be even, got {mu}")
     _check_setup(mu, budget, problem.m)
-    xs = _random_population(problem, mu, engine)
-    fs = problem.evaluate_batch(xs)
+    rows = np.arange(len(engines))[:, None]
+    xs = _random_population(problem, mu, engines)
+    fs = _evaluate(problem, xs)
     evals = mu
-    state = NormalizationState(kind, problem.m)
-    update_state(state, fs)
+    states = [NormalizationState(kind, problem.m) for _ in engines]
+    keep = np.empty((len(engines), mu), dtype=int)
+    primary, secondary = np.empty_like(keep), np.empty(keep.shape)
     # the initial population keys itself through the same selection; every
     # member survives, so only the selection's reordering is undone
-    keep, primary, secondary = select(fs, state)
-    back = np.argsort(keep)
-    primary, secondary = primary[back], secondary[back]
-    if recorder:
-        recorder(evals, fs, state)
+    for r, engine in enumerate(engines):
+        update_state(states[r], fs[r])
+        order, first, second = select(fs[r], states[r], engine)
+        back = np.argsort(order)
+        primary[r], secondary[r] = first[back], second[back]
+    for recorder, f, state in zip(recorders, fs, states):
+        recorder(evals, f, state)
     while evals + mu <= budget:
-        winners = _binary_tournament(primary, secondary, mu, engine)
-        child_x = _ga_offspring(xs, winners, problem, params, engine)
-        child_f = problem.evaluate_batch(child_x)
+        winners = _binary_tournament(primary, secondary, mu, engines)
+        child_x = _ga_offspring(xs, winners, problem, params, engines)
+        child_f = _evaluate(problem, child_x)
         evals += mu
-        update_state(state, fs, child_f)
-        ux = np.vstack([xs, child_x])
-        uf = np.vstack([fs, child_f])
-        keep, primary, secondary = select(uf, state)
-        xs, fs = ux[keep], uf[keep]
-        if recorder:
-            recorder(evals, fs, state)
-    return fs
+        ux = np.concatenate([xs, child_x], axis=1)
+        uf = np.concatenate([fs, child_f], axis=1)
+        for r, engine in enumerate(engines):
+            update_state(states[r], fs[r], child_f[r])
+            keep[r], primary[r], secondary[r] = select(uf[r], states[r],
+                                                       engine)
+        xs, fs = ux[rows, keep], uf[rows, keep]
+        for recorder, f, state in zip(recorders, fs, states):
+            recorder(evals, f, state)
+    return list(fs)
 
 
 def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
-              budget: int, engine: np.random.Generator,
+              budget: int, engines: Sequence[np.random.Generator],
               params: AlgorithmParams | None = None,
-              recorder: Recorder | None = None) -> np.ndarray:
+              recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
     """Plain NSGA-II; ``z`` is ignored, the state is tracked for recording."""
-    def select(uf, state):
+    def select(uf, state, engine):
         keep, rank, crowd = _crowding_truncation(
             uf, nondominated_sort(uf, mu), mu)
         return keep, rank, -crowd
 
-    return _run_generational(problem, kind, mu, budget, engine,
-                             params or AlgorithmParams(), recorder, select)
+    return _run_generational(problem, kind, mu, budget, engines,
+                             params or AlgorithmParams(), recorders, select)
 
 
 def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
@@ -283,35 +302,35 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
 
 
 def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
-               budget: int, engine: np.random.Generator,
+               budget: int, engines: Sequence[np.random.Generator],
                params: AlgorithmParams | None = None,
-               recorder: Recorder | None = None) -> np.ndarray:
+               recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
     """Reference-distance R-NSGA-II."""
     params = params or AlgorithmParams()
     z = np.asarray(z, dtype=float)
     w = np.full(problem.m, 1.0 / problem.m)
 
-    def select(uf, state):
+    def select(uf, state, engine):
         dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
         keep, rank = rnsga2_environmental_selection(
             uf, dist, mu, params.epsilon_clear, state.z_lb, state.z_ub,
             engine)
         return keep, rank, dist[keep]
 
-    return _run_generational(problem, kind, mu, budget, engine, params,
-                             recorder, select)
+    return _run_generational(problem, kind, mu, budget, engines, params,
+                             recorders, select)
 
 
 def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
-                budget: int, engine: np.random.Generator,
+                budget: int, engines: Sequence[np.random.Generator],
                 params: AlgorithmParams | None = None,
-                recorder: Recorder | None = None) -> np.ndarray:
+                recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
     """NSGA-II with the r-dominance relation replacing Pareto dominance."""
     params = params or AlgorithmParams()
     z = np.asarray(z, dtype=float)
     w = np.full(problem.m, 1.0 / problem.m)
 
-    def select(uf, state):
+    def select(uf, state, engine):
         dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
         fronts = fronts_from_matrix(
             r_domination_matrix(uf, dist, params.delta), mu)
@@ -327,8 +346,8 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
         keep, rank = _truncate(fronts, mu, take)
         return keep, rank, dist[keep]
 
-    return _run_generational(problem, kind, mu, budget, engine, params,
-                             recorder, select)
+    return _run_generational(problem, kind, mu, budget, engines, params,
+                             recorders, select)
 
 
 def moead_nums_replacement(trial_vals: np.ndarray, incumbent: np.ndarray,
@@ -346,9 +365,9 @@ def moead_nums_replacement(trial_vals: np.ndarray, incumbent: np.ndarray,
 
 
 def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
-                   budget: int, engine: np.random.Generator,
+                   budget: int, engines: Sequence[np.random.Generator],
                    params: AlgorithmParams | None = None,
-                   recorder: Recorder | None = None) -> np.ndarray:
+                   recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
     """Decomposition search on a weight set shifted toward ``z``.
 
     Trials are steady-state: each one may read rows that earlier trials of
@@ -374,6 +393,7 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     for nothing, is discarded and never counts against the budget.
     Replacement against the cached incumbents stays sequential, so the
     result is the same, byte for byte, as building every trial in turn.
+    The runs of ``engines`` go one after another.
     """
     params = params or AlgorithmParams()
     if params.rho <= 0.0:
@@ -386,6 +406,17 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
         raise ValueError("a neighbourhood needs at least 4 slots (the target "
                          f"and three DE/rand/1 donors), got {t_size}")
     z = np.asarray(z, dtype=float)
+    return [_moead_nums_run(problem, z, kind, mu, budget, engine, params,
+                            t_size, recorder)
+            for engine, recorder in zip(engines,
+                                        recorders or [None] * len(engines))]
+
+
+def _moead_nums_run(problem: Problem, z: np.ndarray, kind: str, mu: int,
+                    budget: int, engine: np.random.Generator,
+                    params: AlgorithmParams, t_size: int,
+                    recorder: Recorder | None) -> np.ndarray:
+    """One run of :func:`run_moead_nums`."""
     weights = uniform_simplex_set(problem.m, mu, engine)
     weights = nums_shift(weights, z, params.tau)
     nbs = neighborhoods(weights, t_size)
@@ -393,7 +424,7 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     rows = np.arange(mu)
     own = nbs == rows[:, None]
     lower, upper = problem.lower, problem.upper
-    xs = _random_population(problem, mu, engine)
+    xs = _random_population(problem, mu, [engine])[0]
     fs = problem.evaluate_batch(xs)
     evals = mu
     state = NormalizationState(kind, problem.m)

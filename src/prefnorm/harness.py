@@ -320,14 +320,10 @@ def cell_id(problem: str, m: int, algorithm: str, normalization: str) -> str:
     return f"{problem}:m{m}:{algorithm}:{normalization}"
 
 
-def _execute_run(problem_name: str, m: int, algorithm: str,
-                 normalization: str, run_index: int, seed: int,
-                 config: ExperimentConfig, z: np.ndarray,
-                 roi: RoiReferenceSet) -> RunTrace:
-    problem = get_problem(problem_name, m)
-    engine = make_engine(seed)
-    pending = sorted(config.checkpoints)
-    records: list[dict] = []
+def _checkpoint_recorder(checkpoints: tuple[int, ...], roi: RoiReferenceSet,
+                         records: list[dict]):
+    """A recorder that appends one indicator record per checkpoint passed."""
+    pending = sorted(checkpoints)
 
     def recorder(evals, objs, state):
         while pending and evals >= pending[0]:
@@ -343,12 +339,26 @@ def _execute_run(problem_name: str, m: int, algorithm: str,
                 "z_ub": state.z_ub.copy(),
             })
 
-    final = ALGORITHMS[algorithm](
-        problem, z, normalization, config.mu, config.budget, engine,
-        AlgorithmParams(**config.params), recorder)
-    return RunTrace(problem=problem_name, m=m, algorithm=algorithm,
-                    normalization=normalization, run_index=run_index,
-                    seed=seed, records=records, final_objs=final)
+    return recorder
+
+
+def _execute_cell(problem_name: str, m: int, algorithm: str,
+                  normalization: str, seeds: list[int],
+                  config: ExperimentConfig, z: np.ndarray,
+                  roi: RoiReferenceSet) -> list[RunTrace]:
+    """The traces of a cell's runs, one per seed, all run in one call."""
+    records: list[list[dict]] = [[] for _ in seeds]
+    finals = ALGORITHMS[algorithm](
+        get_problem(problem_name, m), z, normalization, config.mu,
+        config.budget, [make_engine(seed) for seed in seeds],
+        AlgorithmParams(**config.params),
+        [_checkpoint_recorder(config.checkpoints, roi, log)
+         for log in records])
+    return [RunTrace(problem=problem_name, m=m, algorithm=algorithm,
+                     normalization=normalization, run_index=run_index,
+                     seed=seed, records=log, final_objs=final)
+            for run_index, (seed, log, final)
+            in enumerate(zip(seeds, records, finals))]
 
 
 def build_cell_roi(config: ExperimentConfig, problem_name: str,
@@ -364,10 +374,10 @@ def build_cell_roi(config: ExperimentConfig, problem_name: str,
     return z, roi
 
 
-def _attempt_run(task: tuple) -> RunTrace | str:
-    """A campaign run's trace, or the message of the error that stopped it."""
+def _attempt_cell(task: tuple) -> list[RunTrace] | str:
+    """A cell's traces, or the message of the error that stopped it."""
     try:
-        return _execute_run(*task)
+        return _execute_cell(*task)
     except Exception as exc:
         return str(exc)
 
@@ -376,7 +386,10 @@ def execute_campaign(config: ExperimentConfig,
                      workers: int = 1) -> list[RunTrace]:
     """Run every cell of the campaign; traces come back in canonical order.
 
-    ``workers`` > 1 runs the tasks in that many processes; the traces and
+    A cell is the unit of work: one runner call steps its runs together
+    (see :func:`algorithms._run_generational` for what is batched across
+    runs and what stays per run), and an error fails all of its runs.
+    ``workers`` > 1 runs the cells in that many processes; the traces and
     the files written from them do not depend on it.
     """
     if workers < 1:
@@ -387,30 +400,30 @@ def execute_campaign(config: ExperimentConfig,
         for algorithm in config.algorithms:
             for kind in config.normalizations:
                 cid = cell_id(name, m, algorithm, kind)
-                for run_index in range(config.runs):
-                    seed = derive_run_seed(config.seed, cid, run_index)
-                    tasks.append((name, m, algorithm, kind, run_index, seed,
-                                  config, z, roi))
+                seeds = [derive_run_seed(config.seed, cid, run_index)
+                         for run_index in range(config.runs)]
+                tasks.append((name, m, algorithm, kind, seeds, config, z, roi))
+    total = len(tasks) * config.runs
     traces: list[RunTrace] = []
     failures: list[str] = []
     with contextlib.ExitStack() as stack:
         run_all = map
         if workers > 1:
-            logger.info("running %d tasks on %d workers", len(tasks),
-                        workers)
+            logger.info("running %d cells (%d runs) on %d workers",
+                        len(tasks), total, workers)
             run_all = stack.enter_context(
                 concurrent.futures.ProcessPoolExecutor(workers)).map
-        for task, outcome in zip(tasks, run_all(_attempt_run, tasks)):
-            if isinstance(outcome, RunTrace):
-                traces.append(outcome)
+        for task, outcome in zip(tasks, run_all(_attempt_cell, tasks)):
+            if isinstance(outcome, list):
+                traces.extend(outcome)
                 continue
-            label = f"{cell_id(*task[:4])} run {task[4]}"
-            logger.error("run failed: %s: %s", label, outcome)
-            failures.append(f"{label}: {outcome}")
+            for run_index in range(config.runs):
+                label = f"{cell_id(*task[:4])} run {run_index}"
+                logger.error("run failed: %s: %s", label, outcome)
+                failures.append(f"{label}: {outcome}")
     if failures:
         raise RuntimeError("%d of %d runs failed:\n%s"
-                           % (len(failures), len(tasks),
-                              "\n".join(failures)))
+                           % (len(failures), total, "\n".join(failures)))
     return traces
 
 

@@ -2,8 +2,10 @@
 
 All operators work on [lower, upper] box bounds and take every random number
 from the engine passed in, or from blocks that a ``*_draws`` function drew
-from it ahead of time, so runs replay exactly.  Batch variants are
-vectorized across a whole offspring population.
+from it ahead of time, so runs replay exactly.  The GA operators vary R
+independent runs at once: blocks carry a leading run axis, run r draws only
+from ``engines[r]``, in its own order, and the arithmetic is elementwise, so
+each run's children are what they would be on their own.  DE serves one run.
 """
 from __future__ import annotations
 
@@ -14,38 +16,46 @@ import numpy as np
 _EPS_SAME = 1e-14
 
 
+def run_draws(engines: Sequence[np.random.Generator],
+              shape: tuple[int, ...]) -> np.ndarray:
+    """``engine.random(shape)`` of each engine, stacked on a leading axis."""
+    out = np.empty((len(engines), *shape))
+    for engine, block in zip(engines, out):
+        engine.random(out=block)
+    return out
+
+
 def sbx_batch(pa: np.ndarray, pb: np.ndarray, lower: np.ndarray,
-              upper: np.ndarray, engine: np.random.Generator,
+              upper: np.ndarray, engines: Sequence[np.random.Generator],
               eta: float = 30.0,
               crossover_prob: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover over (P, n) parent pair arrays.
+    """Simulated binary crossover over (R, P, n) parent pair blocks.
 
     Per pair, the whole crossover fires with probability ``crossover_prob``;
     inside a firing pair each variable is crossed with probability 0.5 using
     a spread factor drawn from the SBX density with index ``eta``, and the
     two child values swap with probability 0.5.  Children are clipped to the
-    bounds.  Identical parent coordinates pass through unchanged.
+    bounds.  Identical parent coordinates pass through unchanged.  Run r
+    draws its pair, variable, spread and swap blocks in one call; a float64
+    draw takes one 64-bit word, so this equals four calls in turn.
     """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    n_pairs, n_var = pa.shape
-    ca = pa.copy()
-    cb = pb.copy()
-    pair_on = engine.random(n_pairs) <= crossover_prob
-    var_on = engine.random((n_pairs, n_var)) < 0.5
-    u = engine.random((n_pairs, n_var))
-    swap = engine.random((n_pairs, n_var)) < 0.5
-    active = pair_on[:, None] & var_on & (np.abs(pa - pb) > _EPS_SAME)
+    n_runs, n_pairs, n_var = pa.shape
+    draws = run_draws(engines, (n_pairs * (1 + 3 * n_var),))
+    pair_on = draws[:, :n_pairs] <= crossover_prob
+    var_on, u, swap = draws[:, n_pairs:].reshape(
+        n_runs, 3, n_pairs, n_var).swapaxes(0, 1)
+    var_on, swap = var_on < 0.5, swap < 0.5
+    active = pair_on[..., None] & var_on & (np.abs(pa - pb) > _EPS_SAME)
 
-    beta = np.where(u <= 0.5,
-                    (2.0 * u) ** (1.0 / (eta + 1.0)),
-                    (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)))
-    c1 = 0.5 * ((1.0 + beta) * pa + (1.0 - beta) * pb)
-    c2 = 0.5 * ((1.0 - beta) * pa + (1.0 + beta) * pb)
-    c1s = np.where(swap, c2, c1)
-    c2s = np.where(swap, c1, c2)
-    ca[active] = c1s[active]
-    cb[active] = c2s[active]
+    beta = np.where(u <= 0.5, 2.0 * u,
+                    1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+    up, down = 1.0 + beta, 1.0 - beta
+    c1 = 0.5 * (up * pa + down * pb)
+    c2 = 0.5 * (down * pa + up * pb)
+    ca = np.where(active, np.where(swap, c2, c1), pa)
+    cb = np.where(active, np.where(swap, c1, c2), pb)
     np.clip(ca, lower, upper, out=ca)
     np.clip(cb, lower, upper, out=cb)
     return ca, cb
@@ -103,14 +113,19 @@ def polynomial_mutation(x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 
 def polynomial_mutation_batch(x: np.ndarray, lower: np.ndarray,
                               upper: np.ndarray,
-                              engine: np.random.Generator,
+                              engines: Sequence[np.random.Generator],
                               eta: float = 20.0,
                               mutation_prob: float | None = None
                               ) -> np.ndarray:
-    """Polynomial mutation over an (N, n) array, drawing from ``engine``."""
+    """Polynomial mutation over an (R, N, n) block; run r draws what
+    :func:`polynomial_mutation_draws` would draw from ``engines[r]``."""
     x = np.asarray(x, dtype=float)
-    do, u = polynomial_mutation_draws(x.shape, mutation_prob, engine)
-    return polynomial_mutation(x, lower, upper, do, u, eta)
+    n_var = x.shape[-1]
+    rate = 1.0 / n_var if mutation_prob is None else mutation_prob
+    draws = run_draws(engines, (2, *x.shape[1:]))
+    do, u = (draws[:, 0] < rate).reshape(-1, n_var), draws[:, 1]
+    return polynomial_mutation(x.reshape(-1, n_var), lower, upper, do,
+                               u.reshape(-1, n_var), eta).reshape(x.shape)
 
 
 def de_rand_1_draws(own: np.ndarray, n_var: int, crossover_rate: float,

@@ -3,10 +3,11 @@
 The oracles deliberately use plain double loops and per-level recomputation
 so they share no code path with the vectorized implementations they check.
 The reference copies of the problem objective shapes, of the Das-Dennis
-lattice, of the 3-d distance reductions and of the full level peel are
-instead earlier implementations, and the MOEA/D-NUMS reference loop reads
-the package's blocks of random numbers with plain loops and sorts; tests
-pin the current code to them byte for byte.
+lattice, of the 3-d distance reductions, of the full level peel and of
+one-run SBX are instead earlier implementations, the MOEA/D-NUMS reference
+loop reads the package's blocks of random numbers with plain loops and
+sorts, and the NSGA-II reference loop runs one engine at a time; tests pin
+the current code to them byte for byte.
 """
 from __future__ import annotations
 
@@ -197,6 +198,64 @@ def oracle_polynomial_mutation_batch(x, lower, upper, engine, eta=20.0,
     do = engine.random(x.shape) < mutation_prob
     u = engine.random(x.shape)
     return oracle_polynomial_mutation(x, lower, upper, do, u, eta)
+
+
+def oracle_sbx(pa, pb, lower, upper, engine, eta=30.0, crossover_prob=1.0):
+    """SBX over (P, n) parent pairs, one run, drawing four blocks in turn."""
+    n_pairs, n_var = pa.shape
+    ca, cb = pa.copy(), pb.copy()
+    pair_on = engine.random(n_pairs) <= crossover_prob
+    var_on = engine.random((n_pairs, n_var)) < 0.5
+    u = engine.random((n_pairs, n_var))
+    swap = engine.random((n_pairs, n_var)) < 0.5
+    active = pair_on[:, None] & var_on & (np.abs(pa - pb) > 1e-14)
+    beta = np.where(u <= 0.5,
+                    (2.0 * u) ** (1.0 / (eta + 1.0)),
+                    (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0)))
+    c1 = 0.5 * ((1.0 + beta) * pa + (1.0 - beta) * pb)
+    c2 = 0.5 * ((1.0 - beta) * pa + (1.0 + beta) * pb)
+    ca[active] = np.where(swap, c2, c1)[active]
+    cb[active] = np.where(swap, c1, c2)[active]
+    return np.clip(ca, lower, upper), np.clip(cb, lower, upper)
+
+
+def oracle_run_generational(problem, kind, mu, budget, engine, params,
+                            recorder, select):
+    """One run of the NSGA-II loop on its own, with the oracle operators.
+
+    ``select(union_objs, state, engine)`` is the runner's selection.
+    """
+    span = problem.upper - problem.lower
+    xs = problem.lower + engine.random((mu, problem.n)) * span
+    fs = problem.evaluate_batch(xs)
+    evals = mu
+    state = NormalizationState(kind, problem.m)
+    update_state(state, fs)
+    keep, primary, secondary = select(fs, state, engine)
+    back = np.argsort(keep)
+    primary, secondary = primary[back], secondary[back]
+    recorder(evals, fs, state)
+    while evals + mu <= budget:
+        winners = []
+        for a, b in engine.integers(0, mu, size=(mu, 2)):
+            a_wins = (primary[a], secondary[a]) <= (primary[b], secondary[b])
+            winners.append(a if a_wins else b)
+        ca, cb = oracle_sbx(xs[winners[0::2]], xs[winners[1::2]],
+                            problem.lower, problem.upper, engine,
+                            params.sbx_eta, params.crossover_prob)
+        children = np.empty((mu, problem.n))
+        children[0::2], children[1::2] = ca, cb
+        child_x = oracle_polynomial_mutation_batch(
+            children, problem.lower, problem.upper, engine, params.pm_eta,
+            params.mutation_prob)
+        child_f = problem.evaluate_batch(child_x)
+        evals += mu
+        update_state(state, fs, child_f)
+        ux, uf = np.vstack([xs, child_x]), np.vstack([fs, child_f])
+        keep, primary, secondary = select(uf, state, engine)
+        xs, fs = ux[keep], uf[keep]
+        recorder(evals, fs, state)
+    return fs
 
 
 def oracle_epsilon_clear(points, epsilon, engine):

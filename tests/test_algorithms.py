@@ -403,7 +403,7 @@ class TestMoeadReplacement:
         before = engine.bit_generator.state
         with pytest.raises(ValueError, match=fragment):
             run_moead_nums(get_problem("dtlz2", 2), ORIGIN, "no", 12, 240,
-                           engine, params)
+                           [engine], params)
         assert engine.bit_generator.state == before
 
     def test_bad_rho_raises(self):
@@ -419,6 +419,13 @@ class TestMoeadReplacement:
     def test_neighbourhood_below_four_raises(self, t_size):
         self.assert_setup_rejects(AlgorithmParams(neighborhood_t=t_size),
                                   "at least 4 slots")
+
+
+def one_moead_run(problem, z, kind, mu, budget, engine, params, recorder):
+    """``run_moead_nums`` on a list of one run."""
+    (final,) = run_moead_nums(problem, z, kind, mu, budget, [engine], params,
+                              [recorder])
+    return final
 
 
 class TestMoeadByteIdentity:
@@ -474,8 +481,8 @@ class TestMoeadByteIdentity:
 
                 seed = 1000 * m + KINDS.index(kind)
                 got_engine, want_engine = make_engine(seed), make_engine(seed)
-                got = run_moead_nums(problem, z, kind, 12, 240, got_engine,
-                                     AlgorithmParams(), recorder_for(logs[0]))
+                got = one_moead_run(problem, z, kind, 12, 240, got_engine,
+                                    AlgorithmParams(), recorder_for(logs[0]))
                 want = oracle_run_moead_nums(problem, z, kind, 12, 240,
                                              want_engine, AlgorithmParams(),
                                              recorder_for(logs[1]))
@@ -505,7 +512,7 @@ class TestMoeadStaleTrials:
                 for kind in ("pp", "ba"):
                     seed = 10 * m + KINDS.index(kind)
                     runs = []
-                    for run in (run_moead_nums, oracle_run_moead_nums):
+                    for run in (one_moead_run, oracle_run_moead_nums):
                         log, engine = [], make_engine(seed)
                         final = run(
                             problem, z, kind, mu, 6 * mu, engine, params,
@@ -546,8 +553,9 @@ class TestMoeadBlockDraws:
             engine = CountingEngine(make_engine(mu))
             marks = []
             run_moead_nums(get_problem("dtlz2", 3), np.full(3, 0.5), kind,
-                           mu, 5 * mu, engine, AlgorithmParams(),
-                           lambda evals, fs, state: marks.append(engine.calls))
+                           mu, 5 * mu, [engine], AlgorithmParams(),
+                           [lambda evals, fs, state:
+                            marks.append(engine.calls)])
             per_generation[mu] = set(np.diff(marks).tolist())
         assert per_generation == {12: {5}, 100: {5}}
 
@@ -587,8 +595,8 @@ class TestRunnerContract:
             records.append((evals, fs.shape, state.z_lb.copy(),
                             state.z_ub.copy()))
 
-        fs = ALGORITHMS[name](problem, self.Z2, "ba", 8, 100,
-                              make_engine(3), recorder=recorder)
+        (fs,) = ALGORITHMS[name](problem, self.Z2, "ba", 8, 100,
+                                 [make_engine(3)], recorders=[recorder])
         assert fs.shape == (8, 2)
         evals_seen = [r[0] for r in records]
         assert evals_seen == list(range(8, 97, 8))
@@ -601,9 +609,12 @@ class TestRunnerContract:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_deterministic_under_seed(self, name):
         problem = get_problem("dtlz2", 2)
-        a = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120, make_engine(7))
-        b = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120, make_engine(7))
-        c = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120, make_engine(8))
+        (a,) = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120,
+                                [make_engine(7)])
+        (b,) = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120,
+                                [make_engine(7)])
+        (c,) = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120,
+                                [make_engine(8)])
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -612,7 +623,7 @@ class TestRunnerContract:
     def test_all_normalization_kinds_run(self, name, kind):
         problem = get_problem("sdtlz2", 2)
         z = np.array([0.8, 8.0])
-        fs = ALGORITHMS[name](problem, z, kind, 8, 64, make_engine(1))
+        (fs,) = ALGORITHMS[name](problem, z, kind, 8, 64, [make_engine(1)])
         assert fs.shape == (8, 2)
         assert np.all(np.isfinite(fs))
 
@@ -621,32 +632,32 @@ class TestRunnerContract:
         problem = get_problem("dtlz2", 4)
         with pytest.raises(ValueError, match="2m"):
             ALGORITHMS[name](problem, np.full(4, 0.5), "no", 6, 600,
-                             make_engine(0))
+                             [make_engine(0)])
 
     @pytest.mark.parametrize("name", ["nsga2", "rnsga2", "r2nsga2"])
     def test_odd_population_raises_for_ga(self, name):
         problem = get_problem("dtlz2", 2)
         with pytest.raises(ValueError, match="even"):
-            ALGORITHMS[name](problem, self.Z2, "no", 9, 90, make_engine(0))
+            ALGORITHMS[name](problem, self.Z2, "no", 9, 90, [make_engine(0)])
 
     def test_odd_population_fine_for_decomposition(self):
         problem = get_problem("dtlz2", 2)
-        fs = ALGORITHMS["moead-nums"](problem, self.Z2, "no", 9, 45,
-                                      make_engine(0))
+        (fs,) = ALGORITHMS["moead-nums"](problem, self.Z2, "no", 9, 45,
+                                         [make_engine(0)])
         assert fs.shape == (9, 2)
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_budget_below_population_raises(self, name):
         problem = get_problem("dtlz2", 2)
         with pytest.raises(ValueError, match="budget"):
-            ALGORITHMS[name](problem, self.Z2, "no", 8, 4, make_engine(0))
+            ALGORITHMS[name](problem, self.Z2, "no", 8, 4, [make_engine(0)])
 
     def test_default_mutation_rate_is_one_over_n(self):
         problem = get_problem("dtlz2", 2)
 
         def run(params):
-            return run_rnsga2(problem, self.Z2, "no", 8, 80, make_engine(0),
-                              params=params)
+            return run_rnsga2(problem, self.Z2, "no", 8, 80,
+                              [make_engine(0)], params=params)[0]
 
         explicit = AlgorithmParams(mutation_prob=1.0 / problem.n)
         assert np.array_equal(run(None), run(explicit))
@@ -656,8 +667,8 @@ class TestSearchBehavior:
 
     def test_nsga2_covers_dtlz2_front(self):
         problem = get_problem("dtlz2", 2)
-        fs = run_nsga2(problem, np.zeros(2), "no", 100, 50000,
-                       make_engine(11))
+        (fs,) = run_nsga2(problem, np.zeros(2), "no", 100, 50000,
+                          [make_engine(11)])
         norms = np.linalg.norm(fs, axis=1)
         assert np.all(norms <= 1.05)
         assert np.all(fs.min(axis=0) <= 0.05)
@@ -673,7 +684,8 @@ class TestSearchBehavior:
                                                 max_tol):
         problem = get_problem("dtlz2", 2)
         z = np.full(2, np.sqrt(0.5))
-        fs = ALGORITHMS[name](problem, z, "ba", 100, 10000, make_engine(1))
+        (fs,) = ALGORITHMS[name](problem, z, "ba", 100, 10000,
+                                 [make_engine(1)])
         d = np.linalg.norm(fs - z, axis=1)
         assert d.mean() < mean_tol
         assert d.max() < max_tol
@@ -681,7 +693,7 @@ class TestSearchBehavior:
     def test_moead_reaches_front(self):
         problem = get_problem("dtlz2", 2)
         z = np.full(2, np.sqrt(0.5))
-        fs = ALGORITHMS["moead-nums"](problem, z, "ba", 100, 10000,
-                                      make_engine(2))
+        (fs,) = ALGORITHMS["moead-nums"](problem, z, "ba", 100, 10000,
+                                         [make_engine(2)])
         norms = np.linalg.norm(fs, axis=1)
         assert np.all(norms <= 1.01)

@@ -100,7 +100,7 @@ def test_moead_trial_operators_are_traced_once_per_trial(monkeypatch):
     tracer.install(tracing.traced_sites(prefnorm))
     try:
         ALGORITHMS["moead-nums"](get_problem("dtlz2", 3), np.full(3, 0.5),
-                                 "ba", mu, budget, make_engine(3),
+                                 "ba", mu, budget, [make_engine(3)],
                                  AlgorithmParams())
     finally:
         tracer.uninstall()

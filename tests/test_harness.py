@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from prefnorm import harness
+from prefnorm.algorithms import ALGORITHMS
 from prefnorm.core import derive_run_seed
 from prefnorm.harness import (DEFAULT_CHECKPOINTS, SUITES, ConfigError,
                               ExperimentConfig, RunTrace, cell_id,
@@ -391,9 +392,10 @@ class TestExecuteCampaign:
         config = validate_config(tiny_raw(algorithms=["nsga2"]))
         first = derive_run_seed(config.seed, "dtlz2:m2:nsga2:ba", 0)
 
-        def broken(problem, z, kind, mu, budget, engine, *args):
-            # run 0 fails last, so completion order would list it second
-            if engine.bit_generator.seed_seq.entropy == first:
+        def broken(problem, z, kind, mu, budget, engines, *args):
+            # the cell of run 0 fails last, so completion order would list
+            # it after any other cell
+            if engines[0].bit_generator.seed_seq.entropy == first:
                 time.sleep(0.5)
             raise ValueError("boom")
 
@@ -405,6 +407,35 @@ class TestExecuteCampaign:
             "dtlz2:m2:nsga2:ba run 0: boom",
             "dtlz2:m2:nsga2:ba run 1: boom",
         ]
+
+    def test_a_failed_cell_logs_each_of_its_runs(self, monkeypatch,
+                                                 caplog):
+        # bench/child.py counts failed runs from these records
+        def broken(problem, z, kind, mu, budget, engines, *args):
+            if kind == "pp":
+                raise ValueError("boom")
+            return ALGORITHMS["nsga2"](problem, z, kind, mu, budget, engines,
+                                       *args)
+
+        monkeypatch.setitem(harness.ALGORITHMS, "rnsga2", broken)
+        config = validate_config(tiny_raw(normalizations=["pp", "ba"],
+                                          runs=3))
+        with pytest.raises(RuntimeError) as err:
+            execute_campaign(config, workers=1)
+        failed = [rec.getMessage() for rec in caplog.records
+                  if rec.levelname == "ERROR"]
+        assert failed == [f"run failed: dtlz2:m2:rnsga2:pp run {k}: boom"
+                          for k in range(3)]
+        assert str(err.value).splitlines()[0] == "3 of 12 runs failed:"
+
+    def test_pool_reports_cells_and_runs(self, caplog):
+        caplog.set_level("INFO", logger="prefnorm.harness")
+        config = validate_config(tiny_raw(runs=3))
+        traces = execute_campaign(config, workers=2)
+        assert "running 2 cells (6 runs) on 2 workers" in caplog.messages
+        assert [(t.algorithm, t.run_index) for t in traces] == [
+            (algorithm, k) for algorithm in ("nsga2", "rnsga2")
+            for k in range(3)]
 
 
 class TestFriedman:

@@ -1,0 +1,109 @@
+"""A cell's runs stepping together equal the same runs one at a time.
+
+``_run_generational`` steps R runs at once: one tournament, variation and
+evaluation block per generation, then the state update, the selection and
+the recorder per run.  The reference runs each engine on its own through
+``conftest.oracle_run_generational``, the one-run loop with the oracle
+operators, fed the runner's own ``select``.  Equal populations, equal
+records and equal engine states after the run show that no run's draws
+moved.  The lockstep rests on two more properties, checked below: stacked
+SBX and mutation blocks equal the per-run oracle operators, and an
+evaluated stack of blocks equals the blocks evaluated one by one.
+"""
+import numpy as np
+import pytest
+
+from conftest import (oracle_polynomial_mutation_batch,
+                      oracle_run_generational, oracle_sbx)
+from prefnorm import algorithms
+from prefnorm.algorithms import AlgorithmParams
+from prefnorm.core import make_engine
+from prefnorm.problems import get_problem, problem_names
+from prefnorm.refpoints import default_reference_point
+from prefnorm.variation import polynomial_mutation_batch, sbx_batch
+
+MU, BUDGET = 12, 240
+
+
+def recording(log):
+    def recorder(evals, fs, state):
+        log.append((evals, fs.tobytes(), state.z_lb.tobytes(),
+                    state.z_ub.tobytes()))
+    return recorder
+
+
+def run_cell(algorithm, kind, problem, z, seeds):
+    """Final populations, records and engine states of a cell's runs."""
+    engines = [make_engine(seed) for seed in seeds]
+    logs = [[] for _ in seeds]
+    finals = algorithms.ALGORITHMS[algorithm](
+        problem, z, kind, MU, BUDGET, engines, AlgorithmParams(),
+        [recording(log) for log in logs])
+    return ([f.tobytes() for f in finals], logs,
+            [e.bit_generator.state for e in engines])
+
+
+def one_at_a_time(problem, kind, mu, budget, engines, params, recorders,
+                  select):
+    return [oracle_run_generational(problem, kind, mu, budget, engine,
+                                    params, recorder, select)
+            for engine, recorder in zip(engines, recorders)]
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("name,m", [("dtlz2", 2), ("sdtlz1", 3),
+                                    ("idtlz1", 5)])
+@pytest.mark.parametrize("algorithm", ["nsga2", "rnsga2", "r2nsga2"])
+def test_lockstep_matches_runs_one_at_a_time(algorithm, name, m, runs,
+                                             monkeypatch):
+    problem = get_problem(name, m)
+    z = default_reference_point(name, m, "balanced")
+    for kind in ("pp", "bp", "ba", "no"):
+        seeds = [100 * m + 10 * len(kind) + r for r in range(runs)]
+        got = run_cell(algorithm, kind, problem, z, seeds)
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms, "_run_generational", one_at_a_time)
+            want = run_cell(algorithm, kind, problem, z, seeds)
+        assert all(len(log) == BUDGET // MU for log in got[1])
+        assert got == want, kind
+
+
+@pytest.mark.parametrize("runs", [1, 2, 5])
+def test_stacked_variation_matches_runs_one_at_a_time(runs):
+    rng = np.random.default_rng(runs)
+    n_pairs, n_var = 6, 7
+    lower, upper = -np.ones(n_var), np.linspace(0.5, 2.0, n_var)
+    pa, pb = lower + rng.random((2, runs, n_pairs, n_var)) * (upper - lower)
+    pb[:, 0] = pa[:, 0]  # identical parents pass through
+    seeds = rng.integers(2**32, size=runs)
+    for params in (AlgorithmParams(), AlgorithmParams(crossover_prob=0.5,
+                                                      mutation_prob=0.3)):
+        got_engines = [make_engine(s) for s in seeds]
+        want_engines = [make_engine(s) for s in seeds]
+        ca, cb = sbx_batch(pa, pb, lower, upper, got_engines, params.sbx_eta,
+                           params.crossover_prob)
+        got = polynomial_mutation_batch(np.concatenate([ca, cb], axis=1),
+                                        lower, upper, got_engines,
+                                        params.pm_eta, params.mutation_prob)
+        for r, engine in enumerate(want_engines):
+            want = np.concatenate(oracle_sbx(pa[r], pb[r], lower, upper,
+                                             engine, params.sbx_eta,
+                                             params.crossover_prob))
+            want = oracle_polynomial_mutation_batch(
+                want, lower, upper, engine, params.pm_eta,
+                params.mutation_prob)
+            assert got[r].tobytes() == want.tobytes()
+            assert (got_engines[r].bit_generator.state
+                    == engine.bit_generator.state)
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_stacked_evaluation_matches_blocks(name):
+    for m in (2, 3, 5, 8, 10):
+        problem = get_problem(name, m)
+        rng = np.random.default_rng(m)
+        blocks = [problem.lower + rng.random((rows, problem.n))
+                  * (problem.upper - problem.lower) for rows in (1, 7, 20)]
+        stacked = problem.evaluate_batch(np.concatenate(blocks))
+        want = np.concatenate([problem.evaluate_batch(b) for b in blocks])
+        assert stacked.tobytes() == want.tobytes(), m

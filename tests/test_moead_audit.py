@@ -175,8 +175,8 @@ def audited_run(monkeypatch, name, m, kind, mu=12, budget=240):
     with monkeypatch.context() as patch:
         audit.install(patch)
         run_moead_nums(problem, z, kind, mu, budget,
-                       make_engine(100 * m + KINDS.index(kind)), params,
-                       audit.record)
+                       [make_engine(100 * m + KINDS.index(kind))], params,
+                       [audit.record])
     generations = budget // mu
     assert audit.generations == generations
     assert audit.trials == mu * (generations - 1)

@@ -84,11 +84,11 @@ class R2nsga2Audit:
             self.check_selection(fronts, keep, rank, takes)
             return keep, rank
 
-        def watch_tournament(primary, secondary, count, engine):
+        def watch_tournament(primary, secondary, count, engines):
             rank, dist = self.keys
             assert primary.tobytes() == rank.tobytes()
             assert secondary.tobytes() == dist.tobytes()
-            return tournament(primary, secondary, count, engine)
+            return tournament(primary, secondary, count, engines)
 
         monkeypatch.setattr(algorithms, "r_domination_matrix", watch_r_matrix)
         monkeypatch.setattr(algorithms, "crowding_distance", watch_crowding)
@@ -148,8 +148,8 @@ def test_every_generation_matches_full_peel(name, m, kind, monkeypatch):
     with monkeypatch.context() as patch:
         audit.install(patch)
         run_r2nsga2(problem, default_reference_point(name, m), kind, MU,
-                    BUDGET, make_engine(m), AlgorithmParams(delta=DELTA),
-                    audit.record)
+                    BUDGET, [make_engine(m)], AlgorithmParams(delta=DELTA),
+                    [audit.record])
     assert audit.generations == BUDGET // MU
     # the audit saw a level crowded, and cycles both inside the peel and
     # past it

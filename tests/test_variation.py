@@ -17,12 +17,25 @@ LOWER2 = np.zeros(2)
 UPPER2 = np.ones(2)
 
 
+def one_sbx(pa, pb, lower, upper, engine, *args, **kwargs):
+    """``sbx_batch`` on a block of one run."""
+    ca, cb = sbx_batch(pa[None], pb[None], lower, upper, [engine], *args,
+                       **kwargs)
+    return ca[0], cb[0]
+
+
+def one_mutation(x, lower, upper, engine, *args, **kwargs):
+    """``polynomial_mutation_batch`` on a block of one run."""
+    return polynomial_mutation_batch(x[None], lower, upper, [engine], *args,
+                                     **kwargs)[0]
+
+
 def test_sbx_children_stay_in_bounds():
     engine = make_engine(3)
     lower, upper = np.zeros(6), np.ones(6)
     pa = engine.uniform(size=(40, 6))
     pb = engine.uniform(size=(40, 6))
-    ca, cb = sbx_batch(pa, pb, lower, upper, engine)
+    ca, cb = one_sbx(pa, pb, lower, upper, engine)
     for child in (ca, cb):
         assert child.shape == pa.shape
         assert np.all(child >= lower) and np.all(child <= upper)
@@ -31,7 +44,7 @@ def test_sbx_children_stay_in_bounds():
 def test_sbx_identical_parents_pass_through():
     engine = make_engine(5)
     p = engine.uniform(size=(10, 4))
-    ca, cb = sbx_batch(p, p.copy(), np.zeros(4), np.ones(4), engine)
+    ca, cb = one_sbx(p, p.copy(), np.zeros(4), np.ones(4), engine)
     assert np.allclose(ca, p) and np.allclose(cb, p)
 
 
@@ -40,7 +53,7 @@ def test_sbx_pooled_child_mean_matches_parent_midpoint():
     engine = make_engine(11)
     pa = np.full((20000, 1), 0.3)
     pb = np.full((20000, 1), 0.7)
-    ca, cb = sbx_batch(pa, pb, np.zeros(1), np.ones(1), engine)
+    ca, cb = one_sbx(pa, pb, np.zeros(1), np.ones(1), engine)
     pooled = np.concatenate([ca, cb]).mean()
     assert pooled == pytest.approx(0.5, abs=0.01)
 
@@ -49,16 +62,16 @@ def test_sbx_crossover_prob_zero_copies_parents():
     engine = make_engine(13)
     pa = engine.uniform(size=(15, 3))
     pb = engine.uniform(size=(15, 3))
-    ca, cb = sbx_batch(pa, pb, np.zeros(3), np.ones(3), engine,
-                       crossover_prob=0.0)
+    ca, cb = one_sbx(pa, pb, np.zeros(3), np.ones(3), engine,
+                     crossover_prob=0.0)
     assert np.array_equal(ca, pa) and np.array_equal(cb, pb)
 
 
 def test_sbx_is_deterministic_under_seed():
     pa = np.full((8, 3), 0.25)
     pb = np.full((8, 3), 0.75)
-    out1 = sbx_batch(pa, pb, np.zeros(3), np.ones(3), make_engine(23))
-    out2 = sbx_batch(pa, pb, np.zeros(3), np.ones(3), make_engine(23))
+    out1 = one_sbx(pa, pb, np.zeros(3), np.ones(3), make_engine(23))
+    out2 = one_sbx(pa, pb, np.zeros(3), np.ones(3), make_engine(23))
     assert np.array_equal(out1[0], out2[0])
     assert np.array_equal(out1[1], out2[1])
 
@@ -66,8 +79,8 @@ def test_sbx_is_deterministic_under_seed():
 def test_polynomial_mutation_stays_in_bounds():
     engine = make_engine(29)
     x = engine.uniform(size=(200, 5))
-    out = polynomial_mutation_batch(x, np.zeros(5), np.ones(5), engine,
-                                    mutation_prob=1.0)
+    out = one_mutation(x, np.zeros(5), np.ones(5), engine,
+                       mutation_prob=1.0)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     assert not np.array_equal(out, x)
 
@@ -75,21 +88,21 @@ def test_polynomial_mutation_stays_in_bounds():
 def test_polynomial_mutation_prob_zero_is_identity():
     engine = make_engine(31)
     x = engine.uniform(size=(50, 4))
-    out = polynomial_mutation_batch(x, np.zeros(4), np.ones(4), engine,
-                                    mutation_prob=0.0)
+    out = one_mutation(x, np.zeros(4), np.ones(4), engine,
+                       mutation_prob=0.0)
     assert np.array_equal(out, x)
 
 
 def test_polynomial_mutation_at_bound_moves_inward_only():
     engine = make_engine(37)
     x = np.zeros((4000, 1))
-    out = polynomial_mutation_batch(x, np.zeros(1), np.ones(1), engine,
-                                    mutation_prob=1.0)
+    out = one_mutation(x, np.zeros(1), np.ones(1), engine,
+                       mutation_prob=1.0)
     assert np.all(out >= 0.0)
     assert np.any(out > 0.0)
     x = np.ones((4000, 1))
-    out = polynomial_mutation_batch(x, np.zeros(1), np.ones(1), engine,
-                                    mutation_prob=1.0)
+    out = one_mutation(x, np.zeros(1), np.ones(1), engine,
+                       mutation_prob=1.0)
     assert np.all(out <= 1.0)
     assert np.any(out < 1.0)
 
@@ -97,8 +110,8 @@ def test_polynomial_mutation_at_bound_moves_inward_only():
 def test_polynomial_mutation_mean_step_is_centred():
     engine = make_engine(41)
     x = np.full((40000, 1), 0.5)
-    out = polynomial_mutation_batch(x, np.zeros(1), np.ones(1), engine,
-                                    mutation_prob=1.0)
+    out = one_mutation(x, np.zeros(1), np.ones(1), engine,
+                       mutation_prob=1.0)
     assert out.mean() == pytest.approx(0.5, abs=0.01)
 
 
@@ -106,7 +119,7 @@ def test_polynomial_mutation_default_rate_is_one_over_n():
     engine = make_engine(43)
     n = 10
     x = np.full((3000, n), 0.5)
-    out = polynomial_mutation_batch(x, np.zeros(n), np.ones(n), engine)
+    out = one_mutation(x, np.zeros(n), np.ones(n), engine)
     changed = (out != x).mean()
     assert changed == pytest.approx(1.0 / n, abs=0.01)
 
@@ -197,7 +210,7 @@ def test_polynomial_mutation_batch_matches_reference_bytes(case):
     x, lower, upper, eta, prob, seed = case
     got_engine, want_engine = make_engine(seed), make_engine(seed)
     with np.errstate(all="ignore"):
-        got = polynomial_mutation_batch(x, lower, upper, got_engine, eta, prob)
+        got = one_mutation(x, lower, upper, got_engine, eta, prob)
         want = oracle_polynomial_mutation_batch(x, lower, upper, want_engine,
                                                 eta, prob)
     assert got.tobytes() == want.tobytes()
