@@ -13,10 +13,11 @@ population).  The first table shows, per (m, algorithm), the minimum over
 those nine runs in microseconds, so a run slowed by other load on the host
 does not count.
 
-The GA family steps a cell's runs together, so a cell of many runs costs
-less per offspring than a run on its own.  The second table sets, at
-m = 3, each GA's one-run figure beside the cost per offspring of a 31-run
-cell (seeds 1-31 in one runner call, the minimum of three passes).
+The GA family steps a cell's runs together and selects their survivors as
+one block, so a cell of many runs costs less per offspring than a run on
+its own.  The second table sets, at each m, each GA's one-run figure
+beside the cost per offspring of a 31-run cell (seeds 1-31 in one runner
+call, the minimum of three passes), as "1 run / 31-run cell".
 
 r2nsga2's per-generation cyclic-dominance warnings are not printed.
 """
@@ -29,7 +30,7 @@ from prefnorm.problems import get_problem
 from prefnorm.refpoints import default_reference_point
 
 MU, BUDGET, SEEDS, OBJECTIVES = 100, 5_000, (1, 2, 3), (2, 3, 5, 8)
-REPEATS, CELL_RUNS, CELL_M = 3, 31, 3
+REPEATS, CELL_RUNS = 3, 31
 GA = ("nsga2", "rnsga2", "r2nsga2")
 
 
@@ -50,7 +51,7 @@ def us_per_offspring(name: str, m: int, seeds) -> float:
 def main():
     logging.getLogger("prefnorm").setLevel(logging.ERROR)
     best: dict[tuple[int, str], float] = {}
-    cell: dict[str, float] = {}
+    cell: dict[tuple[int, str], float] = {}
     # each repeat sweeps the whole grid, so a burst of load on the host
     # slows one pass over a cell, not all of its runs
     for _ in range(REPEATS):
@@ -59,19 +60,22 @@ def main():
                 for seed in SEEDS:
                     cost = us_per_offspring(name, m, [seed])
                     best[m, name] = min(cost, best.get((m, name), cost))
-        for name in GA:
-            cost = us_per_offspring(name, CELL_M, range(1, CELL_RUNS + 1))
-            cell[name] = min(cost, cell.get(name, cost))
+            for name in GA:
+                cost = us_per_offspring(name, m, range(1, CELL_RUNS + 1))
+                cell[m, name] = min(cost, cell.get((m, name), cost))
     print("| m | " + " | ".join(ALGORITHMS) + " |")
     print("| --- |" + " --- |" * len(ALGORITHMS))
     for m in OBJECTIVES:
         print(f"| {m} | " + " | ".join(f"{best[m, name]:.1f}"
                                       for name in ALGORITHMS) + " |")
     print()
-    print(f"| m = {CELL_M} | 1 run | {CELL_RUNS}-run cell |")
-    print("| --- | --- | --- |")
-    for name in GA:
-        print(f"| {name} | {best[CELL_M, name]:.1f} | {cell[name]:.1f} |")
+    print(f"1 run / {CELL_RUNS}-run cell:")
+    print("| m | " + " | ".join(GA) + " |")
+    print("| --- |" + " --- |" * len(GA))
+    for m in OBJECTIVES:
+        print(f"| {m} | " + " | ".join(f"{best[m, name]:.1f} / "
+                                      f"{cell[m, name]:.1f}"
+                                      for name in GA) + " |")
 
 
 if __name__ == "__main__":

@@ -39,6 +39,10 @@ from .variation import (de_rand_1, de_rand_1_draws, polynomial_mutation,
 from .weights import neighborhoods, nums_shift, uniform_simplex_set
 
 AASF_RHO = 1e-6
+# member pairs one survivor-selection call covers: the runs of a cell are
+# selected in groups whose (N, N) relations stay in cache, so 31 runs of a
+# 40-member union are one call and 200-member unions go six at a time
+SELECT_PAIRS = 2**18
 
 # observer called at every generation boundary with (evals, objectives, state)
 Recorder = Callable[[int, np.ndarray, NormalizationState], None]
@@ -168,43 +172,34 @@ def _check_setup(mu: int, budget: int, m: int) -> None:
         raise ValueError(f"budget {budget} smaller than one population {mu}")
 
 
-def _truncate(fronts: list[list[int]], mu: int, take: Callable
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Up to mu survivors of a walk down the levels, with the level of each.
+def _cut(levels: np.ndarray, mu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's cut level and the members of the cut levels that overflow.
 
-    ``take(idx, room)`` picks at most ``room`` members of level ``idx``; a
-    level that fits must come back whole, in its sorted order.
+    A run's cut level, returned as an (R, 1) column, is the level of its
+    mu-th member in level order.  The (R, N) mask marks the members of
+    every cut level that holds more members than the room left for it.
     """
-    keep, rank = [], []
-    for level, front in enumerate(fronts):
-        room = mu - len(keep)
-        if room <= 0:
-            break
-        idx = take(np.asarray(front, dtype=int), room)
-        keep.extend(idx.tolist())
-        rank.extend([level] * idx.size)
-    return np.asarray(keep, dtype=int), np.asarray(rank, dtype=int)
+    order = np.sort(levels, axis=1)
+    cut = order[:, mu - 1:mu]
+    # it overflows when the next member in level order shares it
+    over = (order[:, mu:mu + 1] == cut).any(axis=1, keepdims=True)
+    return cut, (levels == cut) & over
 
 
-def _crowding_truncation(uf: np.ndarray, fronts: list[list[int]], mu: int
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """NSGA-II's rank+crowding truncation of the union to mu members.
+def _truncate(levels: np.ndarray, mu: int, *keys: np.ndarray) -> np.ndarray:
+    """(R, mu) survivors of each run, in level order.
 
-    Whole levels are taken while they fit; the level that overflows gives
-    up its least crowded members.  Returns the survivors with their levels
-    and their crowding distances within their level, which nsga2's
-    tournament reads.
+    Levels below a run's cut are kept whole, in index order, as is a cut
+    level that fits.  The members of an overflowing cut level are ordered
+    by ``keys``, least significant first, ties by index; every key is 0
+    outside those members.
     """
-    crowd = np.empty(uf.shape[0])
+    return np.lexsort(keys + (levels,))[:, :mu]
 
-    def take(idx, room):
-        crowd[idx] = crowding_distance(uf[idx])
-        if idx.size > room:
-            idx = idx[np.argsort(-crowd[idx], kind="stable")[:room]]
-        return idx
 
-    keep, rank = _truncate(fronts, mu, take)
-    return keep, rank, crowd[keep]
+def _front_labels(levels: np.ndarray) -> np.ndarray:
+    """(R, N) labels that tell every (run, level) pair apart."""
+    return levels + (levels.shape[1] + 1) * np.arange(len(levels))[:, None]
 
 
 def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
@@ -217,10 +212,13 @@ def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
     The runs of ``engines`` step together: a generation's tournament, SBX
     and mutation form one (R, mu, n) block, run r drawing from
     ``engines[r]`` in its own order, and its R·mu offspring one evaluation.
-    The state update, ``select(union_objs, state, engine)`` (the mu
-    survivors' positions and primary and secondary tournament keys, lower
-    wins) and ``recorders[r]`` stay per run.  Returns each run's final
-    (mu, m) objectives.
+    The state update and ``recorders[r]`` stay per run.  Then
+    ``select(union_objs, states, engines)`` takes the (R, 2·mu, m) union
+    as one block, or in groups of runs that fit :data:`SELECT_PAIRS`, and
+    returns the (R, mu) survivors' positions and their primary and
+    secondary tournament keys (lower wins); a selection that draws takes
+    run r's draws from ``engines[r]``.  Returns each run's final (mu, m)
+    objectives.
     """
     if mu % 2:
         raise ValueError(f"mu must be even, got {mu}")
@@ -230,15 +228,13 @@ def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
     fs = _evaluate(problem, xs)
     evals = mu
     states = [NormalizationState(kind, problem.m) for _ in engines]
-    keep = np.empty((len(engines), mu), dtype=int)
-    primary, secondary = np.empty_like(keep), np.empty(keep.shape)
+    for state, f in zip(states, fs):
+        update_state(state, f)
     # the initial population keys itself through the same selection; every
     # member survives, so only the selection's reordering is undone
-    for r, engine in enumerate(engines):
-        update_state(states[r], fs[r])
-        order, first, second = select(fs[r], states[r], engine)
-        back = np.argsort(order)
-        primary[r], secondary[r] = first[back], second[back]
+    order, first, second = _select_groups(select, fs, states, engines)
+    back = np.argsort(order, axis=1)
+    primary, secondary = first[rows, back], second[rows, back]
     for recorder, f, state in zip(recorders, fs, states):
         recorder(evals, f, state)
     while evals + mu <= budget:
@@ -246,27 +242,59 @@ def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
         child_x = _ga_offspring(xs, winners, problem, params, engines)
         child_f = _evaluate(problem, child_x)
         evals += mu
+        for state, f, child in zip(states, fs, child_f):
+            update_state(state, f, child)
         ux = np.concatenate([xs, child_x], axis=1)
         uf = np.concatenate([fs, child_f], axis=1)
-        for r, engine in enumerate(engines):
-            update_state(states[r], fs[r], child_f[r])
-            keep[r], primary[r], secondary[r] = select(uf[r], states[r],
-                                                       engine)
+        keep, primary, secondary = _select_groups(select, uf, states,
+                                                  engines)
         xs, fs = ux[rows, keep], uf[rows, keep]
         for recorder, f, state in zip(recorders, fs, states):
             recorder(evals, f, state)
     return list(fs)
 
 
+def _select_groups(select: Callable, uf: np.ndarray,
+                   states: Sequence[NormalizationState],
+                   engines: Sequence[np.random.Generator]) -> tuple:
+    """``select`` on each group of runs that :data:`SELECT_PAIRS` allows,
+    the results joined along the run axis."""
+    step = max(1, SELECT_PAIRS // uf.shape[1] ** 2)
+    parts = [select(uf[lo:lo + step], states[lo:lo + step],
+                    engines[lo:lo + step])
+             for lo in range(0, len(uf), step)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _bounds(states: Sequence[NormalizationState]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's current (lower, upper) bounds as (R, m) arrays."""
+    return (np.array([state.z_lb for state in states]),
+            np.array([state.z_ub for state in states]))
+
+
 def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
               budget: int, engines: Sequence[np.random.Generator],
               params: AlgorithmParams | None = None,
               recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
-    """Plain NSGA-II; ``z`` is ignored, the state is tracked for recording."""
-    def select(uf, state, engine):
-        keep, rank, crowd = _crowding_truncation(
-            uf, nondominated_sort(uf, mu), mu)
-        return keep, rank, -crowd
+    """Plain NSGA-II; ``z`` is ignored, the state is tracked for recording.
+
+    Survivors are ranked by level, then by crowding within the level that
+    overflows; the tournament reads every survivor's crowding, so each
+    level up to the cut is crowded.
+    """
+    def select(uf, states, engines):
+        levels = nondominated_sort(uf, mu)
+        cut, over = _cut(levels, mu)
+        scored = levels <= cut
+        crowd = np.zeros(levels.shape)
+        labels = _front_labels(levels)[scored]
+        crowd[scored] = -crowding_distance(uf[scored], labels)
+        keep = _truncate(levels, mu, np.where(over, crowd, 0.0))
+        rows = np.arange(len(uf))[:, None]
+        return keep, levels[rows, keep], crowd[rows, keep]
 
     return _run_generational(problem, kind, mu, budget, engines,
                              params or AlgorithmParams(), recorders, select)
@@ -275,30 +303,32 @@ def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
 def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
                                    mu: int, epsilon: float,
                                    z_lb: np.ndarray, z_ub: np.ndarray,
-                                   engine: np.random.Generator
+                                   engines: Sequence[np.random.Generator]
                                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference-distance selection of mu union members.
+    """Reference-distance selection of mu members of each run's union.
 
-    Non-domination level is the primary criterion.  Inside the level that
-    overflows, members are taken in ascending reference distance after
-    epsilon-clearing in the normalized objective space; cleared-away members
-    re-enter (still by ascending distance) only when the level's survivors
-    cannot fill the remaining room, so a level is never skipped over.
-    Returns the survivors and their levels.
+    ``uf`` is an (R, N, m) block of unions with (R, N) reference distances
+    ``dists`` and (R, m) bounds.  Non-domination level is the primary
+    criterion.  Inside the level that overflows, members are taken in
+    ascending reference distance after epsilon-clearing in the normalized
+    objective space, run r clearing with ``engines[r]``; cleared-away
+    members re-enter (still by ascending distance) only when the level's
+    survivors cannot fill the remaining room, so a level is never skipped
+    over.  Returns the (R, mu) survivors and their levels.
     """
-    norm = normalize_value(uf, z_lb, z_ub)
-
-    def take(idx, room):
-        if idx.size <= room:
-            # clearing cannot change membership here; keep the sorted order
-            return idx
-        survivors, reserve = epsilon_clear(norm[idx], epsilon, engine)
-        # survivors first, each group by ascending distance, ties by position
-        ordered = np.concatenate([pos[np.lexsort((pos, dists[idx[pos]]))]
-                                  for pos in (survivors, reserve)])
-        return idx[ordered[:room]]
-
-    return _truncate(nondominated_sort(uf, mu), mu, take)
+    levels = nondominated_sort(uf, mu)
+    _, over = _cut(levels, mu)
+    cleared = np.zeros(levels.shape)
+    # a level that fits keeps its sorted order, so only an overflowing one
+    # is cleared
+    for run in np.flatnonzero(over.any(axis=1)):
+        idx = np.flatnonzero(over[run])
+        norm = normalize_value(uf[run, idx], z_lb[run], z_ub[run])
+        _, reserve = epsilon_clear(norm, epsilon, engines[run])
+        cleared[run, idx[reserve]] = 1.0
+    # survivors first, each group by ascending distance, ties by position
+    keep = _truncate(levels, mu, np.where(over, dists, 0.0), cleared)
+    return keep, levels[np.arange(len(uf))[:, None], keep]
 
 
 def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
@@ -310,12 +340,12 @@ def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
     z = np.asarray(z, dtype=float)
     w = np.full(problem.m, 1.0 / problem.m)
 
-    def select(uf, state, engine):
-        dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
+    def select(uf, states, engines):
+        z_lb, z_ub = _bounds(states)
+        dist = weighted_ref_distance(uf, z, w, z_lb[:, None], z_ub[:, None])
         keep, rank = rnsga2_environmental_selection(
-            uf, dist, mu, params.epsilon_clear, state.z_lb, state.z_ub,
-            engine)
-        return keep, rank, dist[keep]
+            uf, dist, mu, params.epsilon_clear, z_lb, z_ub, engines)
+        return keep, rank, dist[np.arange(len(uf))[:, None], keep]
 
     return _run_generational(problem, kind, mu, budget, engines, params,
                              recorders, select)
@@ -330,21 +360,20 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
     z = np.asarray(z, dtype=float)
     w = np.full(problem.m, 1.0 / problem.m)
 
-    def select(uf, state, engine):
-        dist = weighted_ref_distance(uf, z, w, state.z_lb, state.z_ub)
-        fronts = fronts_from_matrix(
+    def select(uf, states, engines):
+        z_lb, z_ub = _bounds(states)
+        dist = weighted_ref_distance(uf, z, w, z_lb[:, None], z_ub[:, None])
+        levels = fronts_from_matrix(
             r_domination_matrix(uf, dist, params.delta), mu)
-
-        def take(idx, room):
-            # the tournament reads distances, so only an overflowing level
-            # needs its crowding
-            if idx.size <= room:
-                return idx
-            crowd = crowding_distance(uf[idx])
-            return idx[np.argsort(-crowd, kind="stable")[:room]]
-
-        keep, rank = _truncate(fronts, mu, take)
-        return keep, rank, dist[keep]
+        _, over = _cut(levels, mu)
+        # the tournament reads distances, so only an overflowing level
+        # needs its crowding
+        crowd = np.zeros(levels.shape)
+        labels = _front_labels(levels)[over]
+        crowd[over] = -crowding_distance(uf[over], labels)
+        keep = _truncate(levels, mu, crowd)
+        rows = np.arange(len(uf))[:, None]
+        return keep, levels[rows, keep], dist[rows, keep]
 
     return _run_generational(problem, kind, mu, budget, engines, params,
                              recorders, select)

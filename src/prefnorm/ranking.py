@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -9,14 +10,15 @@ logger = logging.getLogger(__name__)
 
 
 def _all_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) matrix of ``a[i] <= b[j]`` in every objective.
+    """(..., len(a), len(b)) matrix of ``a[i] <= b[j]`` in every objective.
 
-    Accumulated one objective at a time; the 2-d comparisons beat a single
-    3-d broadcast by a wide margin for the population sizes used here.
+    ``a`` and ``b`` share any leading run axes.  Accumulated one objective
+    at a time; these comparisons beat a single broadcast over the objective
+    axis by a wide margin for the population sizes used here.
     """
-    le = a[:, 0, None] <= b[None, :, 0]
-    for k in range(1, a.shape[1]):
-        le &= a[:, k, None] <= b[None, :, k]
+    le = a[..., :, None, 0] <= b[..., None, :, 0]
+    for k in range(1, a.shape[-1]):
+        le &= a[..., :, None, k] <= b[..., None, :, k]
     return le
 
 
@@ -49,17 +51,19 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, plus: bool = False) -> np.ndarray:
 
 
 def domination_matrix(objs: np.ndarray) -> np.ndarray:
-    """Pairwise Pareto dominance of the rows of an (N, m) objective array.
+    """Pairwise Pareto dominance within each population of an (..., N, m)
+    objective block.
 
     Returns
     -------
     np.ndarray
-        Boolean (N, N) matrix D with D[i, j] True iff row i dominates row j.
+        Boolean (..., N, N) block D with D[..., i, j] True iff row i
+        dominates row j of the same population.
     """
     objs = np.asarray(objs, dtype=float)
     le = _all_le(objs, objs)
     # strictly-better-somewhere is the complement of the reversed "<="
-    return le & ~le.T
+    return le & ~np.swapaxes(le, -1, -2)
 
 
 def nondominated_mask(objs: np.ndarray) -> np.ndarray:
@@ -75,113 +79,171 @@ def nondominated_mask(objs: np.ndarray) -> np.ndarray:
 
 
 def fronts_from_matrix(dom: np.ndarray, size: int | None = None
-                       ) -> list[list[int]]:
-    """Peel non-domination levels from a pairwise dominance matrix.
+                       ) -> np.ndarray:
+    """Peel the non-domination levels of every population in a block.
 
-    Works for any irreflexive relation.  If the relation contains a cycle
-    (possible for r-dominance with intermediate delta), the remaining
-    individuals are assigned to one final level instead of looping forever.
-    Peeling stops once the levels placed hold at least ``size`` members;
-    ``None`` places every member.
-    """
-    dom = np.asarray(dom)
-    if dom.ndim != 2 or dom.shape[0] != dom.shape[1]:
-        raise ValueError("expected a square (N, N) dominance matrix, got "
-                         f"shape {dom.shape}")
-    n = dom.shape[0]
-    if size is not None and size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    size = n if size is None else min(size, n)
-    # dominator counts as float32 stay exact integers below 2**24; a placed
-    # member's count is -1 and never changes again, since all of its
-    # dominators were placed before it
-    dom32 = dom.astype(np.float32)
-    counts = dom32.sum(axis=0)
-    fronts: list[list[int]] = []
-    placed = 0
-    while placed < size:
-        zero = counts == 0
-        current = np.flatnonzero(zero)
-        if current.size == 0:
-            leftover = np.flatnonzero(counts > 0)
-            logger.warning("cyclic dominance relation; %d individuals lumped "
-                           "into the last level", leftover.size)
-            fronts.append(leftover.tolist())
-            break
-        fronts.append(current.tolist())
-        placed += current.size
-        counts[current] = -1.0
-        counts -= zero @ dom32
-    return fronts
-
-
-def nondominated_sort(objs: np.ndarray, size: int | None = None
-                      ) -> list[list[int]]:
-    """Fast non-dominated sorting of an (N, m) objective array.
-
-    Sorting stops once the levels returned hold at least ``size`` rows;
-    ``None`` sorts every row.  nsga2 and rnsga2 pass their mu, and r2nsga2
-    passes it to ``fronts_from_matrix``, so every GA sorts only as far as
-    its survivors; an r-dominance cycle is lumped and logged only when the
-    peel reaches it.
+    ``dom`` holds one (N, N) relation per population, (..., N, N) in all;
+    the peel takes one level of every population per step.  Works for any
+    irreflexive relation.  If a population's relation contains a cycle
+    (possible for r-dominance with intermediate delta), its remaining
+    members are assigned to one final level, with a warning, instead of
+    looping forever.  A population's peel stops once its levels hold at
+    least ``size`` members; ``None`` places every member.
 
     Returns
     -------
-    list of list of int
-        Index partition by non-domination level, level 0 first.
+    np.ndarray
+        (..., N) level of each member, level 0 first; a member the peel
+        did not reach gets level N.
+    """
+    dom = np.asarray(dom)
+    shape = dom.shape
+    if dom.ndim < 2 or shape[-1] != shape[-2]:
+        raise ValueError("expected square (..., N, N) dominance matrices, "
+                         f"got shape {shape}")
+    n = shape[-1]
+    if size is not None and size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    size = n if size is None else min(size, n)
+    dom = dom.reshape(math.prod(shape[:-2]), n, n)
+    levels = np.full(dom.shape[:2], n)
+    todo = [size] * len(dom)
+    level = 0
+    # level 0 is the members nobody dominates
+    zero = ~dom.any(axis=1)
+    while any(left > 0 for left in todo):
+        got = zero.sum(axis=1).tolist()
+        for run, left in enumerate(todo):
+            if left > 0 and not got[run]:
+                leftover = levels[run] == n
+                logger.warning("cyclic dominance relation; %d individuals "
+                               "lumped into the last level",
+                               np.count_nonzero(leftover))
+                levels[run, leftover] = level
+                got[run] = left
+        levels[zero] = level
+        todo = [left - placed for left, placed in zip(todo, got)]
+        live = [left > 0 for left in todo]
+        if not any(live):
+            break
+        if not level:
+            # dominator counts as float32 stay exact integers below 2**24
+            dom32 = dom.astype(np.float32)
+        level += 1
+        # the next level is the members none of whose dominators is left
+        free = levels == n
+        zero = (np.vecmat(free, dom32) == 0) & free
+        if not all(live):
+            zero &= np.array(live)[:, None]
+    return levels.reshape(shape[:-1])
+
+
+def nondominated_sort(objs: np.ndarray, size: int | None = None
+                      ) -> np.ndarray | list[list[int]]:
+    """Fast non-dominated sorting of every population in an (..., N, m)
+    objective block.
+
+    Sorting a population stops once its levels hold at least ``size``
+    rows; ``None`` sorts every row.  nsga2 and rnsga2 pass their mu, and
+    r2nsga2 passes it to ``fronts_from_matrix``, so every GA sorts only as
+    far as its survivors.
+
+    Returns
+    -------
+    np.ndarray or list of list of int
+        A block of R populations gets the (R, N) level array of
+        :func:`fronts_from_matrix`.  One (N, m) population gets its index
+        partition by non-domination level, level 0 first.
     """
     objs = np.asarray(objs, dtype=float)
-    if objs.ndim != 2:
-        raise ValueError("expected an (N, m) objective array")
-    return fronts_from_matrix(domination_matrix(objs), size)
+    if objs.ndim < 2:
+        raise ValueError("expected an (..., N, m) objective array")
+    levels = fronts_from_matrix(domination_matrix(objs), size)
+    if objs.ndim > 2:
+        return levels
+    placed = levels[levels < len(levels)]
+    return [np.flatnonzero(levels == k).tolist()
+            for k in range(placed.max() + 1 if placed.size else 0)]
 
 
-def crowding_distance(objs: np.ndarray) -> np.ndarray:
-    """Crowding distance of each row within one front.
+def crowding_distance(objs: np.ndarray, groups: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Crowding distance of each row of ``objs`` within its front.
 
-    Boundary solutions per objective get infinity; interior ones accumulate
-    the normalized gap between their neighbours.  A zero objective range
-    contributes nothing.
+    ``groups`` labels the front of each of the (K, m) rows with a
+    non-negative integer, so one call scores every front of a block;
+    ``None`` makes the rows one front.  Boundary solutions of a front per
+    objective get infinity; interior ones accumulate the normalized gap
+    between their neighbours.  A zero objective range contributes nothing,
+    and a front of at most two rows is all boundary.  Ties in an objective
+    keep row order.
     """
     objs = np.asarray(objs, dtype=float)
-    n, m = objs.shape
-    dist = np.zeros(n)
-    if n <= 2:
-        dist[:] = np.inf
+    k, m = objs.shape
+    groups = np.zeros(k, dtype=int) if groups is None else np.asarray(groups)
+    dist = np.zeros(k)
+    if k == 0:
         return dist
+    # sorted by group first, each front is one run of positions: its first
+    # and last positions are its boundaries in every objective
+    sizes = np.bincount(groups)
+    sizes = sizes[sizes > 0]
+    last = np.cumsum(sizes) - 1
+    starts = last + 1 - sizes
+    ends = np.concatenate((starts, last))
+    front = np.repeat(np.arange(len(sizes)), sizes)[1:-1]
     for j in range(m):
-        order = np.argsort(objs[:, j], kind="stable")
-        col = objs[order, j]
-        rng = col[-1] - col[0]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        if rng <= 0.0:
-            continue
-        gaps = (col[2:] - col[:-2]) / rng
-        interior = order[1:-1]
-        finite = ~np.isinf(dist[interior])
-        dist[interior[finite]] += gaps[finite]
+        order = np.lexsort((objs[:, j], groups))
+        col = objs[:, j][order]
+        rng = col[last] - col[starts]
+        # a zero range adds 0.0 (dist never holds -0.0, so that changes
+        # nothing); the gap across two fronts lands on a boundary, which
+        # the inf below overwrites
+        rng[rng <= 0.0] = np.inf
+        dist[order[1:-1]] += (col[2:] - col[:-2]) / rng[front]
+        dist[order[ends]] = np.inf
     return dist
 
 
 def r_domination_matrix(objs: np.ndarray, dists: np.ndarray,
                         delta: float) -> np.ndarray:
-    """Pairwise r-dominance over a population.
+    """Pairwise r-dominance within each population of a block.
 
-    Row i r-dominates row j when it Pareto-dominates j, or when the pair is
-    Pareto-incomparable and i's distance is lower by more than ``delta``
-    (in [0, 1]) times the range of ``dists``; a zero range, or delta = 1,
-    leaves plain Pareto dominance.
+    ``objs`` is (..., N, m) and ``dists`` (..., N).  Row i r-dominates row
+    j when it Pareto-dominates j, or when the pair is Pareto-incomparable
+    and i's distance is lower by more than ``delta`` (in [0, 1]) times the
+    range of its population's ``dists``: (d_i - d_j) / range < -delta.  A
+    zero range, or delta = 1, leaves plain Pareto dominance.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     objs = np.asarray(objs, dtype=float)
     dists = np.asarray(dists, dtype=float)
     dom = domination_matrix(objs)
-    rng = float(dists.max() - dists.min()) if dists.size else 0.0
-    if rng <= 0.0:
+    if dists.shape[-1] == 0:
         return dom
-    diff = (dists[:, None] - dists[None, :]) / rng
+    # a zero range means equal distances, so every difference is 0 and no
+    # pair is won by distance
+    rng = dists.max(axis=-1) - dists.min(axis=-1)
+    cut = _quotient_cut(np.where(rng > 0.0, rng, 1.0), -delta)
+    win = (dists[..., :, None] - dists[..., None, :]) < cut[..., None, None]
     # i also wins a Pareto-incomparable pair by distance; where i
     # dominates j, dom already holds, so ruling out ~dom.T is enough
-    return dom | ((diff < -delta) & ~dom.T)
+    return dom | (win & ~np.swapaxes(dom, -1, -2))
+
+
+def _quotient_cut(rng: np.ndarray, c: float) -> np.ndarray:
+    """The least float x with x / rng >= c in floating point, per rng > 0.
+
+    The rounded quotient never decreases as x grows, so x / rng < c holds
+    exactly for the x below the cut: one comparison per pair instead of a
+    division.  The cut is first guessed as rng times the midpoint between
+    c and the float below it, within an ulp or two, then stepped to.
+    """
+    below = np.nextafter(c, -np.inf)
+    x = 0.5 * (rng * below + rng * c)
+    while (low := x / rng < c).any():
+        x = np.where(low, np.nextafter(x, np.inf), x)
+    while (high := (down := np.nextafter(x, -np.inf)) / rng >= c).any():
+        x = np.where(high, down, x)
+    return x

@@ -20,8 +20,7 @@ from prefnorm.algorithms import epsilon_clear
 from prefnorm.core import make_engine
 from prefnorm.normalization import (NormalizationState, normalize_value,
                                     update_state)
-from prefnorm.ranking import (crowding_distance, domination_matrix,
-                              r_domination_matrix)
+from prefnorm.ranking import domination_matrix, r_domination_matrix
 from prefnorm.weights import neighborhoods, nums_shift, uniform_simplex_set
 
 
@@ -223,15 +222,19 @@ def oracle_run_generational(problem, kind, mu, budget, engine, params,
                             recorder, select):
     """One run of the NSGA-II loop on its own, with the oracle operators.
 
-    ``select(union_objs, state, engine)`` is the runner's selection.
+    ``select(union_objs, states, engines)`` is the runner's selection,
+    handed this run as a block of one.
     """
+    def select_one(uf, state, engine):
+        return (a[0] for a in select(uf[None], [state], [engine]))
+
     span = problem.upper - problem.lower
     xs = problem.lower + engine.random((mu, problem.n)) * span
     fs = problem.evaluate_batch(xs)
     evals = mu
     state = NormalizationState(kind, problem.m)
     update_state(state, fs)
-    keep, primary, secondary = select(fs, state, engine)
+    keep, primary, secondary = select_one(fs, state, engine)
     back = np.argsort(keep)
     primary, secondary = primary[back], secondary[back]
     recorder(evals, fs, state)
@@ -252,7 +255,7 @@ def oracle_run_generational(problem, kind, mu, budget, engine, params,
         evals += mu
         update_state(state, fs, child_f)
         ux, uf = np.vstack([xs, child_x]), np.vstack([fs, child_f])
-        keep, primary, secondary = select(uf, state, engine)
+        keep, primary, secondary = select_one(uf, state, engine)
         xs, fs = ux[keep], uf[keep]
         recorder(evals, fs, state)
     return fs
@@ -398,10 +401,11 @@ def oracle_igd_plus_c(objs, roi):
     return float(np.mean(d.min(axis=1)))
 
 
-# Reference copies of the level peel and of the R-NSGA-II and r2nsga2
-# selections as they stood before sorting stopped once the survivors were
-# placed; the current code must reproduce their levels, survivors and
-# warnings.
+# Reference copies of the level peel, of crowding and of the NSGA-II,
+# R-NSGA-II and r2nsga2 selections as they stood before sorting stopped
+# once the survivors were placed and before a cell's runs were selected as
+# one block; the current code must reproduce their levels, survivors,
+# keys, draws and warnings.
 
 reference_logger = logging.getLogger("conftest.reference")
 
@@ -427,6 +431,52 @@ def oracle_fronts_from_matrix(dom):
         remaining -= current.size
         counts -= dom[current].sum(axis=0).astype(int)
     return fronts
+
+
+def oracle_crowding_distance(objs):
+    """Crowding distance within one front, one argsort per objective."""
+    objs = np.asarray(objs, dtype=float)
+    n, m = objs.shape
+    dist = np.zeros(n)
+    if n <= 2:
+        dist[:] = np.inf
+        return dist
+    for j in range(m):
+        order = np.argsort(objs[:, j], kind="stable")
+        col = objs[order, j]
+        rng = col[-1] - col[0]
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        if rng <= 0.0:
+            continue
+        gaps = (col[2:] - col[:-2]) / rng
+        interior = order[1:-1]
+        finite = ~np.isinf(dist[interior])
+        dist[interior[finite]] += gaps[finite]
+    return dist
+
+
+def oracle_nsga2_selection(uf, mu):
+    """NSGA-II's rank + crowding selection on a full sort of one union.
+
+    Every level taken is crowded; the level that overflows keeps its most
+    crowded members, ties by position.  Returns the survivors, their levels
+    and their tournament keys (negated crowding).
+    """
+    keep, rank, crowd = [], [], []
+    for level, idx in enumerate(oracle_sort(uf)):
+        room = mu - len(keep)
+        if room <= 0:
+            break
+        dist = oracle_crowding_distance(uf[idx])
+        if idx.size > room:
+            order = sorted(range(idx.size), key=lambda p: (-dist[p], p))
+            idx, dist = idx[order[:room]], dist[order[:room]]
+        keep.extend(idx.tolist())
+        rank.extend([level] * idx.size)
+        crowd.extend(dist.tolist())
+    return (np.asarray(keep, dtype=int), np.asarray(rank, dtype=int),
+            -np.asarray(crowd))
 
 
 def oracle_rnsga2_environmental_selection(uf, dists, mu, epsilon, z_lb,
@@ -471,7 +521,7 @@ def oracle_r2nsga2_selection(uf, dists, delta, mu):
         if room <= 0:
             break
         idx = np.asarray(front, dtype=int)
-        crowd = crowding_distance(uf[idx])
+        crowd = oracle_crowding_distance(uf[idx])
         if idx.size > room:
             order = sorted(range(idx.size), key=lambda p: (-crowd[p], p))
             idx = idx[order[:room]]

@@ -31,6 +31,13 @@ ORIGIN = np.zeros(2)
 HALF_W = np.full(2, 0.5)
 
 
+def select_one(uf, dists, mu, epsilon, z_lb, z_ub, engine):
+    """R-NSGA-II's selection on one union, handed over as a block of one."""
+    keep, rank = rnsga2_environmental_selection(
+        uf[None], dists[None], mu, epsilon, z_lb[None], z_ub[None], [engine])
+    return keep[0], rank[0]
+
+
 def aasf(f, z, w, z_lb, z_ub, rho=AASF_RHO):
     """AASF of ``f`` as moead-nums scores it: the normalized gap to ``z``."""
     gap = normalize_value(f, z_lb, z_ub) - normalize_value(z, z_lb, z_ub)
@@ -240,17 +247,15 @@ class TestRnsga2Selection:
     def test_whole_levels_then_best_distance(self):
         # level 0 fits wholly; the one remaining slot goes to D, the
         # level-1 member closest to the reference point.
-        keep, _ = rnsga2_environmental_selection(self.UF, self.dists(), 4,
-                                                 1e-6, IDENT_LB, IDENT_UB,
-                                                 make_engine(5))
+        keep, _ = select_one(self.UF, self.dists(), 4, 1e-6, IDENT_LB,
+                             IDENT_UB, make_engine(5))
         assert keep.tolist() == [0, 1, 2, 3]
 
     def test_distance_order_with_position_tiebreak(self):
         # level 0 overflows: C has the smallest distance, then A and B
         # tie and the earlier union position wins.
-        keep, _ = rnsga2_environmental_selection(self.UF, self.dists(), 2,
-                                                 1e-6, IDENT_LB, IDENT_UB,
-                                                 make_engine(5))
+        keep, _ = select_one(self.UF, self.dists(), 2, 1e-6, IDENT_LB,
+                             IDENT_UB, make_engine(5))
         assert keep.tolist() == [2, 0]
 
     def test_clearing_drops_one_duplicate(self):
@@ -259,9 +264,8 @@ class TestRnsga2Selection:
                                       IDENT_LB, IDENT_UB)
         seen = set()
         for seed in range(10):
-            keep, _ = rnsga2_environmental_selection(uf, dists, 3, 0.1,
-                                                     IDENT_LB, IDENT_UB,
-                                                     make_engine(seed))
+            keep, _ = select_one(uf, dists, 3, 0.1, IDENT_LB, IDENT_UB,
+                                 make_engine(seed))
             assert keep.size == 3
             dup = [k for k in keep if k in (0, 1)]
             assert len(dup) == 1
@@ -278,9 +282,8 @@ class TestRnsga2Selection:
         dists = weighted_ref_distance(uf, ORIGIN, HALF_W,
                                       IDENT_LB, IDENT_UB)
         for seed in range(10):
-            keep, _ = rnsga2_environmental_selection(uf, dists, 3, 0.5,
-                                                     IDENT_LB, IDENT_UB,
-                                                     make_engine(seed))
+            keep, _ = select_one(uf, dists, 3, 0.5, IDENT_LB, IDENT_UB,
+                                 make_engine(seed))
             assert sorted(keep.tolist()) == [0, 1, 2]
 
     def test_never_skips_a_level(self):
@@ -289,7 +292,7 @@ class TestRnsga2Selection:
             uf = rng.random((24, 2))
             dists = weighted_ref_distance(uf, ORIGIN, HALF_W,
                                           IDENT_LB, IDENT_UB)
-            keep, kept_rank = rnsga2_environmental_selection(
+            keep, kept_rank = select_one(
                 uf, dists, 10, 0.05, IDENT_LB, IDENT_UB, make_engine(trial))
             assert keep.size == 10
             assert len(set(keep.tolist())) == 10
@@ -319,8 +322,7 @@ class TestRnsga2Selection:
         mu = data.draw(st.integers(1, n))
         lb, ub = np.zeros(m), np.ones(m)
         got_engine, want_engine = make_engine(seed), make_engine(seed)
-        got = rnsga2_environmental_selection(uf, dists, mu, epsilon, lb, ub,
-                                             got_engine)
+        got = select_one(uf, dists, mu, epsilon, lb, ub, got_engine)
         want = oracle_rnsga2_environmental_selection(uf, dists, mu, epsilon,
                                                      lb, ub, want_engine)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -328,9 +330,8 @@ class TestRnsga2Selection:
                 == want_engine.bit_generator.state)
 
     def test_identity_when_union_fits(self):
-        keep, _ = rnsga2_environmental_selection(self.UF, self.dists(), 6,
-                                                 1e-6, IDENT_LB, IDENT_UB,
-                                                 make_engine(0))
+        keep, _ = select_one(self.UF, self.dists(), 6, 1e-6, IDENT_LB,
+                             IDENT_UB, make_engine(0))
         assert sorted(keep.tolist()) == list(range(6))
 
 
