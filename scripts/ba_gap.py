@@ -13,7 +13,8 @@ evaluations and seeds 1-3.
 
 A wrapper around the ``update_state`` that ``prefnorm.algorithms`` calls
 sees each generation's vectors: the initial population, then every
-offspring batch.  For moead-nums those are the trials that count against
+offspring batch.  Each runner call holds one seed, so the state and the
+vectors it sees are blocks of one run.  For moead-nums those are the trials that count against
 the budget; speculative rows it evaluates and discards never get there.
 The script keeps the unbounded non-dominated archive of the same vectors.
 Per (m, algorithm) it prints:
@@ -56,13 +57,13 @@ class GapWatch:
         self.differ = self.generations = 0
         self.z_ub = None
 
-    def see(self, state, pop_objs, off_objs=None):
+    def see(self, z_ub, pop_objs, off_objs=None):
         batch = pop_objs if off_objs is None else off_objs
         batch = batch[~dominated_by(batch, batch)]
         batch = batch[~dominated_by(batch, self.front)]
         self.front = np.vstack([self.front[~dominated_by(self.front, batch)],
                                 batch])
-        self.z_ub = state.z_ub.copy()
+        self.z_ub = z_ub.copy()
         self.differ += not np.array_equal(self.z_ub, self.front.max(axis=0))
         self.generations += 1
 
@@ -74,7 +75,8 @@ def measure(name: str, m: int, seed: int) -> GapWatch:
 
     def watched(state, pop_objs, off_objs=None):
         update_state(state, pop_objs, off_objs)
-        watch.see(state, np.asarray(pop_objs), off_objs)
+        watch.see(state.z_ub[0], np.asarray(pop_objs)[0],
+                  None if off_objs is None else off_objs[0])
         return state
 
     algorithms.update_state = watched

@@ -42,8 +42,7 @@ def us_per_offspring(name: str, m: int, seeds) -> float:
     ALGORITHMS[name](problem, default_reference_point("dtlz2", m), "ba", MU,
                      BUDGET, [make_engine(seed) for seed in seeds],
                      AlgorithmParams(),
-                     [lambda done, fs, state: evals.append(done)
-                      for _ in seeds])
+                     lambda done, fs, state, runs: evals.append(done))
     offspring = len(seeds) * (evals[-1] - MU)
     return 1e6 * (time.process_time() - start) / offspring
 

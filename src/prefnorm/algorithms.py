@@ -44,8 +44,10 @@ AASF_RHO = 1e-6
 # 40-member union are one call and 200-member unions go six at a time
 SELECT_PAIRS = 2**18
 
-# observer called at every generation boundary with (evals, objectives, state)
-Recorder = Callable[[int, np.ndarray, NormalizationState], None]
+# a cell's observer, called at every generation boundary with (evals,
+# objectives, state, runs): the (R', N, m) objectives and the state of a
+# block that holds the R' runs of the cell's range ``runs``
+Recorder = Callable[[int, np.ndarray, NormalizationState, range], None]
 
 
 @dataclass
@@ -204,88 +206,79 @@ def _front_labels(levels: np.ndarray) -> np.ndarray:
 
 def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
                       engines: Sequence[np.random.Generator],
-                      params: AlgorithmParams,
-                      recorders: Sequence[Recorder],
+                      params: AlgorithmParams, recorder: Recorder | None,
                       select: Callable) -> list[np.ndarray]:
     """The NSGA-II generational loop with a pluggable survivor selection.
 
     The runs of ``engines`` step together: a generation's tournament, SBX
     and mutation form one (R, mu, n) block, run r drawing from
     ``engines[r]`` in its own order, and its R·mu offspring one evaluation.
-    The state update and ``recorders[r]`` stay per run.  Then
-    ``select(union_objs, states, engines)`` takes the (R, 2·mu, m) union
-    as one block, or in groups of runs that fit :data:`SELECT_PAIRS`, and
-    returns the (R, mu) survivors' positions and their primary and
-    secondary tournament keys (lower wins); a selection that draws takes
-    run r's draws from ``engines[r]``.  Returns each run's final (mu, m)
-    objectives.
+    One state of R runs takes the update, and ``recorder`` sees all R runs
+    in one call.  Then ``select(union_objs, z_lb, z_ub, engines)`` takes
+    the (R, 2·mu, m) union and the (R, m) bounds as one block, or in groups
+    of runs that fit :data:`SELECT_PAIRS`, and returns the (R, mu)
+    survivors' positions and their primary and secondary tournament keys
+    (lower wins); a selection that draws takes run r's draws from
+    ``engines[r]``.  Returns each run's final (mu, m) objectives.
     """
     if mu % 2:
         raise ValueError(f"mu must be even, got {mu}")
     _check_setup(mu, budget, problem.m)
+    runs = range(len(engines))
     rows = np.arange(len(engines))[:, None]
     xs = _random_population(problem, mu, engines)
     fs = _evaluate(problem, xs)
     evals = mu
-    states = [NormalizationState(kind, problem.m) for _ in engines]
-    for state, f in zip(states, fs):
-        update_state(state, f)
+    state = NormalizationState(kind, problem.m, len(engines))
+    update_state(state, fs)
     # the initial population keys itself through the same selection; every
     # member survives, so only the selection's reordering is undone
-    order, first, second = _select_groups(select, fs, states, engines)
+    order, first, second = _select_groups(select, fs, state, engines)
     back = np.argsort(order, axis=1)
     primary, secondary = first[rows, back], second[rows, back]
-    for recorder, f, state in zip(recorders, fs, states):
-        recorder(evals, f, state)
+    if recorder:
+        recorder(evals, fs, state, runs)
     while evals + mu <= budget:
         winners = _binary_tournament(primary, secondary, mu, engines)
         child_x = _ga_offspring(xs, winners, problem, params, engines)
         child_f = _evaluate(problem, child_x)
         evals += mu
-        for state, f, child in zip(states, fs, child_f):
-            update_state(state, f, child)
+        update_state(state, fs, child_f)
         ux = np.concatenate([xs, child_x], axis=1)
         uf = np.concatenate([fs, child_f], axis=1)
-        keep, primary, secondary = _select_groups(select, uf, states,
-                                                  engines)
+        keep, primary, secondary = _select_groups(select, uf, state, engines)
         xs, fs = ux[rows, keep], uf[rows, keep]
-        for recorder, f, state in zip(recorders, fs, states):
-            recorder(evals, f, state)
+        if recorder:
+            recorder(evals, fs, state, runs)
     return list(fs)
 
 
 def _select_groups(select: Callable, uf: np.ndarray,
-                   states: Sequence[NormalizationState],
+                   state: NormalizationState,
                    engines: Sequence[np.random.Generator]) -> tuple:
     """``select`` on each group of runs that :data:`SELECT_PAIRS` allows,
-    the results joined along the run axis."""
+    with the group's slice of the bounds, the results joined along the run
+    axis."""
     step = max(1, SELECT_PAIRS // uf.shape[1] ** 2)
-    parts = [select(uf[lo:lo + step], states[lo:lo + step],
-                    engines[lo:lo + step])
+    parts = [select(uf[lo:lo + step], state.z_lb[lo:lo + step],
+                    state.z_ub[lo:lo + step], engines[lo:lo + step])
              for lo in range(0, len(uf), step)]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _bounds(states: Sequence[NormalizationState]
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Each run's current (lower, upper) bounds as (R, m) arrays."""
-    return (np.array([state.z_lb for state in states]),
-            np.array([state.z_ub for state in states]))
-
-
 def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
               budget: int, engines: Sequence[np.random.Generator],
               params: AlgorithmParams | None = None,
-              recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
+              recorder: Recorder | None = None) -> list[np.ndarray]:
     """Plain NSGA-II; ``z`` is ignored, the state is tracked for recording.
 
     Survivors are ranked by level, then by crowding within the level that
     overflows; the tournament reads every survivor's crowding, so each
     level up to the cut is crowded.
     """
-    def select(uf, states, engines):
+    def select(uf, z_lb, z_ub, engines):
         levels = nondominated_sort(uf, mu)
         cut, over = _cut(levels, mu)
         scored = levels <= cut
@@ -297,7 +290,7 @@ def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
         return keep, levels[rows, keep], crowd[rows, keep]
 
     return _run_generational(problem, kind, mu, budget, engines,
-                             params or AlgorithmParams(), recorders, select)
+                             params or AlgorithmParams(), recorder, select)
 
 
 def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
@@ -334,34 +327,32 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
 def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
                budget: int, engines: Sequence[np.random.Generator],
                params: AlgorithmParams | None = None,
-               recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
+               recorder: Recorder | None = None) -> list[np.ndarray]:
     """Reference-distance R-NSGA-II."""
     params = params or AlgorithmParams()
     z = np.asarray(z, dtype=float)
     w = np.full(problem.m, 1.0 / problem.m)
 
-    def select(uf, states, engines):
-        z_lb, z_ub = _bounds(states)
+    def select(uf, z_lb, z_ub, engines):
         dist = weighted_ref_distance(uf, z, w, z_lb[:, None], z_ub[:, None])
         keep, rank = rnsga2_environmental_selection(
             uf, dist, mu, params.epsilon_clear, z_lb, z_ub, engines)
         return keep, rank, dist[np.arange(len(uf))[:, None], keep]
 
     return _run_generational(problem, kind, mu, budget, engines, params,
-                             recorders, select)
+                             recorder, select)
 
 
 def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
                 budget: int, engines: Sequence[np.random.Generator],
                 params: AlgorithmParams | None = None,
-                recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
+                recorder: Recorder | None = None) -> list[np.ndarray]:
     """NSGA-II with the r-dominance relation replacing Pareto dominance."""
     params = params or AlgorithmParams()
     z = np.asarray(z, dtype=float)
     w = np.full(problem.m, 1.0 / problem.m)
 
-    def select(uf, states, engines):
-        z_lb, z_ub = _bounds(states)
+    def select(uf, z_lb, z_ub, engines):
         dist = weighted_ref_distance(uf, z, w, z_lb[:, None], z_ub[:, None])
         levels = fronts_from_matrix(
             r_domination_matrix(uf, dist, params.delta), mu)
@@ -376,7 +367,7 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
         return keep, levels[rows, keep], dist[rows, keep]
 
     return _run_generational(problem, kind, mu, budget, engines, params,
-                             recorders, select)
+                             recorder, select)
 
 
 def moead_nums_replacement(trial_vals: np.ndarray, incumbent: np.ndarray,
@@ -396,7 +387,7 @@ def moead_nums_replacement(trial_vals: np.ndarray, incumbent: np.ndarray,
 def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
                    budget: int, engines: Sequence[np.random.Generator],
                    params: AlgorithmParams | None = None,
-                   recorders: Sequence[Recorder] = ()) -> list[np.ndarray]:
+                   recorder: Recorder | None = None) -> list[np.ndarray]:
     """Decomposition search on a weight set shifted toward ``z``.
 
     Trials are steady-state: each one may read rows that earlier trials of
@@ -436,16 +427,15 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
                          f"and three DE/rand/1 donors), got {t_size}")
     z = np.asarray(z, dtype=float)
     return [_moead_nums_run(problem, z, kind, mu, budget, engine, params,
-                            t_size, recorder)
-            for engine, recorder in zip(engines,
-                                        recorders or [None] * len(engines))]
+                            t_size, recorder, range(run, run + 1))
+            for run, engine in enumerate(engines)]
 
 
 def _moead_nums_run(problem: Problem, z: np.ndarray, kind: str, mu: int,
                     budget: int, engine: np.random.Generator,
                     params: AlgorithmParams, t_size: int,
-                    recorder: Recorder | None) -> np.ndarray:
-    """One run of :func:`run_moead_nums`."""
+                    recorder: Recorder | None, run: range) -> np.ndarray:
+    """Run ``run`` of :func:`run_moead_nums`, with a state of one run."""
     weights = uniform_simplex_set(problem.m, mu, engine)
     weights = nums_shift(weights, z, params.tau)
     nbs = neighborhoods(weights, t_size)
@@ -456,10 +446,10 @@ def _moead_nums_run(problem: Problem, z: np.ndarray, kind: str, mu: int,
     xs = _random_population(problem, mu, [engine])[0]
     fs = problem.evaluate_batch(xs)
     evals = mu
-    state = NormalizationState(kind, problem.m)
-    update_state(state, fs)
+    state = NormalizationState(kind, problem.m, 1)
+    update_state(state, fs[None])
     if recorder:
-        recorder(evals, fs, state)
+        recorder(evals, fs[None], state, run)
 
     def build(target, donors, cross, do, u):
         trial = de_rand_1(target, xs, donors, cross, params.de_f)
@@ -476,8 +466,8 @@ def _moead_nums_run(problem: Problem, z: np.ndarray, kind: str, mu: int,
         do, u = polynomial_mutation_draws(xs.shape, params.mutation_prob,
                                           engine)
         order = engine.random(nbs.shape).argsort(axis=1, kind="stable")
-        z_lb = state.z_lb
-        span = np.maximum(state.z_ub - z_lb, EPS_DENOM)
+        z_lb = state.z_lb[0]
+        span = np.maximum(state.z_ub[0] - z_lb, EPS_DENOM)
         zn = (z - z_lb) / span
         incumbent = score(weights, fs)
         trials = build(rows, donors.T, cross, do, u)
@@ -508,9 +498,9 @@ def _moead_nums_run(problem: Problem, z: np.ndarray, kind: str, mu: int,
                 for slot in targets.tolist():
                     stale |= readers[slot]
         evals += mu
-        update_state(state, fs, batch)
+        update_state(state, fs[None], batch[None])
         if recorder:
-            recorder(evals, fs, state)
+            recorder(evals, fs[None], state, run)
     return fs
 
 

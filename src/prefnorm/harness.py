@@ -8,6 +8,7 @@ output files byte for byte.
 """
 from __future__ import annotations
 
+import bisect
 import concurrent.futures
 import contextlib
 import csv
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .algorithms import ALGORITHMS, AlgorithmParams
+from .algorithms import ALGORITHMS, AlgorithmParams, Recorder
 from .core import derive_run_seed, make_engine
 from .indicators import (DEFAULT_ROI_RADIUS, RoiReferenceSet,
                          build_roi_reference_set, e_ideal, e_nadir,
@@ -149,6 +150,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if not isinstance(entry, dict):
                 errors.append(f"{path}: expected 'name:m' or a mapping")
                 continue
+            errors.extend(f"{path}.{key}: unknown key"
+                          for key in sorted(set(entry) - {"name", "m"},
+                                            key=str))
             name = entry.get("name")
             if name not in problem_names():
                 errors.append(f"{path}.name: unknown problem {name!r}")
@@ -321,23 +325,37 @@ def cell_id(problem: str, m: int, algorithm: str, normalization: str) -> str:
 
 
 def _checkpoint_recorder(checkpoints: tuple[int, ...], roi: RoiReferenceSet,
-                         records: list[dict]):
-    """A recorder that appends one indicator record per checkpoint passed."""
-    pending = sorted(checkpoints)
+                         records: list[list[dict]]) -> Recorder:
+    """A cell's recorder: one indicator record per run and checkpoint passed.
 
-    def recorder(evals, objs, state):
-        while pending and evals >= pending[0]:
-            checkpoint = pending.pop(0)
-            records.append({
-                "checkpoint": checkpoint,
-                "evals": evals,
-                "igd_plus_c": igd_plus_c(objs, roi),
-                "e_ideal": e_ideal(state.z_lb, roi.scaler),
-                "e_nadir": e_nadir(state.z_ub, roi.scaler),
-                "ore": ore(state.z_lb, state.z_ub, roi.scaler),
-                "z_lb": state.z_lb.copy(),
-                "z_ub": state.z_ub.copy(),
-            })
+    Run r's records go to ``records[r]``.  A call scores the block of runs
+    it is handed at once, whichever of them has a checkpoint due.
+    """
+    checkpoints = sorted(checkpoints)
+    done = [0] * len(records)  # the checkpoints each run has recorded
+
+    def recorder(evals, objs, state, runs):
+        upto = bisect.bisect_right(checkpoints, evals)
+        if all(done[run] == upto for run in runs):
+            return
+        z_lb, z_ub = state.z_lb.copy(), state.z_ub.copy()
+        values = zip(igd_plus_c(objs, roi).tolist(),
+                     e_ideal(z_lb, roi.scaler).tolist(),
+                     e_nadir(z_ub, roi.scaler).tolist(),
+                     ore(z_lb, z_ub, roi.scaler).tolist(), z_lb, z_ub)
+        for run, (igd, ideal, nadir, spread, lb, ub) in zip(runs, values):
+            for checkpoint in checkpoints[done[run]:upto]:
+                records[run].append({
+                    "checkpoint": checkpoint,
+                    "evals": evals,
+                    "igd_plus_c": igd,
+                    "e_ideal": ideal,
+                    "e_nadir": nadir,
+                    "ore": spread,
+                    "z_lb": lb,
+                    "z_ub": ub,
+                })
+            done[run] = upto
 
     return recorder
 
@@ -352,8 +370,7 @@ def _execute_cell(problem_name: str, m: int, algorithm: str,
         get_problem(problem_name, m), z, normalization, config.mu,
         config.budget, [make_engine(seed) for seed in seeds],
         AlgorithmParams(**config.params),
-        [_checkpoint_recorder(config.checkpoints, roi, log)
-         for log in records])
+        _checkpoint_recorder(config.checkpoints, roi, records))
     return [RunTrace(problem=problem_name, m=m, algorithm=algorithm,
                      normalization=normalization, run_index=run_index,
                      seed=seed, records=log, final_objs=final)

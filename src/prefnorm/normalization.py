@@ -33,36 +33,44 @@ KINDS = ("pp", "bp", "ba", "no")
 
 def update_bounded_archive_objs(arch_objs: np.ndarray,
                                 new_objs: np.ndarray) -> np.ndarray:
-    """One bounded-archive step on raw objective arrays.
+    """One bounded-archive step of every run of a block.
 
     Parameters
     ----------
     arch_objs : np.ndarray
-        (a, m) objectives of the current archive, a <= m (a = 0 initially).
+        (..., a, m) objectives of each run's current archive, a <= m (a = 0
+        initially).
     new_objs : np.ndarray
-        (N, m) objectives of the newly evaluated solutions.
+        (..., N, m) objectives of each run's newly evaluated solutions.
 
     Returns
     -------
     np.ndarray
-        (m, m) objectives of the refreshed archive, row i maximizing
-        objective i over the non-dominated subset of the union.
+        (..., m, m) objectives of the refreshed archives, a run's row i
+        maximizing objective i over the non-dominated subset of its union.
     """
-    new_objs = np.asarray(new_objs, dtype=float)
-    if arch_objs.size:
-        pool = np.vstack([arch_objs, new_objs])
-    else:
-        pool = new_objs
-    if pool.shape[0] == 0:
+    pool = np.concatenate([arch_objs, np.asarray(new_objs, dtype=float)],
+                          axis=-2)
+    *lead, size, m = pool.shape
+    if size == 0:
         raise ValueError("archive update needs at least one solution")
-    survivors = pool[nondominated_mask(pool)]
-    picks = np.argmax(survivors, axis=0)
-    return survivors[picks]
+    pool = pool.reshape(-1, size, m)
+    keep = nondominated_mask(pool)
+    # dominated rows sink below every survivor, so a run's slot i is its
+    # first surviving maximizer; a max of -inf may land on a dominated row,
+    # and then every survivor ties, so the first survivor takes the slot
+    picks = np.where(keep[..., None], pool, -np.inf).argmax(axis=1)
+    rows = np.arange(len(pool))[:, None]
+    picks = np.where(keep[rows, picks], picks, keep.argmax(axis=1)[:, None])
+    return pool[rows, picks].reshape(*lead, m, m)
 
 
 @dataclass
 class NormalizationState:
-    """Mutable per-run state of one normalization strategy.
+    """Mutable state of one normalization strategy for a block of runs.
+
+    With ``runs`` = R every array has a leading run axis, row r being run
+    r's; ``None`` leaves it out, for one run on its own.
 
     Attributes
     ----------
@@ -70,16 +78,19 @@ class NormalizationState:
         One of ``pp``, ``bp``, ``ba``, ``no``.
     m : int
         Number of objectives.
+    runs : int or None
+        Number of runs in the block.
     z_lb, z_ub : np.ndarray
-        Current estimated lower/upper objective bounds.
+        (R, m) current estimated lower/upper objective bounds.
     best_min : np.ndarray
-        Running componentwise minimum (bp/ba).
+        (R, m) running componentwise minimum (bp/ba).
     arch_objs : np.ndarray
-        (a, m) objectives of the bounded archive (ba), a <= m.
+        (R, a, m) objectives of the bounded archives (ba), a <= m.
     """
 
     kind: str
     m: int
+    runs: int | None = None
     z_lb: np.ndarray = field(init=False)
     z_ub: np.ndarray = field(init=False)
     best_min: np.ndarray = field(init=False)
@@ -89,42 +100,44 @@ class NormalizationState:
         if self.kind not in KINDS:
             raise ValueError(f"unknown normalization kind {self.kind!r}; "
                              f"known: {', '.join(KINDS)}")
-        self.z_lb = np.zeros(self.m)
-        self.z_ub = np.ones(self.m)
-        self.best_min = np.full(self.m, np.inf)
-        self.arch_objs = np.empty((0, self.m))
+        lead = () if self.runs is None else (self.runs,)
+        self.z_lb = np.zeros((*lead, self.m))
+        self.z_ub = np.ones((*lead, self.m))
+        self.best_min = np.full((*lead, self.m), np.inf)
+        self.arch_objs = np.empty((*lead, 0, self.m))
 
 
 def update_state(state: NormalizationState, pop_objs: np.ndarray,
                  off_objs: np.ndarray | None = None) -> NormalizationState:
-    """Refresh the estimated bounds after a generation.
+    """Refresh the estimated bounds of every run after a generation.
 
-    ``pop_objs`` is the parent population, ``off_objs`` the offspring batch
-    evaluated this generation (None at initialization).  The archive (ba)
-    consumes only the new batch: the offspring when present, otherwise the
-    initial population.
+    ``pop_objs`` holds each run's (N, m) parent population, ``off_objs``
+    its offspring batch evaluated this generation (None at
+    initialization), both with the state's leading run axis.  The archive
+    (ba) consumes only the new batch: the offspring when present, otherwise
+    the initial population.
     """
     if state.kind == "no":
         return state
     pop_objs = np.asarray(pop_objs, dtype=float)
-    if off_objs is None or len(off_objs) == 0:
+    if off_objs is None or np.shape(off_objs)[-2] == 0:
         union = pop_objs
         batch = pop_objs
     else:
         off_objs = np.asarray(off_objs, dtype=float)
-        union = np.vstack([pop_objs, off_objs])
+        union = np.concatenate([pop_objs, off_objs], axis=-2)
         batch = off_objs
     if state.kind == "pp":
-        state.z_lb = union.min(axis=0)
-        state.z_ub = union.max(axis=0)
+        state.z_lb = union.min(axis=-2)
+        state.z_ub = union.max(axis=-2)
         return state
-    state.best_min = np.minimum(state.best_min, union.min(axis=0))
+    state.best_min = np.minimum(state.best_min, union.min(axis=-2))
     state.z_lb = state.best_min.copy()
     if state.kind == "bp":
-        state.z_ub = union.max(axis=0)
+        state.z_ub = union.max(axis=-2)
     else:  # ba
         state.arch_objs = update_bounded_archive_objs(state.arch_objs, batch)
-        state.z_ub = state.arch_objs.max(axis=0)
+        state.z_ub = state.arch_objs.max(axis=-2)
     return state
 
 

@@ -23,19 +23,21 @@ def _all_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray, plus: bool = False) -> np.ndarray:
-    """(len(a), len(b)) squared distances; ``plus`` counts only a > b (IGD+).
+    """(..., len(a), len(b)) squared distances between the rows of ``a``
+    and ``b``, whose leading run axes broadcast; ``plus`` counts only
+    a > b (IGD+).
 
     Built one objective at a time like ``_all_le`` and summed in the order
     of ``np.sum(axis=-1)`` over a short axis (in sequence below 8 terms,
     else NumPy's 8-lane pairwise sum), so the bytes match that reduction.
     """
     def term(k: int) -> np.ndarray:
-        d = a[:, k, None] - b[None, :, k]
+        d = a[..., :, k, None] - b[..., None, :, k]
         if plus:
             np.maximum(d, 0.0, out=d)
         return np.multiply(d, d, out=d)
 
-    m = a.shape[1]
+    m = a.shape[-1]
     if m < 8:
         total, tail = term(0), 1
     else:
@@ -67,15 +69,13 @@ def domination_matrix(objs: np.ndarray) -> np.ndarray:
 
 
 def nondominated_mask(objs: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows of ``objs`` not Pareto-dominated by any row.
+    """(..., N) mask of the rows of each population in an (..., N, m)
+    block that no row of the same population Pareto-dominates.
 
     Duplicate rows do not dominate each other, so all copies of a
     non-dominated vector are kept.
     """
-    objs = np.asarray(objs, dtype=float)
-    if objs.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    return ~domination_matrix(objs).any(axis=0)
+    return ~domination_matrix(objs).any(axis=-2)
 
 
 def fronts_from_matrix(dom: np.ndarray, size: int | None = None

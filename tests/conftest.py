@@ -6,20 +6,22 @@ The reference copies of the problem objective shapes, of the Das-Dennis
 lattice, of the 3-d distance reductions, of the full level peel and of
 one-run SBX are instead earlier implementations, the MOEA/D-NUMS reference
 loop reads the package's blocks of random numbers with plain loops and
-sorts, and the NSGA-II reference loop runs one engine at a time; tests pin
-the current code to them byte for byte.
+sorts, the NSGA-II reference loop runs one engine at a time, and the
+normalization-state reference updates one run at a time; tests pin the
+current code to them byte for byte.
 """
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from prefnorm.algorithms import epsilon_clear
 from prefnorm.core import make_engine
-from prefnorm.normalization import (NormalizationState, normalize_value,
-                                    update_state)
+from prefnorm.normalization import KINDS, normalize_value
 from prefnorm.ranking import domination_matrix, r_domination_matrix
 from prefnorm.weights import neighborhoods, nums_shift, uniform_simplex_set
 
@@ -218,26 +220,98 @@ def oracle_sbx(pa, pb, lower, upper, engine, eta=30.0, crossover_prob=1.0):
     return np.clip(ca, lower, upper), np.clip(cb, lower, upper)
 
 
-def oracle_run_generational(problem, kind, mu, budget, engine, params,
-                            recorder, select):
-    """One run of the NSGA-II loop on its own, with the oracle operators.
+# Reference copy of the normalization-state update as it stood when every
+# run kept its own state; the block update must reproduce its bytes.
 
-    ``select(union_objs, states, engines)`` is the runner's selection,
-    handed this run as a block of one.
+def oracle_bounded_archive(arch_objs, new_objs):
+    """One bounded-archive step of one run, on (a, m) and (N, m) arrays."""
+    new_objs = np.asarray(new_objs, dtype=float)
+    if arch_objs.size:
+        pool = np.vstack([arch_objs, new_objs])
+    else:
+        pool = new_objs
+    if pool.shape[0] == 0:
+        raise ValueError("archive update needs at least one solution")
+    # Pareto dominance from the full (P, P, m) comparison
+    le = (pool[:, None, :] <= pool[None, :, :]).all(axis=-1)
+    survivors = pool[~(le & ~le.T).any(axis=0)]
+    picks = np.argmax(survivors, axis=0)
+    return survivors[picks]
+
+
+@dataclass
+class OracleState:
+    """One run's normalization state, with (m,) bounds."""
+
+    kind: str
+    m: int
+    z_lb: np.ndarray = field(init=False)
+    z_ub: np.ndarray = field(init=False)
+    best_min: np.ndarray = field(init=False)
+    arch_objs: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        assert self.kind in KINDS
+        self.z_lb = np.zeros(self.m)
+        self.z_ub = np.ones(self.m)
+        self.best_min = np.full(self.m, np.inf)
+        self.arch_objs = np.empty((0, self.m))
+
+    def block(self):
+        """The bounds as a state of one run hands them to a recorder."""
+        return SimpleNamespace(z_lb=self.z_lb[None], z_ub=self.z_ub[None])
+
+
+def oracle_update_state(state, pop_objs, off_objs=None):
+    """Refresh one run's bounds after a generation."""
+    if state.kind == "no":
+        return state
+    pop_objs = np.asarray(pop_objs, dtype=float)
+    if off_objs is None or len(off_objs) == 0:
+        union = pop_objs
+        batch = pop_objs
+    else:
+        off_objs = np.asarray(off_objs, dtype=float)
+        union = np.vstack([pop_objs, off_objs])
+        batch = off_objs
+    if state.kind == "pp":
+        state.z_lb = union.min(axis=0)
+        state.z_ub = union.max(axis=0)
+        return state
+    state.best_min = np.minimum(state.best_min, union.min(axis=0))
+    state.z_lb = state.best_min.copy()
+    if state.kind == "bp":
+        state.z_ub = union.max(axis=0)
+    else:  # ba
+        state.arch_objs = oracle_bounded_archive(state.arch_objs, batch)
+        state.z_ub = state.arch_objs.max(axis=0)
+    return state
+
+
+def oracle_run_generational(problem, kind, mu, budget, engine, params,
+                            recorder, select, run):
+    """Run ``run`` of the NSGA-II loop on its own, with the oracle
+    operators and state.
+
+    ``select(union_objs, z_lb, z_ub, engines)`` is the runner's selection
+    and ``recorder`` the cell's; both are handed this run as a block of
+    one.
     """
     def select_one(uf, state, engine):
-        return (a[0] for a in select(uf[None], [state], [engine]))
+        return (a[0] for a in select(uf[None], state.z_lb[None],
+                                     state.z_ub[None], [engine]))
 
+    runs = range(run, run + 1)
     span = problem.upper - problem.lower
     xs = problem.lower + engine.random((mu, problem.n)) * span
     fs = problem.evaluate_batch(xs)
     evals = mu
-    state = NormalizationState(kind, problem.m)
-    update_state(state, fs)
+    state = OracleState(kind, problem.m)
+    oracle_update_state(state, fs)
     keep, primary, secondary = select_one(fs, state, engine)
     back = np.argsort(keep)
     primary, secondary = primary[back], secondary[back]
-    recorder(evals, fs, state)
+    recorder(evals, fs[None], state.block(), runs)
     while evals + mu <= budget:
         winners = []
         for a, b in engine.integers(0, mu, size=(mu, 2)):
@@ -253,11 +327,11 @@ def oracle_run_generational(problem, kind, mu, budget, engine, params,
             params.mutation_prob)
         child_f = problem.evaluate_batch(child_x)
         evals += mu
-        update_state(state, fs, child_f)
+        oracle_update_state(state, fs, child_f)
         ux, uf = np.vstack([xs, child_x]), np.vstack([fs, child_f])
         keep, primary, secondary = select_one(uf, state, engine)
         xs, fs = ux[keep], uf[keep]
-        recorder(evals, fs, state)
+        recorder(evals, fs[None], state.block(), runs)
     return fs
 
 
@@ -308,7 +382,9 @@ def oracle_moead_nums_replacement(trial_f, fs, weights, nb, z, state,
 
 def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
                           recorder):
-    """The MOEA/D-NUMS loop built from the oracle operators above."""
+    """The MOEA/D-NUMS loop built from the oracle operators and state
+    above; ``recorder`` is a cell's, handed the run as run 0 of a block of
+    one."""
     z = np.asarray(z, dtype=float)
     weights = nums_shift(uniform_simplex_set(problem.m, mu, engine), z,
                          params.tau)
@@ -321,9 +397,9 @@ def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
     xs = problem.lower + engine.random((mu, problem.n)) * span
     fs = problem.evaluate_batch(xs)
     evals = mu
-    state = NormalizationState(kind, problem.m)
-    update_state(state, fs)
-    recorder(evals, fs, state)
+    state = OracleState(kind, problem.m)
+    oracle_update_state(state, fs)
+    recorder(evals, fs[None], state.block(), range(1))
     while evals + mu <= budget:
         donor_keys = engine.random((mu, t_size))
         cross_draws = engine.random((mu, n))
@@ -350,8 +426,8 @@ def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
                 xs[targets] = trial
                 fs[targets] = trial_f
         evals += mu
-        update_state(state, fs, batch)
-        recorder(evals, fs, state)
+        oracle_update_state(state, fs, batch)
+        recorder(evals, fs[None], state.block(), range(1))
     return fs
 
 

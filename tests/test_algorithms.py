@@ -425,8 +425,17 @@ class TestMoeadReplacement:
 def one_moead_run(problem, z, kind, mu, budget, engine, params, recorder):
     """``run_moead_nums`` on a list of one run."""
     (final,) = run_moead_nums(problem, z, kind, mu, budget, [engine], params,
-                              [recorder])
+                              recorder)
     return final
+
+
+def one_run_log(log):
+    """A cell's recorder for a cell of one run, logging its only run."""
+    def recorder(evals, fs, state, runs):
+        assert runs == range(1)
+        log.append((evals, fs[0].tobytes(), state.z_lb[0].tobytes(),
+                    state.z_ub[0].tobytes()))
+    return recorder
 
 
 class TestMoeadByteIdentity:
@@ -474,19 +483,13 @@ class TestMoeadByteIdentity:
                                             - problem.true_ideal)
             for kind in KINDS:
                 logs = ([], [])
-
-                def recorder_for(log):
-                    return lambda evals, fs, state: log.append(
-                        (evals, fs.tobytes(), state.z_lb.tobytes(),
-                         state.z_ub.tobytes()))
-
                 seed = 1000 * m + KINDS.index(kind)
                 got_engine, want_engine = make_engine(seed), make_engine(seed)
                 got = one_moead_run(problem, z, kind, 12, 240, got_engine,
-                                    AlgorithmParams(), recorder_for(logs[0]))
+                                    AlgorithmParams(), one_run_log(logs[0]))
                 want = oracle_run_moead_nums(problem, z, kind, 12, 240,
                                              want_engine, AlgorithmParams(),
-                                             recorder_for(logs[1]))
+                                             one_run_log(logs[1]))
                 assert len(logs[0]) == 20
                 assert logs[0] == logs[1], (m, kind)
                 assert got.tobytes() == want.tobytes()
@@ -515,11 +518,8 @@ class TestMoeadStaleTrials:
                     runs = []
                     for run in (one_moead_run, oracle_run_moead_nums):
                         log, engine = [], make_engine(seed)
-                        final = run(
-                            problem, z, kind, mu, 6 * mu, engine, params,
-                            lambda evals, fs, state, log=log: log.append(
-                                (evals, fs.tobytes(), state.z_lb.tobytes(),
-                                 state.z_ub.tobytes())))
+                        final = run(problem, z, kind, mu, 6 * mu, engine,
+                                    params, one_run_log(log))
                         runs.append((log, final.tobytes(),
                                      engine.bit_generator.state))
                     assert len(runs[0][0]) == 6
@@ -555,8 +555,8 @@ class TestMoeadBlockDraws:
             marks = []
             run_moead_nums(get_problem("dtlz2", 3), np.full(3, 0.5), kind,
                            mu, 5 * mu, [engine], AlgorithmParams(),
-                           [lambda evals, fs, state:
-                            marks.append(engine.calls)])
+                           lambda evals, fs, state, runs:
+                           marks.append(engine.calls))
             per_generation[mu] = set(np.diff(marks).tolist())
         assert per_generation == {12: {5}, 100: {5}}
 
@@ -592,18 +592,19 @@ class TestRunnerContract:
         problem = get_problem("dtlz2", 2)
         records = []
 
-        def recorder(evals, fs, state):
+        def recorder(evals, fs, state, runs):
             records.append((evals, fs.shape, state.z_lb.copy(),
-                            state.z_ub.copy()))
+                            state.z_ub.copy(), runs))
 
         (fs,) = ALGORITHMS[name](problem, self.Z2, "ba", 8, 100,
-                                 [make_engine(3)], recorders=[recorder])
+                                 [make_engine(3)], recorder=recorder)
         assert fs.shape == (8, 2)
         evals_seen = [r[0] for r in records]
         assert evals_seen == list(range(8, 97, 8))
-        for _, shape, zl, zu in records:
-            assert shape == (8, 2)
-            assert zl.shape == (2,) and zu.shape == (2,)
+        for _, shape, zl, zu, runs in records:
+            assert runs == range(1)
+            assert shape == (1, 8, 2)
+            assert zl.shape == (1, 2) and zu.shape == (1, 2)
             assert np.all(np.isfinite(zl)) and np.all(np.isfinite(zu))
             assert np.all(zl <= zu + 1e-12)
 

@@ -115,3 +115,27 @@ def test_moead_trial_operators_are_traced_once_per_trial(monkeypatch):
         assert calls[name] == generations + waves, name
     assert calls["problems.evaluate_batch"] == 1 + generations + waves
     assert tracer.rows == budget + wave_rows
+
+
+def test_a_cell_updates_and_records_its_runs_as_one_block():
+    # a GA cell's runs share one state update per generation and one
+    # indicator call per checkpoint; moead-nums' runs go one after another
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    runs, generations, checkpoints = 3, 10, [36, 50, 120]
+    config = prefnorm.harness.validate_config({
+        "problems": ["dtlz2:2"], "algorithms": ["nsga2", "moead-nums"],
+        "normalizations": ["ba"], "runs": runs, "budget": 120, "mu": 12,
+        "checkpoints": checkpoints, "pf_size": 100})
+    tracer.install(tracing.traced_sites(prefnorm))
+    try:
+        prefnorm.harness.execute_campaign(config)
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    blocks = 1 + runs
+    for name in ("normalization.update_state",
+                 "normalization.update_bounded_archive_objs"):
+        assert calls[name] == blocks * generations, name
+    assert calls["indicators.igd_plus_c"] == blocks * len(checkpoints)
+    assert calls["indicators.bound_errors"] == 3 * blocks * len(checkpoints)

@@ -1,7 +1,7 @@
 """A cell's survivors, selected as one block, equal each run's own.
 
 ``_run_generational`` hands its runner's ``select`` the (R, N, m) unions
-of a cell's R runs in one call.  Here that closure is taken from each GA
+of a cell's R runs and their (R, m) bounds in one call.  Here that closure is taken from each GA
 runner and called on blocks of R in {1, 2, 7} unions.  Each run's slice of
 the result must equal the per-run oracle byte for byte: the survivors,
 their levels, their tournament keys and the run's engine state afterwards.
@@ -31,7 +31,6 @@ from conftest import (oracle_nsga2_selection, oracle_r2nsga2_selection,
 from prefnorm import algorithms
 from prefnorm.algorithms import ALGORITHMS, AlgorithmParams
 from prefnorm.core import make_engine
-from prefnorm.normalization import NormalizationState
 from prefnorm.problems import get_problem
 
 TRIALS = 60
@@ -64,29 +63,26 @@ def union_block(rng, runs, n, m):
     return uf, flat.any()
 
 
-def random_states(rng, runs, m):
-    """``pp`` states with random bounds, some spans at the floor."""
-    states = []
-    for _ in range(runs):
-        state = NormalizationState("pp", m)
-        state.z_lb = rng.integers(0, 3, size=m) * 0.25
-        state.z_ub = state.z_lb + rng.integers(0, 4, size=m) * 0.5
-        states.append(state)
-    return states
+def random_bounds(rng, runs, m):
+    """(R, m) random lower and upper bounds, some spans at the floor."""
+    z_lb, z_ub = np.empty((2, runs, m))
+    for run in range(runs):
+        z_lb[run] = rng.integers(0, 3, size=m) * 0.25
+        z_ub[run] = z_lb[run] + rng.integers(0, 4, size=m) * 0.5
+    return z_lb, z_ub
 
 
-def oracle(algorithm, uf, state, mu, engine):
+def oracle(algorithm, uf, z_lb, z_ub, mu, engine):
     """(survivors, levels, keys, full peel) of one run's selection."""
     dist = algorithms.weighted_ref_distance(
         uf, np.full(uf.shape[1], 0.5), np.full(uf.shape[1], 1 / uf.shape[1]),
-        state.z_lb, state.z_ub)
+        z_lb, z_ub)
     if algorithm == "nsga2":
         return (*oracle_nsga2_selection(uf, mu),
                 [front.tolist() for front in oracle_sort(uf)])
     if algorithm == "rnsga2":
         keep, rank = oracle_rnsga2_environmental_selection(
-            uf, dist, mu, PARAMS.epsilon_clear, state.z_lb, state.z_ub,
-            engine)
+            uf, dist, mu, PARAMS.epsilon_clear, z_lb, z_ub, engine)
         return (keep, rank, dist[keep],
                 [front.tolist() for front in oracle_sort(uf)])
     return oracle_r2nsga2_selection(uf, dist, PARAMS.delta, mu)
@@ -112,19 +108,19 @@ def test_block_selection_matches_runs_one_at_a_time(algorithm, runs,
         # every other trial keeps few survivors, so that cycles lie past them
         mu = int(rng.integers(1, (n if trial % 2 else max(n // 8, 1)) + 1))
         uf, flat = union_block(rng, runs, n, m)
-        states = random_states(rng, runs, m)
+        z_lb, z_ub = random_bounds(rng, runs, m)
         seeds = rng.integers(2**32, size=runs)
         engines = [make_engine(seed) for seed in seeds]
         select = block_select(algorithm, m, mu, monkeypatch)
         caplog.clear()
-        keep, primary, secondary = select(uf, states, engines)
+        keep, primary, secondary = select(uf, z_lb, z_ub, engines)
         got_lumps = sorted(lumps(caplog, "prefnorm.ranking"))
         want_lumps = []
         for r, seed in enumerate(seeds):
             engine = make_engine(seed)
             caplog.clear()
             want_keep, want_rank, want_keys, full = oracle(
-                algorithm, uf[r], states[r], mu, engine)
+                algorithm, uf[r], z_lb[r], z_ub[r], mu, engine)
             assert keep[r].tobytes() == want_keep.tobytes()
             assert primary[r].tobytes() == want_rank.tobytes()
             assert secondary[r].tobytes() == want_keys.tobytes()
@@ -165,8 +161,8 @@ def test_runs_selected_in_groups_match_one_block(algorithm, monkeypatch):
         logs = [[] for _ in engines]
         finals = ALGORITHMS[algorithm](
             problem, np.full(3, 0.5), "ba", mu, budget, engines, PARAMS,
-            [lambda evals, fs, state, log=log: log.append(fs.tobytes())
-             for log in logs])
+            lambda evals, fs, state, runs: [logs[run].append(f.tobytes())
+                                            for run, f in zip(runs, fs)])
         return ([f.tobytes() for f in finals], logs,
                 [e.bit_generator.state for e in engines])
 

@@ -80,6 +80,19 @@ class TestValidateConfig:
             problems=[{"name": "sdtlz1", "m": 3}, "idtlz2:4"]))
         assert config.problems == [("sdtlz1", 3), ("idtlz2", 4)]
 
+    def test_problem_mapping_rejects_unknown_keys(self):
+        # a per-problem reference point belongs in reference_points; inside
+        # a problem entry it would be dropped and the run would use the
+        # default point
+        raw = minimal_raw(problems=[{"name": "dtlz2", "m": 3,
+                                     "reference_point": [0.1, 0.2, 0.3]},
+                                    {"name": "dtlz2", "m": 2, 7: "x"}])
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw)
+        assert str(info.value).splitlines() == [
+            "problems[0].reference_point: unknown key",
+            "problems[1].7: unknown key"]
+
     def test_yaml_false_means_no_normalization(self):
         config = validate_config(minimal_raw(normalizations=["pp", False]))
         assert config.normalizations == ["pp", "no"]

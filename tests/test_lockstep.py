@@ -1,11 +1,12 @@
 """A cell's runs stepping together equal the same runs one at a time.
 
 ``_run_generational`` steps R runs at once: one tournament, variation and
-evaluation block per generation, then the state update, the selection and
-the recorder per run.  The reference runs each engine on its own through
-``conftest.oracle_run_generational``, the one-run loop with the oracle
-operators, fed the runner's own ``select``.  Equal populations, equal
-records and equal engine states after the run show that no run's draws
+evaluation block per generation, then one state update, one selection and
+one recorder call for all R runs.  The reference runs each engine on its
+own through ``conftest.oracle_run_generational``, the one-run loop with the
+oracle operators and the per-run oracle state, fed the runner's own
+``select`` and recorder.  Equal populations, equal records on each run's
+slice and equal engine states after the run show that no run's draws
 moved.  The lockstep rests on two more properties, checked below: stacked
 SBX and mutation blocks equal the per-run oracle operators, and an
 evaluated stack of blocks equals the blocks evaluated one by one.
@@ -25,10 +26,13 @@ from prefnorm.variation import polynomial_mutation_batch, sbx_batch
 MU, BUDGET = 12, 240
 
 
-def recording(log):
-    def recorder(evals, fs, state):
-        log.append((evals, fs.tobytes(), state.z_lb.tobytes(),
-                    state.z_ub.tobytes()))
+def recording(logs):
+    """A cell's recorder that logs each run's slice of every block."""
+    def recorder(evals, fs, state, runs):
+        for i, run in enumerate(runs):
+            logs[run].append((evals, fs[i].tobytes(),
+                              state.z_lb[i].tobytes(),
+                              state.z_ub[i].tobytes()))
     return recorder
 
 
@@ -38,16 +42,16 @@ def run_cell(algorithm, kind, problem, z, seeds):
     logs = [[] for _ in seeds]
     finals = algorithms.ALGORITHMS[algorithm](
         problem, z, kind, MU, BUDGET, engines, AlgorithmParams(),
-        [recording(log) for log in logs])
+        recording(logs))
     return ([f.tobytes() for f in finals], logs,
             [e.bit_generator.state for e in engines])
 
 
-def one_at_a_time(problem, kind, mu, budget, engines, params, recorders,
+def one_at_a_time(problem, kind, mu, budget, engines, params, recorder,
                   select):
     return [oracle_run_generational(problem, kind, mu, budget, engine,
-                                    params, recorder, select)
-            for engine, recorder in zip(engines, recorders)]
+                                    params, recorder, select, run)
+            for run, engine in enumerate(engines)]
 
 
 @pytest.mark.parametrize("runs", [1, 3])

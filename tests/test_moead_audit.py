@@ -6,7 +6,8 @@ looks up in ``prefnorm.algorithms`` (``neighborhoods``,
 does.  The replacement hook records, in call order, the slots each trial of
 the generation won.  The ``update_state`` hook sees the generation's final
 offspring batch, whose row i holds trial i's objectives, and checks every
-recorded trial against that row in turn.  The audit keeps its own copy of
+recorded trial against that row in turn; the runs go one after another, so
+the hook and the recorder see blocks of one run.  The audit keeps its own copy of
 the population objectives, changed only by those replacements, and
 re-derives every rule from ``conftest``'s oracles.  The run builds a
 generation's trials in one block and rebuilds its stale trials in waves,
@@ -90,10 +91,12 @@ class MoeadAudit:
             return won
 
         def watch_update_state(state, pop_objs, off_objs=None):
+            # a state of one run, updated with blocks of one run
+            assert state.z_lb.shape == (1, self.problem.m)
             if off_objs is None:
-                self.fs = np.array(pop_objs)
+                self.fs = np.array(pop_objs[0])
             else:
-                self.check_generation(np.array(off_objs))
+                self.check_generation(np.array(off_objs[0]))
             return update_state(state, pop_objs, off_objs)
 
         monkeypatch.setattr(algorithms, "neighborhoods", watch_neighborhoods)
@@ -135,14 +138,15 @@ class MoeadAudit:
         self.archive = survivors[survivors.argmax(axis=0)]
         return self.archive.max(axis=0)
 
-    def record(self, evals, fs, state):
-        assert fs.tobytes() == self.fs.tobytes()
+    def record(self, evals, fs, state, runs):
+        assert runs == range(1)
+        assert fs[0].tobytes() == self.fs.tobytes()
         batch = self.fs if self.batch is None else self.batch
         union = self.fs if self.batch is None else np.vstack([self.fs, batch])
         lowest = batch.min(axis=0)
         self.ideal = lowest if self.ideal is None else np.minimum(self.ideal,
                                                                   lowest)
-        z_lb, z_ub = state.z_lb, state.z_ub
+        z_lb, z_ub = state.z_lb[0], state.z_ub[0]
         if self.kind == "pp":
             assert np.array_equal(z_lb, union.min(axis=0))
             assert np.array_equal(z_ub, union.max(axis=0))
@@ -176,7 +180,7 @@ def audited_run(monkeypatch, name, m, kind, mu=12, budget=240):
         audit.install(patch)
         run_moead_nums(problem, z, kind, mu, budget,
                        [make_engine(100 * m + KINDS.index(kind))], params,
-                       [audit.record])
+                       audit.record)
     generations = budget // mu
     assert audit.generations == generations
     assert audit.trials == mu * (generations - 1)

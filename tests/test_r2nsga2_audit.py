@@ -53,7 +53,7 @@ class R2nsga2Audit:
         self.union = None       # (objectives, distances, r-dominance)
         self.levels = None      # the peel's (R, N) levels
         self.crowded: list[tuple[np.ndarray, np.ndarray]] = []
-        self.survivors = None   # each run's survivors, for its recorder
+        self.survivors = None   # each run's survivors, for the recorder
         self.keys = None        # the tournament keys the oracle expects
         self.generations = self.crowdings = 0
         self.lumps_reached = self.lumps_past = 0
@@ -151,12 +151,11 @@ class R2nsga2Audit:
         self.survivors = survivors
         self.keys = (np.array(ranks), np.array(dists))
 
-    def recorder(self, run):
-        def record(evals, fs, state):
-            assert fs.tobytes() == self.survivors[run].tobytes()
-            if run == 0:
-                self.generations += 1
-        return record
+    def record(self, evals, fs, state, runs):
+        assert runs == range(len(self.survivors))
+        for run in runs:
+            assert fs[run].tobytes() == self.survivors[run].tobytes()
+        self.generations += 1
 
 
 @pytest.mark.parametrize("kind", ["pp", "ba"])
@@ -170,7 +169,7 @@ def test_every_generation_matches_full_peel(name, m, kind, monkeypatch):
         run_r2nsga2(problem, default_reference_point(name, m), kind, MU,
                     BUDGET, [make_engine(m + 100 * r) for r in range(RUNS)],
                     AlgorithmParams(delta=DELTA),
-                    [audit.recorder(r) for r in range(RUNS)])
+                    audit.record)
     assert audit.generations == BUDGET // MU
     # the audit saw a level crowded, and cycles both inside the peel and
     # past it
