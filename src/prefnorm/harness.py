@@ -133,7 +133,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config root: expected a mapping")
     schema = fields(ExperimentConfig)
     errors = [f"{key}: unknown key"
-              for key in sorted(set(raw) - {f.name for f in schema})]
+              for key in sorted(set(raw) - {f.name for f in schema}, key=str)]
     # absent keys take the dataclass default; required ones stay MISSING
     v = {f.name: raw.get(f.name, f.default if f.default_factory is MISSING
                          else f.default_factory()) for f in schema}
@@ -223,7 +223,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         errors.append("params: expected a mapping")
         params = {}
     types = {f.name: f.type for f in fields(AlgorithmParams)}
-    for key in sorted(params):
+    for key in sorted(params, key=str):
         value, kind = params[key], types.get(key)
         if kind is None:
             errors.append(f"params.{key}: unknown parameter; "
@@ -244,7 +244,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     if not errors:
         instances = {f"{name}:{m}" for name, m in problems}
-        for key in sorted(set(refs) - instances):
+        for key in sorted(set(refs) - instances, key=str):
             errors.append(f"reference_points.{key}: not a problem of this "
                           "campaign")
         for name, m in problems:
@@ -526,16 +526,6 @@ def _instance_means(table: dict) -> dict[tuple[str, int, int],
     return means
 
 
-def _suite_ranks(means: dict, suite: str, checkpoint: int
-                 ) -> dict[str, float]:
-    table = {f"{prob}:m{m}": row for (prob, m, cp), row in means.items()
-             if prob in SUITES[suite] and cp == checkpoint}
-    if not table:
-        raise ValueError(f"no traces for suite {suite!r} at checkpoint "
-                         f"{checkpoint}")
-    return friedman_ranks_from_means(table)
-
-
 def _fmt(value) -> str:
     """Stable text form: shortest round-trip repr for floats."""
     if isinstance(value, (float, np.floating)):
@@ -613,9 +603,8 @@ def _write_tables(traces: list[RunTrace], config: ExperimentConfig,
     means = _instance_means(table)
     ranks: dict[tuple[str, int, int, str], float] = {}
     for (prob, m, checkpoint), row in means.items():
-        labels = sorted(row)
-        for treatment, rk in zip(labels, _midranks([row[t] for t in labels])):
-            ranks[(prob, m, checkpoint, treatment)] = float(rk)
+        for treatment, rk in friedman_ranks_from_means({prob: row}).items():
+            ranks[(prob, m, checkpoint, treatment)] = rk
     cells = sorted({(t.problem, t.m, t.treatment) for t in traces})
 
     last_cp = max(config.checkpoints)
@@ -659,13 +648,13 @@ def _write_tables(traces: list[RunTrace], config: ExperimentConfig,
     for suite in sorted(SUITES):
         count = len({(t.problem, t.m) for t in traces
                      if t.problem in SUITES[suite]})
-        if not count:
-            continue
         for checkpoint in config.checkpoints:
-            try:
-                avg = _suite_ranks(means, suite, checkpoint)
-            except ValueError:
+            suite_means = {f"{prob}:m{m}": row
+                           for (prob, m, cp), row in means.items()
+                           if prob in SUITES[suite] and cp == checkpoint}
+            if not suite_means:
                 continue
+            avg = friedman_ranks_from_means(suite_means)
             for treatment in sorted(avg):
                 suite_rows.append([suite, checkpoint, treatment,
                                    avg[treatment], count])

@@ -38,23 +38,21 @@ def update_bounded_archive_objs(arch_objs: np.ndarray,
     Parameters
     ----------
     arch_objs : np.ndarray
-        (..., a, m) objectives of each run's current archive, a <= m (a = 0
+        (R, a, m) objectives of each run's current archive, a <= m (a = 0
         initially).
     new_objs : np.ndarray
-        (..., N, m) objectives of each run's newly evaluated solutions.
+        (R, N, m) objectives of each run's newly evaluated solutions.
 
     Returns
     -------
     np.ndarray
-        (..., m, m) objectives of the refreshed archives, a run's row i
+        (R, m, m) objectives of the refreshed archives, a run's row i
         maximizing objective i over the non-dominated subset of its union.
     """
     pool = np.concatenate([arch_objs, np.asarray(new_objs, dtype=float)],
                           axis=-2)
-    *lead, size, m = pool.shape
-    if size == 0:
+    if pool.shape[1] == 0:
         raise ValueError("archive update needs at least one solution")
-    pool = pool.reshape(-1, size, m)
     keep = nondominated_mask(pool)
     # dominated rows sink below every survivor, so a run's slot i is its
     # first surviving maximizer; a max of -inf may land on a dominated row,
@@ -62,15 +60,14 @@ def update_bounded_archive_objs(arch_objs: np.ndarray,
     picks = np.where(keep[..., None], pool, -np.inf).argmax(axis=1)
     rows = np.arange(len(pool))[:, None]
     picks = np.where(keep[rows, picks], picks, keep.argmax(axis=1)[:, None])
-    return pool[rows, picks].reshape(*lead, m, m)
+    return pool[rows, picks]
 
 
 @dataclass
 class NormalizationState:
     """Mutable state of one normalization strategy for a block of runs.
 
-    With ``runs`` = R every array has a leading run axis, row r being run
-    r's; ``None`` leaves it out, for one run on its own.
+    Every array has a leading run axis, row r being run r's.
 
     Attributes
     ----------
@@ -78,7 +75,7 @@ class NormalizationState:
         One of ``pp``, ``bp``, ``ba``, ``no``.
     m : int
         Number of objectives.
-    runs : int or None
+    runs : int
         Number of runs in the block.
     z_lb, z_ub : np.ndarray
         (R, m) current estimated lower/upper objective bounds.
@@ -90,7 +87,7 @@ class NormalizationState:
 
     kind: str
     m: int
-    runs: int | None = None
+    runs: int
     z_lb: np.ndarray = field(init=False)
     z_ub: np.ndarray = field(init=False)
     best_min: np.ndarray = field(init=False)
@@ -100,11 +97,10 @@ class NormalizationState:
         if self.kind not in KINDS:
             raise ValueError(f"unknown normalization kind {self.kind!r}; "
                              f"known: {', '.join(KINDS)}")
-        lead = () if self.runs is None else (self.runs,)
-        self.z_lb = np.zeros((*lead, self.m))
-        self.z_ub = np.ones((*lead, self.m))
-        self.best_min = np.full((*lead, self.m), np.inf)
-        self.arch_objs = np.empty((*lead, 0, self.m))
+        self.z_lb = np.zeros((self.runs, self.m))
+        self.z_ub = np.ones((self.runs, self.m))
+        self.best_min = np.full((self.runs, self.m), np.inf)
+        self.arch_objs = np.empty((self.runs, 0, self.m))
 
 
 def update_state(state: NormalizationState, pop_objs: np.ndarray,
@@ -120,7 +116,7 @@ def update_state(state: NormalizationState, pop_objs: np.ndarray,
     if state.kind == "no":
         return state
     pop_objs = np.asarray(pop_objs, dtype=float)
-    if off_objs is None or np.shape(off_objs)[-2] == 0:
+    if off_objs is None:
         union = pop_objs
         batch = pop_objs
     else:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
@@ -82,7 +81,7 @@ def fronts_from_matrix(dom: np.ndarray, size: int | None = None
                        ) -> np.ndarray:
     """Peel the non-domination levels of every population in a block.
 
-    ``dom`` holds one (N, N) relation per population, (..., N, N) in all;
+    ``dom`` holds one (N, N) relation per population, (R, N, N) in all;
     the peel takes one level of every population per step.  Works for any
     irreflexive relation.  If a population's relation contains a cycle
     (possible for r-dominance with intermediate delta), its remaining
@@ -93,19 +92,17 @@ def fronts_from_matrix(dom: np.ndarray, size: int | None = None
     Returns
     -------
     np.ndarray
-        (..., N) level of each member, level 0 first; a member the peel
+        (R, N) level of each member, level 0 first; a member the peel
         did not reach gets level N.
     """
     dom = np.asarray(dom)
-    shape = dom.shape
-    if dom.ndim < 2 or shape[-1] != shape[-2]:
-        raise ValueError("expected square (..., N, N) dominance matrices, "
-                         f"got shape {shape}")
-    n = shape[-1]
+    if dom.ndim != 3 or dom.shape[-1] != dom.shape[-2]:
+        raise ValueError("expected square (R, N, N) dominance matrices, "
+                         f"got shape {dom.shape}")
+    n = dom.shape[-1]
     if size is not None and size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     size = n if size is None else min(size, n)
-    dom = dom.reshape(math.prod(shape[:-2]), n, n)
     levels = np.full(dom.shape[:2], n)
     todo = [size] * len(dom)
     level = 0
@@ -135,12 +132,12 @@ def fronts_from_matrix(dom: np.ndarray, size: int | None = None
         zero = (np.vecmat(free, dom32) == 0) & free
         if not all(live):
             zero &= np.array(live)[:, None]
-    return levels.reshape(shape[:-1])
+    return levels
 
 
 def nondominated_sort(objs: np.ndarray, size: int | None = None
-                      ) -> np.ndarray | list[list[int]]:
-    """Fast non-dominated sorting of every population in an (..., N, m)
+                      ) -> np.ndarray:
+    """Fast non-dominated sorting of every population in an (R, N, m)
     objective block.
 
     Sorting a population stops once its levels hold at least ``size``
@@ -150,37 +147,29 @@ def nondominated_sort(objs: np.ndarray, size: int | None = None
 
     Returns
     -------
-    np.ndarray or list of list of int
-        A block of R populations gets the (R, N) level array of
-        :func:`fronts_from_matrix`.  One (N, m) population gets its index
-        partition by non-domination level, level 0 first.
+    np.ndarray
+        The (R, N) level array of :func:`fronts_from_matrix`.
     """
     objs = np.asarray(objs, dtype=float)
-    if objs.ndim < 2:
-        raise ValueError("expected an (..., N, m) objective array")
-    levels = fronts_from_matrix(domination_matrix(objs), size)
-    if objs.ndim > 2:
-        return levels
-    placed = levels[levels < len(levels)]
-    return [np.flatnonzero(levels == k).tolist()
-            for k in range(placed.max() + 1 if placed.size else 0)]
+    if objs.ndim != 3:
+        raise ValueError("expected an (R, N, m) objective block, "
+                         f"got shape {objs.shape}")
+    return fronts_from_matrix(domination_matrix(objs), size)
 
 
-def crowding_distance(objs: np.ndarray, groups: np.ndarray | None = None
-                      ) -> np.ndarray:
+def crowding_distance(objs: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """Crowding distance of each row of ``objs`` within its front.
 
     ``groups`` labels the front of each of the (K, m) rows with a
-    non-negative integer, so one call scores every front of a block;
-    ``None`` makes the rows one front.  Boundary solutions of a front per
-    objective get infinity; interior ones accumulate the normalized gap
-    between their neighbours.  A zero objective range contributes nothing,
-    and a front of at most two rows is all boundary.  Ties in an objective
-    keep row order.
+    non-negative integer, so one call scores every front of a block.
+    Boundary solutions of a front per objective get infinity; interior
+    ones accumulate the normalized gap between their neighbours.  A zero
+    objective range contributes nothing, and a front of at most two rows
+    is all boundary.  Ties in an objective keep row order.
     """
     objs = np.asarray(objs, dtype=float)
     k, m = objs.shape
-    groups = np.zeros(k, dtype=int) if groups is None else np.asarray(groups)
+    groups = np.asarray(groups)
     dist = np.zeros(k)
     if k == 0:
         return dist

@@ -48,20 +48,22 @@ def test_criterion_01_bounded_archive_matches_unbounded_oracle():
     rng = np.random.default_rng(2026)
     start = time.time()
     checked = 0
+    block = 25  # streams fed as one block of runs: <= 12 MB of points
     for m in range(2, 7):
-        for _ in range(1000):
-            gauss = np.abs(rng.standard_normal((10000, m)))
-            points = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+        for _ in range(0, 1000, block):
+            gauss = np.abs(np.stack([rng.standard_normal((10000, m))
+                                     for _ in range(block)]))
+            points = gauss / np.linalg.norm(gauss, axis=2, keepdims=True)
             # the ba state feeds each batch to its archive and reads the
-            # nadir estimate off it as z_ub
-            state = NormalizationState("ba", m)
-            oracle = np.full(m, -np.inf)
+            # nadir estimate off it as z_ub, one row per stream
+            state = NormalizationState("ba", m, block)
+            oracle = np.full((block, m), -np.inf)
             for lo in range(0, 10000, 100):
-                batch = points[lo:lo + 100]
+                batch = points[:, lo:lo + 100]
                 update_state(state, batch)
-                oracle = np.maximum(oracle, batch.max(axis=0))
+                oracle = np.maximum(oracle, batch.max(axis=1))
                 assert np.array_equal(state.z_ub, oracle)
-                checked += 1
+                checked += block
     elapsed = time.time() - start
     assert elapsed < 120.0
     print(f"criterion 1: PASS — {checked} batch updates equal the "
@@ -134,7 +136,9 @@ def test_criterion_04_sorting_matches_brute_force():
         else:
             # quantized values force ties and duplicate rows
             objs = rng.integers(0, 4, size=(n, m)).astype(float)
-        got = [sorted(front) for front in nondominated_sort(objs)]
+        levels = nondominated_sort(objs[None])[0]
+        got = [np.flatnonzero(levels == k).tolist()
+               for k in range(levels.max() + 1)]
         assert got == brute_force_fronts(objs)
     print("criterion 4: PASS — 500 populations match the brute-force "
           "partition exactly")

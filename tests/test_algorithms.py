@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (oracle_dominates, oracle_epsilon_clear,
+from conftest import (OracleState, oracle_dominates, oracle_epsilon_clear,
                       oracle_epsilon_matrix, oracle_moead_nums_replacement,
                       oracle_rnsga2_environmental_selection,
                       oracle_run_moead_nums)
@@ -21,7 +21,7 @@ from prefnorm.algorithms import (AASF_RHO, ALGORITHMS, AlgorithmParams,
                                  rnsga2_environmental_selection, run_nsga2,
                                  run_moead_nums, run_rnsga2,
                                  weighted_ref_distance)
-from prefnorm.normalization import KINDS, NormalizationState, normalize_value
+from prefnorm.normalization import KINDS, normalize_value
 from prefnorm.problems import problem_names
 from prefnorm.ranking import _sq_dists, nondominated_sort
 
@@ -296,16 +296,14 @@ class TestRnsga2Selection:
                 uf, dists, 10, 0.05, IDENT_LB, IDENT_UB, make_engine(trial))
             assert keep.size == 10
             assert len(set(keep.tolist())) == 10
-            rank = np.empty(24, dtype=int)
-            for level, front in enumerate(nondominated_sort(uf)):
-                rank[np.asarray(front, dtype=int)] = level
+            rank = nondominated_sort(uf[None])[0]
             dropped = sorted(set(range(24)) - set(keep.tolist()))
             assert rank[keep].max() <= rank[dropped].min()
             # the reported levels are the survivors' union levels, and
             # also their levels when the survivors are sorted alone
             assert np.array_equal(kept_rank, rank[keep])
-            for level, front in enumerate(nondominated_sort(uf[keep])):
-                assert np.all(kept_rank[np.asarray(front, dtype=int)] == level)
+            assert np.array_equal(kept_rank,
+                                  nondominated_sort(uf[keep][None])[0])
 
     @given(n=st.integers(1, 120), m=st.integers(2, 5), data=st.data(),
            epsilon=st.sampled_from([0.0, 0.05, 0.2, 1.0]),
@@ -349,12 +347,11 @@ class TestMoeadReplacement:
                    [0.6, 0.4], [0.8, 0.2]])
     NB = np.arange(5)
 
-    def call(self, trial, max_replace, seed, state=None):
-        state = state or NormalizationState("no", 2)
+    def call(self, trial, max_replace, seed):
         trial_vals = aasf(np.asarray(trial, dtype=float), ORIGIN,
-                          self.WEIGHTS[self.NB], state.z_lb, state.z_ub)
-        incumbent = aasf(self.FS, ORIGIN, self.WEIGHTS, state.z_lb,
-                         state.z_ub)[self.NB]
+                          self.WEIGHTS[self.NB], IDENT_LB, IDENT_UB)
+        incumbent = aasf(self.FS, ORIGIN, self.WEIGHTS, IDENT_LB,
+                         IDENT_UB)[self.NB]
         order = make_engine(seed).permutation(self.NB.size)
         return self.NB[moead_nums_replacement(trial_vals, incumbent,
                                               max_replace, order)]
@@ -387,13 +384,10 @@ class TestMoeadReplacement:
     def test_uses_normalized_objectives(self):
         # raw objectives would let the trial win; with the first range
         # stretched to 10 the normalized comparison rejects it
-        state = NormalizationState("no", 2)
-        state.z_ub = np.array([10.0, 1.0])
+        z_ub = np.array([10.0, 1.0])
         w = np.array([[0.5, 0.5]])
-        trial_vals = aasf(np.array([1.0, 0.9]), ORIGIN, w, state.z_lb,
-                          state.z_ub)
-        incumbent = aasf(np.array([[2.0, 0.1]]), ORIGIN, w, state.z_lb,
-                         state.z_ub)
+        trial_vals = aasf(np.array([1.0, 0.9]), ORIGIN, w, IDENT_LB, z_ub)
+        incumbent = aasf(np.array([[2.0, 0.1]]), ORIGIN, w, IDENT_LB, z_ub)
         rep = moead_nums_replacement(trial_vals, incumbent, 5, np.arange(1))
         assert rep.size == 0
 
@@ -458,7 +452,7 @@ class TestMoeadByteIdentity:
         z = rng.random(m) - 0.25
         # a tied trial duplicates one incumbent of the neighbourhood
         trial_f = fs[nb[0]].copy() if tie else rng.random(m)
-        state = NormalizationState("no", m)
+        state = OracleState("no", m)
         if bounds != "identity":
             state.z_lb = rng.random(m) - 0.5
             state.z_ub = (state.z_lb if bounds == "flat"

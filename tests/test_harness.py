@@ -202,6 +202,12 @@ class TestValidateConfig:
          "params.mutation_prob: must be [0, 1]"),
         (minimal_raw(params={"de_cr": 1.5}), "params.de_cr: must be [0, 1]"),
         (minimal_raw(params={"de_cr": -1}), "params.de_cr: must be [0, 1]"),
+        # a YAML mapping may mix int and str keys; each is still reported
+        ({**minimal_raw(), 1: 2, "x": 3}, "1: unknown key"),
+        (minimal_raw(params={1: 2, "tau": 0.3}),
+         "params.1: unknown parameter"),
+        (minimal_raw(reference_points={1: [0.5, 0.5], "x": [1, 2]}),
+         "reference_points.1: not a problem of this campaign"),
     ])
     def test_rejects_malformed_values(self, raw, fragment):
         with pytest.raises(ConfigError, match=re.escape(fragment)):

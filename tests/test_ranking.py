@@ -118,7 +118,7 @@ def test_nondominated_sort_matches_oracle(m):
         engine = make_engine(trial * 10 + m)
         n = int(engine.integers(1, 80))
         objs = random_objs(engine, n, m, duplicates=True)
-        got = nondominated_sort(objs)
+        got = level_fronts(nondominated_sort(objs[None])[0])
         want = oracle_sort(objs)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -127,7 +127,7 @@ def test_nondominated_sort_matches_oracle(m):
 
 def test_sort_levels_partition_population(engine):
     objs = random_objs(engine, 50, 3)
-    fronts = nondominated_sort(objs)
+    fronts = level_fronts(nondominated_sort(objs[None])[0])
     flat = sorted(i for front in fronts for i in front)
     assert flat == list(range(50))
 
@@ -135,7 +135,7 @@ def test_sort_levels_partition_population(engine):
 def test_fronts_from_matrix_handles_cycles():
     # a beats b, b beats c, c beats a: no level-0 member exists
     dom = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=bool)
-    assert fronts_from_matrix(dom).tolist() == [0, 0, 0]
+    assert fronts_from_matrix(dom[None])[0].tolist() == [0, 0, 0]
 
 
 def random_relation(rng, n, kind, density):
@@ -167,6 +167,14 @@ def prefix_levels(fronts, k, n):
     return levels
 
 
+def level_fronts(levels):
+    """Index lists of one population's levels, level 0 first; members at
+    level N, which the sort did not reach, are left out."""
+    placed = levels[levels < len(levels)]
+    return [np.flatnonzero(levels == k).tolist()
+            for k in range(placed.max() + 1 if placed.size else 0)]
+
+
 def lumps_logged(caplog, name):
     return sum(rec.name == name and "cyclic" in rec.getMessage()
                for rec in caplog.records)
@@ -184,7 +192,7 @@ def test_fronts_from_matrix_matches_full_peel(n, data, kind, density, seed,
     size = data.draw(st.one_of(st.none(), st.integers(0, n + 1)))
     caplog.clear()
     want = oracle_fronts_from_matrix(dom)
-    got = fronts_from_matrix(dom, size)
+    got = fronts_from_matrix(dom[None], size)[0]
     # the shortest prefix of the full peel that holds size members
     placed = np.cumsum([0] + [len(front) for front in want])
     k = len(want) if size is None else int(np.searchsorted(
@@ -208,7 +216,7 @@ def test_nondominated_sort_stops_at_size(n, m, data, seed):
         objs[rng.random(n) < 0.2] = objs[0]
     objs[rng.random((n, m)) < 0.1] = -0.0
     size = data.draw(st.integers(0, n + 1))
-    got = nondominated_sort(objs, size)
+    got = level_fronts(nondominated_sort(objs[None], size)[0])
     want = [front.tolist() for front in oracle_sort(objs)]
     assert got == want[:len(got)]
     sizes = [len(front) for front in got]
@@ -224,34 +232,35 @@ def test_fronts_from_matrix_rejects_non_square(shape):
 
 def test_sort_rejects_negative_size():
     with pytest.raises(ValueError, match="size must be >= 0, got -1"):
-        fronts_from_matrix(np.zeros((3, 3), dtype=bool), -1)
+        fronts_from_matrix(np.zeros((1, 3, 3), dtype=bool), -1)
     with pytest.raises(ValueError, match="size must be >= 0, got -2"):
-        nondominated_sort(np.zeros((3, 2)), -2)
+        nondominated_sort(np.zeros((1, 3, 2)), -2)
 
 
 def test_crowding_distance_three_collinear_points():
     objs = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
-    dist = crowding_distance(objs)
+    dist = crowding_distance(objs, [0, 0, 0])
     assert np.isinf(dist[0]) and np.isinf(dist[2])
     assert dist[1] == pytest.approx(2.0)
 
 
 def test_crowding_distance_small_fronts_all_infinite():
-    assert np.all(np.isinf(crowding_distance(np.array([[1.0, 2.0]]))))
+    assert np.all(np.isinf(crowding_distance(np.array([[1.0, 2.0]]), [0])))
     assert np.all(np.isinf(crowding_distance(np.array([[1.0, 2.0],
-                                                       [2.0, 1.0]]))))
+                                                       [2.0, 1.0]]),
+                                             [0, 0])))
 
 
 def test_crowding_distance_rewards_isolation():
     # four points on a line; the big gap around index 2 beats index 1
     objs = np.array([[0.0, 1.0], [0.1, 0.9], [0.5, 0.5], [1.0, 0.0]])
-    dist = crowding_distance(objs)
+    dist = crowding_distance(objs, [0, 0, 0, 0])
     assert dist[2] > dist[1]
 
 
 def test_crowding_distance_constant_objective_contributes_nothing():
     objs = np.array([[0.0, 5.0], [0.5, 5.0], [1.0, 5.0]])
-    dist = crowding_distance(objs)
+    dist = crowding_distance(objs, [0, 0, 0])
     # second objective has zero range; only the first one spreads
     assert dist[1] == pytest.approx(1.0)
 
