@@ -81,7 +81,7 @@ def measure(name: str, m: int, seed: int) -> GapWatch:
 
     algorithms.update_state = watched
     try:
-        ALGORITHMS[name](problem, default_reference_point("dtlz2", m), "ba",
+        ALGORITHMS[name](problem, default_reference_point("dtlz2", m), ["ba"],
                          MU, BUDGET, [make_engine(seed)], AlgorithmParams())
     finally:
         algorithms.update_state = update_state

@@ -39,8 +39,9 @@ def us_per_offspring(name: str, m: int, seeds) -> float:
     problem = get_problem("dtlz2", m)
     evals = []
     start = time.process_time()
-    ALGORITHMS[name](problem, default_reference_point("dtlz2", m), "ba", MU,
-                     BUDGET, [make_engine(seed) for seed in seeds],
+    ALGORITHMS[name](problem, default_reference_point("dtlz2", m),
+                     ["ba"] * len(seeds), MU, BUDGET,
+                     [make_engine(seed) for seed in seeds],
                      AlgorithmParams(),
                      lambda done, fs, state, runs: evals.append(done))
     offspring = len(seeds) * (evals[-1] - MU)

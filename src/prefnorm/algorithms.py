@@ -39,14 +39,14 @@ from .variation import (de_rand_1, de_rand_1_draws, polynomial_mutation,
 from .weights import neighborhoods, nums_shift, uniform_simplex_set
 
 AASF_RHO = 1e-6
-# member pairs one survivor-selection call covers: the runs of a cell are
+# member pairs one survivor-selection call covers: the runs of a block are
 # selected in groups whose (N, N) relations stay in cache, so 31 runs of a
 # 40-member union are one call and 200-member unions go six at a time
 SELECT_PAIRS = 2**18
 
-# a cell's observer, called at every generation boundary with (evals,
+# a runner's observer, called at every generation boundary with (evals,
 # objectives, state, runs): the (R', N, m) objectives and the state of a
-# block that holds the R' runs of the cell's range ``runs``
+# block that holds the R' runs of the runner's range ``runs``
 Recorder = Callable[[int, np.ndarray, NormalizationState, range], None]
 
 
@@ -124,19 +124,18 @@ def epsilon_clear(points: np.ndarray, epsilon: float,
     order = engine.permutation(n)
     close = _sq_dists(points, points) < epsilon * epsilon
     np.fill_diagonal(close, False)
-    crowded = close.any(axis=1)
+    # closeness is symmetric, so a point with no neighbour within epsilon
+    # is never blocked and blocks nothing: only crowded points are walked
+    walk = order[close.any(axis=1)[order]]
     # blocked marks the points within epsilon of a survivor so far
     blocked = np.zeros(n, dtype=bool)
-    kept: list[int] = []
-    reserve: list[int] = []
-    for pos in order.tolist():
+    cleared = np.zeros(n, dtype=bool)
+    for pos in walk.tolist():
         if blocked[pos]:
-            reserve.append(pos)
-            continue
-        kept.append(pos)
-        if crowded[pos]:
+            cleared[pos] = True
+        else:
             blocked |= close[pos]
-    return np.asarray(kept, dtype=int), np.asarray(reserve, dtype=int)
+    return order[~cleared[order]], walk[cleared[walk]]
 
 
 def _random_population(problem: Problem, mu: int,
@@ -165,7 +164,11 @@ def _ga_offspring(xs: np.ndarray, winners: np.ndarray, problem: Problem,
                                      params.mutation_prob)
 
 
-def _check_setup(mu: int, budget: int, m: int) -> None:
+def _check_setup(mu: int, budget: int, m: int, kinds: Sequence[str],
+                 engines: Sequence[np.random.Generator]) -> None:
+    if len(kinds) != len(engines):
+        raise ValueError(f"kinds and engines must pair up one to one, got "
+                         f"{len(kinds)} kinds and {len(engines)} engines")
     if mu < 4:
         raise ValueError(f"mu must be >= 4, got {mu}")
     if mu < 2 * m:
@@ -204,8 +207,8 @@ def _front_labels(levels: np.ndarray) -> np.ndarray:
     return levels + (levels.shape[1] + 1) * np.arange(len(levels))[:, None]
 
 
-def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
-                      engines: Sequence[np.random.Generator],
+def _run_generational(problem: Problem, kinds: Sequence[str], mu: int,
+                      budget: int, engines: Sequence[np.random.Generator],
                       params: AlgorithmParams, recorder: Recorder | None,
                       select: Callable) -> list[np.ndarray]:
     """The NSGA-II generational loop with a pluggable survivor selection.
@@ -213,23 +216,24 @@ def _run_generational(problem: Problem, kind: str, mu: int, budget: int,
     The runs of ``engines`` step together: a generation's tournament, SBX
     and mutation form one (R, mu, n) block, run r drawing from
     ``engines[r]`` in its own order, and its R·mu offspring one evaluation.
-    One state of R runs takes the update, and ``recorder`` sees all R runs
-    in one call.  Then ``select(union_objs, z_lb, z_ub, engines)`` takes
-    the (R, 2·mu, m) union and the (R, m) bounds as one block, or in groups
-    of runs that fit :data:`SELECT_PAIRS`, and returns the (R, mu)
-    survivors' positions and their primary and secondary tournament keys
-    (lower wins); a selection that draws takes run r's draws from
-    ``engines[r]``.  Returns each run's final (mu, m) objectives.
+    One state of R runs, run r normalizing by ``kinds[r]``, takes the
+    update, and ``recorder`` sees all R runs in one call.  Then
+    ``select(union_objs, z_lb, z_ub, engines)`` takes the (R, 2·mu, m)
+    union and the (R, m) bounds as one block, or in groups of runs that fit
+    :data:`SELECT_PAIRS`, and returns the (R, mu) survivors' positions and
+    their primary and secondary tournament keys (lower wins); a selection
+    that draws takes run r's draws from ``engines[r]``.  Returns each run's
+    final (mu, m) objectives.
     """
     if mu % 2:
         raise ValueError(f"mu must be even, got {mu}")
-    _check_setup(mu, budget, problem.m)
+    _check_setup(mu, budget, problem.m, kinds, engines)
     runs = range(len(engines))
     rows = np.arange(len(engines))[:, None]
     xs = _random_population(problem, mu, engines)
     fs = _evaluate(problem, xs)
     evals = mu
-    state = NormalizationState(kind, problem.m, len(engines))
+    state = NormalizationState(kinds, problem.m)
     update_state(state, fs)
     # the initial population keys itself through the same selection; every
     # member survives, so only the selection's reordering is undone
@@ -268,8 +272,8 @@ def _select_groups(select: Callable, uf: np.ndarray,
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
-              budget: int, engines: Sequence[np.random.Generator],
+def run_nsga2(problem: Problem, z: np.ndarray, kinds: Sequence[str],
+              mu: int, budget: int, engines: Sequence[np.random.Generator],
               params: AlgorithmParams | None = None,
               recorder: Recorder | None = None) -> list[np.ndarray]:
     """Plain NSGA-II; ``z`` is ignored, the state is tracked for recording.
@@ -289,7 +293,7 @@ def run_nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
         rows = np.arange(len(uf))[:, None]
         return keep, levels[rows, keep], crowd[rows, keep]
 
-    return _run_generational(problem, kind, mu, budget, engines,
+    return _run_generational(problem, kinds, mu, budget, engines,
                              params or AlgorithmParams(), recorder, select)
 
 
@@ -324,8 +328,8 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
     return keep, levels[np.arange(len(uf))[:, None], keep]
 
 
-def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
-               budget: int, engines: Sequence[np.random.Generator],
+def run_rnsga2(problem: Problem, z: np.ndarray, kinds: Sequence[str],
+               mu: int, budget: int, engines: Sequence[np.random.Generator],
                params: AlgorithmParams | None = None,
                recorder: Recorder | None = None) -> list[np.ndarray]:
     """Reference-distance R-NSGA-II."""
@@ -339,12 +343,12 @@ def run_rnsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
             uf, dist, mu, params.epsilon_clear, z_lb, z_ub, engines)
         return keep, rank, dist[np.arange(len(uf))[:, None], keep]
 
-    return _run_generational(problem, kind, mu, budget, engines, params,
+    return _run_generational(problem, kinds, mu, budget, engines, params,
                              recorder, select)
 
 
-def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
-                budget: int, engines: Sequence[np.random.Generator],
+def run_r2nsga2(problem: Problem, z: np.ndarray, kinds: Sequence[str],
+                mu: int, budget: int, engines: Sequence[np.random.Generator],
                 params: AlgorithmParams | None = None,
                 recorder: Recorder | None = None) -> list[np.ndarray]:
     """NSGA-II with the r-dominance relation replacing Pareto dominance."""
@@ -366,7 +370,7 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kind: str, mu: int,
         rows = np.arange(len(uf))[:, None]
         return keep, levels[rows, keep], dist[rows, keep]
 
-    return _run_generational(problem, kind, mu, budget, engines, params,
+    return _run_generational(problem, kinds, mu, budget, engines, params,
                              recorder, select)
 
 
@@ -384,8 +388,9 @@ def moead_nums_replacement(trial_vals: np.ndarray, incumbent: np.ndarray,
     return order[(trial_vals < incumbent)[order]][:max_replace]
 
 
-def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
-                   budget: int, engines: Sequence[np.random.Generator],
+def run_moead_nums(problem: Problem, z: np.ndarray, kinds: Sequence[str],
+                   mu: int, budget: int,
+                   engines: Sequence[np.random.Generator],
                    params: AlgorithmParams | None = None,
                    recorder: Recorder | None = None) -> list[np.ndarray]:
     """Decomposition search on a weight set shifted toward ``z``.
@@ -413,14 +418,15 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     for nothing, is discarded and never counts against the budget.
     Replacement against the cached incumbents stays sequential, so the
     result is the same, byte for byte, as building every trial in turn.
-    The runs of ``engines`` go one after another.
+    The runs of ``engines`` go one after another, run r normalizing by
+    ``kinds[r]``.
     """
     params = params or AlgorithmParams()
     if params.rho <= 0.0:
         raise ValueError(f"rho must be positive, got {params.rho}")
     if params.max_replace < 1:
         raise ValueError(f"max_replace must be >= 1, got {params.max_replace}")
-    _check_setup(mu, budget, problem.m)
+    _check_setup(mu, budget, problem.m, kinds, engines)
     t_size = min(params.neighborhood_t, mu)
     if t_size < 4:
         raise ValueError("a neighbourhood needs at least 4 slots (the target "
@@ -428,7 +434,7 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kind: str, mu: int,
     z = np.asarray(z, dtype=float)
     return [_moead_nums_run(problem, z, kind, mu, budget, engine, params,
                             t_size, recorder, range(run, run + 1))
-            for run, engine in enumerate(engines)]
+            for run, (kind, engine) in enumerate(zip(kinds, engines))]
 
 
 def _moead_nums_run(problem: Problem, z: np.ndarray, kind: str, mu: int,
@@ -446,7 +452,7 @@ def _moead_nums_run(problem: Problem, z: np.ndarray, kind: str, mu: int,
     xs = _random_population(problem, mu, [engine])[0]
     fs = problem.evaluate_batch(xs)
     evals = mu
-    state = NormalizationState(kind, problem.m, 1)
+    state = NormalizationState((kind,), problem.m)
     update_state(state, fs[None])
     if recorder:
         recorder(evals, fs[None], state, run)

@@ -326,7 +326,8 @@ def cell_id(problem: str, m: int, algorithm: str, normalization: str) -> str:
 
 def _checkpoint_recorder(checkpoints: tuple[int, ...], roi: RoiReferenceSet,
                          records: list[list[dict]]) -> Recorder:
-    """A cell's recorder: one indicator record per run and checkpoint passed.
+    """A group's recorder: one indicator record per run and checkpoint
+    passed.
 
     Run r's records go to ``records[r]``.  A call scores the block of runs
     it is handed at once, whichever of them has a checkpoint due.
@@ -360,22 +361,25 @@ def _checkpoint_recorder(checkpoints: tuple[int, ...], roi: RoiReferenceSet,
     return recorder
 
 
-def _execute_cell(problem_name: str, m: int, algorithm: str,
-                  normalization: str, seeds: list[int],
-                  config: ExperimentConfig, z: np.ndarray,
-                  roi: RoiReferenceSet) -> list[RunTrace]:
-    """The traces of a cell's runs, one per seed, all run in one call."""
-    records: list[list[dict]] = [[] for _ in seeds]
+def _execute_group(problem_name: str, m: int, algorithm: str,
+                   kinds: list[str], seeds: list[int],
+                   config: ExperimentConfig, z: np.ndarray,
+                   roi: RoiReferenceSet) -> list[RunTrace]:
+    """The traces of a (problem, m, algorithm) group's runs, all run in one
+    call: ``config.runs`` runs of each of ``kinds``, kind after kind, with
+    one seed per run."""
+    per_run = [kind for kind in kinds for _ in range(config.runs)]
+    records: list[list[dict]] = [[] for _ in per_run]
     finals = ALGORITHMS[algorithm](
-        get_problem(problem_name, m), z, normalization, config.mu,
-        config.budget, [make_engine(seed) for seed in seeds],
+        get_problem(problem_name, m), z, per_run, config.mu, config.budget,
+        [make_engine(seed) for seed in seeds],
         AlgorithmParams(**config.params),
         _checkpoint_recorder(config.checkpoints, roi, records))
     return [RunTrace(problem=problem_name, m=m, algorithm=algorithm,
-                     normalization=normalization, run_index=run_index,
+                     normalization=kind, run_index=row % config.runs,
                      seed=seed, records=log, final_objs=final)
-            for run_index, (seed, log, final)
-            in enumerate(zip(seeds, records, finals))]
+            for row, (kind, seed, log, final)
+            in enumerate(zip(per_run, seeds, records, finals))]
 
 
 def build_cell_roi(config: ExperimentConfig, problem_name: str,
@@ -391,10 +395,10 @@ def build_cell_roi(config: ExperimentConfig, problem_name: str,
     return z, roi
 
 
-def _attempt_cell(task: tuple) -> list[RunTrace] | str:
-    """A cell's traces, or the message of the error that stopped it."""
+def _attempt_group(task: tuple) -> list[RunTrace] | str:
+    """A group's traces, or the message of the error that stopped it."""
     try:
-        return _execute_cell(*task)
+        return _execute_group(*task)
     except Exception as exc:
         return str(exc)
 
@@ -403,41 +407,46 @@ def execute_campaign(config: ExperimentConfig,
                      workers: int = 1) -> list[RunTrace]:
     """Run every cell of the campaign; traces come back in canonical order.
 
-    A cell is the unit of work: one runner call steps its runs together
-    (see :func:`algorithms._run_generational` for what is batched across
-    runs and what stays per run), and an error fails all of its runs.
-    ``workers`` > 1 runs the cells in that many processes; the traces and
-    the files written from them do not depend on it.
+    A (problem, m, algorithm) group is the unit of work: one runner call
+    steps the runs of all its normalization kinds together, kind after kind
+    in config order (see :func:`algorithms._run_generational` for what is
+    batched across runs and what stays per run), and an error fails all of
+    its runs.  ``workers`` > 1 runs the groups in that many processes; the
+    traces and the files written from them do not depend on it.
     """
     if workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {workers}")
+    kinds = config.normalizations
     tasks = []
     for name, m in config.problems:
         z, roi = build_cell_roi(config, name, m)
         for algorithm in config.algorithms:
-            for kind in config.normalizations:
-                cid = cell_id(name, m, algorithm, kind)
-                seeds = [derive_run_seed(config.seed, cid, run_index)
-                         for run_index in range(config.runs)]
-                tasks.append((name, m, algorithm, kind, seeds, config, z, roi))
-    total = len(tasks) * config.runs
+            seeds = [derive_run_seed(config.seed,
+                                     cell_id(name, m, algorithm, kind),
+                                     run_index)
+                     for kind in kinds for run_index in range(config.runs)]
+            tasks.append((name, m, algorithm, kinds, seeds, config, z, roi))
+    total = len(tasks) * len(kinds) * config.runs
     traces: list[RunTrace] = []
     failures: list[str] = []
     with contextlib.ExitStack() as stack:
         run_all = map
         if workers > 1:
-            logger.info("running %d cells (%d runs) on %d workers",
+            logger.info("running %d groups (%d runs) on %d workers",
                         len(tasks), total, workers)
             run_all = stack.enter_context(
                 concurrent.futures.ProcessPoolExecutor(workers)).map
-        for task, outcome in zip(tasks, run_all(_attempt_cell, tasks)):
+        for task, outcome in zip(tasks, run_all(_attempt_group, tasks)):
             if isinstance(outcome, list):
                 traces.extend(outcome)
                 continue
-            for run_index in range(config.runs):
-                label = f"{cell_id(*task[:4])} run {run_index}"
-                logger.error("run failed: %s: %s", label, outcome)
-                failures.append(f"{label}: {outcome}")
+            name, m, algorithm = task[:3]
+            for kind in kinds:
+                for run_index in range(config.runs):
+                    label = (f"{cell_id(name, m, algorithm, kind)} "
+                             f"run {run_index}")
+                    logger.error("run failed: %s: %s", label, outcome)
+                    failures.append(f"{label}: {outcome}")
     if failures:
         raise RuntimeError("%d of %d runs failed:\n%s"
                            % (len(failures), total, "\n".join(failures)))

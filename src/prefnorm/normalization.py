@@ -20,6 +20,7 @@ approximates it, since a vector extreme in no objective leaves the archive.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,42 +66,61 @@ def update_bounded_archive_objs(arch_objs: np.ndarray,
 
 @dataclass
 class NormalizationState:
-    """Mutable state of one normalization strategy for a block of runs.
+    """Mutable state of the normalization strategies of a block of runs.
 
-    Every array has a leading run axis, row r being run r's.
+    Every array has a leading run axis, row r being run r's.  Each run
+    follows its own kind; the runs of one kind form one contiguous slice.
 
     Attributes
     ----------
-    kind : str
-        One of ``pp``, ``bp``, ``ba``, ``no``.
+    kinds : tuple[str, ...]
+        One of ``pp``, ``bp``, ``ba``, ``no`` per run.
     m : int
         Number of objectives.
     runs : int
-        Number of runs in the block.
+        Number of runs in the block, ``len(kinds)``.
+    slices : dict[str, slice]
+        Each kind's rows, in block order.
     z_lb, z_ub : np.ndarray
         (R, m) current estimated lower/upper objective bounds.
     best_min : np.ndarray
-        (R, m) running componentwise minimum (bp/ba).
+        (R, m) running componentwise minimum (bp/ba rows).
     arch_objs : np.ndarray
-        (R, a, m) objectives of the bounded archives (ba), a <= m.
+        (B, a, m) objectives of the bounded archives of the B ``ba`` runs,
+        in block order, a <= m.
     """
 
-    kind: str
+    kinds: tuple[str, ...]
     m: int
-    runs: int
+    runs: int = field(init=False)
+    slices: dict[str, slice] = field(init=False)
     z_lb: np.ndarray = field(init=False)
     z_ub: np.ndarray = field(init=False)
     best_min: np.ndarray = field(init=False)
     arch_objs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown normalization kind {self.kind!r}; "
-                             f"known: {', '.join(KINDS)}")
+        if isinstance(self.kinds, str):
+            raise TypeError("kinds: expected one kind per run, got the str "
+                            f"{self.kinds!r}")
+        self.kinds = tuple(self.kinds)
+        self.runs = len(self.kinds)
+        self.slices = {}
+        start = 0
+        for kind, group in itertools.groupby(self.kinds):
+            if kind not in KINDS:
+                raise ValueError(f"unknown normalization kind {kind!r}; "
+                                 f"known: {', '.join(KINDS)}")
+            if kind in self.slices:
+                raise ValueError(f"the runs of kind {kind!r} must be "
+                                 "contiguous")
+            stop = start + len(list(group))
+            self.slices[kind] = slice(start, stop)
+            start = stop
         self.z_lb = np.zeros((self.runs, self.m))
         self.z_ub = np.ones((self.runs, self.m))
         self.best_min = np.full((self.runs, self.m), np.inf)
-        self.arch_objs = np.empty((self.runs, 0, self.m))
+        self.arch_objs = np.empty((self.kinds.count("ba"), 0, self.m))
 
 
 def update_state(state: NormalizationState, pop_objs: np.ndarray,
@@ -109,12 +129,11 @@ def update_state(state: NormalizationState, pop_objs: np.ndarray,
 
     ``pop_objs`` holds each run's (N, m) parent population, ``off_objs``
     its offspring batch evaluated this generation (None at
-    initialization), both with the state's leading run axis.  The archive
-    (ba) consumes only the new batch: the offspring when present, otherwise
-    the initial population.
+    initialization), both with the state's leading run axis.  Each kind's
+    rule updates its own slice of runs.  The archive (ba) consumes only the
+    new batch: the offspring when present, otherwise the initial
+    population.
     """
-    if state.kind == "no":
-        return state
     pop_objs = np.asarray(pop_objs, dtype=float)
     if off_objs is None:
         union = pop_objs
@@ -123,17 +142,19 @@ def update_state(state: NormalizationState, pop_objs: np.ndarray,
         off_objs = np.asarray(off_objs, dtype=float)
         union = np.concatenate([pop_objs, off_objs], axis=-2)
         batch = off_objs
-    if state.kind == "pp":
-        state.z_lb = union.min(axis=-2)
-        state.z_ub = union.max(axis=-2)
-        return state
-    state.best_min = np.minimum(state.best_min, union.min(axis=-2))
-    state.z_lb = state.best_min.copy()
-    if state.kind == "bp":
-        state.z_ub = union.max(axis=-2)
-    else:  # ba
-        state.arch_objs = update_bounded_archive_objs(state.arch_objs, batch)
-        state.z_ub = state.arch_objs.max(axis=-2)
+    for kind, rows in state.slices.items():
+        if kind == "no":
+            continue
+        low = union[rows].min(axis=-2)
+        if kind != "pp":  # bp and ba keep the best-so-far minimum
+            low = state.best_min[rows] = np.minimum(state.best_min[rows], low)
+        state.z_lb[rows] = low
+        if kind == "ba":
+            state.arch_objs = update_bounded_archive_objs(state.arch_objs,
+                                                          batch[rows])
+            state.z_ub[rows] = state.arch_objs.max(axis=-2)
+        else:
+            state.z_ub[rows] = union[rows].max(axis=-2)
     return state
 
 

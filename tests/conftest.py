@@ -3,8 +3,9 @@
 The oracles deliberately use plain double loops and per-level recomputation
 so they share no code path with the vectorized implementations they check.
 The reference copies of the problem objective shapes, of the Das-Dennis
-lattice, of the 3-d distance reductions, of the full level peel and of
-one-run SBX are instead earlier implementations, the MOEA/D-NUMS reference
+lattice, of the 3-d distance reductions, of the full level peel, of
+one-run SBX and of the epsilon-clearing walk over every point are instead
+earlier implementations, the MOEA/D-NUMS reference
 loop reads the package's blocks of random numbers with plain loops and
 sorts, the NSGA-II reference loop runs one engine at a time, and the
 normalization-state reference updates one run at a time; tests pin the
@@ -22,7 +23,8 @@ import pytest
 from prefnorm.algorithms import epsilon_clear
 from prefnorm.core import make_engine
 from prefnorm.normalization import KINDS, normalize_value
-from prefnorm.ranking import domination_matrix, r_domination_matrix
+from prefnorm.ranking import (_sq_dists, domination_matrix,
+                              r_domination_matrix)
 from prefnorm.weights import neighborhoods, nums_shift, uniform_simplex_set
 
 
@@ -350,6 +352,29 @@ def oracle_epsilon_clear(points, epsilon, engine):
                 continue
         kept_pts[len(kept)] = points[pos]
         kept.append(pos)
+    return np.asarray(kept, dtype=int), np.asarray(reserve, dtype=int)
+
+
+def oracle_epsilon_clear_every_point(points, epsilon, engine):
+    """Epsilon-clearing that visits every point, crowded or not, in the
+    random order (the package's loop before it walked crowded points
+    only)."""
+    n = points.shape[0]
+    order = engine.permutation(n)
+    close = _sq_dists(points, points) < epsilon * epsilon
+    np.fill_diagonal(close, False)
+    crowded = close.any(axis=1)
+    # blocked marks the points within epsilon of a survivor so far
+    blocked = np.zeros(n, dtype=bool)
+    kept: list[int] = []
+    reserve: list[int] = []
+    for pos in order.tolist():
+        if blocked[pos]:
+            reserve.append(pos)
+            continue
+        kept.append(pos)
+        if crowded[pos]:
+            blocked |= close[pos]
     return np.asarray(kept, dtype=int), np.asarray(reserve, dtype=int)
 
 

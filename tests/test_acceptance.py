@@ -56,7 +56,7 @@ def test_criterion_01_bounded_archive_matches_unbounded_oracle():
             points = gauss / np.linalg.norm(gauss, axis=2, keepdims=True)
             # the ba state feeds each batch to its archive and reads the
             # nadir estimate off it as z_ub, one row per stream
-            state = NormalizationState("ba", m, block)
+            state = NormalizationState(["ba"] * block, m)
             oracle = np.full((block, m), -np.inf)
             for lo in range(0, 10000, 100):
                 batch = points[:, lo:lo + 100]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (OracleState, oracle_dominates, oracle_epsilon_clear,
+                      oracle_epsilon_clear_every_point,
                       oracle_epsilon_matrix, oracle_moead_nums_replacement,
                       oracle_rnsga2_environmental_selection,
                       oracle_run_moead_nums)
@@ -212,6 +213,38 @@ class TestEpsilonClear:
         assert (got_engine.bit_generator.state
                 == want_engine.bit_generator.state)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.001, 0.3])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_crowded_walk_matches_every_point_walk(self, m, epsilon):
+        # walking only the points with a neighbour within epsilon keeps
+        # the survivors, the reserve (bytes and dtype) and the engine state
+        # of the walk over every point
+        rng = np.random.default_rng([m, int(epsilon * 1000)])
+        reserved = 0
+        for trial in range(60):
+            n = int(rng.integers(0, 100))
+            if trial % 2:
+                # a grid of spacing epsilon: pairs at exactly epsilon
+                pts = rng.integers(0, 3, size=(n, m)) * (epsilon or 1e-3)
+            else:
+                scale = rng.choice([1e-3, 1e-2, 0.3, 1.0])
+                pts = rng.random((n, m)) * scale
+            if n:
+                pts[rng.random(n) < 0.2] = pts[rng.integers(n)]
+            seed = int(rng.integers(2**32))
+            got_engine, want_engine = make_engine(seed), make_engine(seed)
+            got = epsilon_clear(pts, epsilon, got_engine)
+            want = oracle_epsilon_clear_every_point(pts, epsilon,
+                                                    want_engine)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert (got_engine.bit_generator.state
+                    == want_engine.bit_generator.state)
+            reserved += want[1].size
+        # at epsilon 0 not even duplicates are closer than epsilon
+        assert (reserved > 0) == (epsilon > 0)
+
     @given(n=st.integers(1, 130), m=st.integers(1, 10),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -397,7 +430,7 @@ class TestMoeadReplacement:
         engine = make_engine(0)
         before = engine.bit_generator.state
         with pytest.raises(ValueError, match=fragment):
-            run_moead_nums(get_problem("dtlz2", 2), ORIGIN, "no", 12, 240,
+            run_moead_nums(get_problem("dtlz2", 2), ORIGIN, ["no"], 12, 240,
                            [engine], params)
         assert engine.bit_generator.state == before
 
@@ -418,8 +451,8 @@ class TestMoeadReplacement:
 
 def one_moead_run(problem, z, kind, mu, budget, engine, params, recorder):
     """``run_moead_nums`` on a list of one run."""
-    (final,) = run_moead_nums(problem, z, kind, mu, budget, [engine], params,
-                              recorder)
+    (final,) = run_moead_nums(problem, z, [kind], mu, budget, [engine],
+                              params, recorder)
     return final
 
 
@@ -547,7 +580,7 @@ class TestMoeadBlockDraws:
         for mu in (12, 100):
             engine = CountingEngine(make_engine(mu))
             marks = []
-            run_moead_nums(get_problem("dtlz2", 3), np.full(3, 0.5), kind,
+            run_moead_nums(get_problem("dtlz2", 3), np.full(3, 0.5), [kind],
                            mu, 5 * mu, [engine], AlgorithmParams(),
                            lambda evals, fs, state, runs:
                            marks.append(engine.calls))
@@ -590,7 +623,7 @@ class TestRunnerContract:
             records.append((evals, fs.shape, state.z_lb.copy(),
                             state.z_ub.copy(), runs))
 
-        (fs,) = ALGORITHMS[name](problem, self.Z2, "ba", 8, 100,
+        (fs,) = ALGORITHMS[name](problem, self.Z2, ["ba"], 8, 100,
                                  [make_engine(3)], recorder=recorder)
         assert fs.shape == (8, 2)
         evals_seen = [r[0] for r in records]
@@ -605,11 +638,11 @@ class TestRunnerContract:
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_deterministic_under_seed(self, name):
         problem = get_problem("dtlz2", 2)
-        (a,) = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120,
+        (a,) = ALGORITHMS[name](problem, self.Z2, ["pp"], 8, 120,
                                 [make_engine(7)])
-        (b,) = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120,
+        (b,) = ALGORITHMS[name](problem, self.Z2, ["pp"], 8, 120,
                                 [make_engine(7)])
-        (c,) = ALGORITHMS[name](problem, self.Z2, "pp", 8, 120,
+        (c,) = ALGORITHMS[name](problem, self.Z2, ["pp"], 8, 120,
                                 [make_engine(8)])
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
@@ -619,7 +652,8 @@ class TestRunnerContract:
     def test_all_normalization_kinds_run(self, name, kind):
         problem = get_problem("sdtlz2", 2)
         z = np.array([0.8, 8.0])
-        (fs,) = ALGORITHMS[name](problem, z, kind, 8, 64, [make_engine(1)])
+        (fs,) = ALGORITHMS[name](problem, z, [kind], 8, 64,
+                                 [make_engine(1)])
         assert fs.shape == (8, 2)
         assert np.all(np.isfinite(fs))
 
@@ -627,32 +661,41 @@ class TestRunnerContract:
     def test_population_below_twice_m_raises(self, name):
         problem = get_problem("dtlz2", 4)
         with pytest.raises(ValueError, match="2m"):
-            ALGORITHMS[name](problem, np.full(4, 0.5), "no", 6, 600,
+            ALGORITHMS[name](problem, np.full(4, 0.5), ["no"], 6, 600,
                              [make_engine(0)])
 
     @pytest.mark.parametrize("name", ["nsga2", "rnsga2", "r2nsga2"])
     def test_odd_population_raises_for_ga(self, name):
         problem = get_problem("dtlz2", 2)
         with pytest.raises(ValueError, match="even"):
-            ALGORITHMS[name](problem, self.Z2, "no", 9, 90, [make_engine(0)])
+            ALGORITHMS[name](problem, self.Z2, ["no"], 9, 90,
+                             [make_engine(0)])
 
     def test_odd_population_fine_for_decomposition(self):
         problem = get_problem("dtlz2", 2)
-        (fs,) = ALGORITHMS["moead-nums"](problem, self.Z2, "no", 9, 45,
+        (fs,) = ALGORITHMS["moead-nums"](problem, self.Z2, ["no"], 9, 45,
                                          [make_engine(0)])
         assert fs.shape == (9, 2)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_kinds_and_engines_pair_up(self, name):
+        problem = get_problem("dtlz2", 2)
+        with pytest.raises(ValueError, match="2 kinds and 1 engines"):
+            ALGORITHMS[name](problem, self.Z2, ["no", "ba"], 8, 80,
+                             [make_engine(0)])
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_budget_below_population_raises(self, name):
         problem = get_problem("dtlz2", 2)
         with pytest.raises(ValueError, match="budget"):
-            ALGORITHMS[name](problem, self.Z2, "no", 8, 4, [make_engine(0)])
+            ALGORITHMS[name](problem, self.Z2, ["no"], 8, 4,
+                             [make_engine(0)])
 
     def test_default_mutation_rate_is_one_over_n(self):
         problem = get_problem("dtlz2", 2)
 
         def run(params):
-            return run_rnsga2(problem, self.Z2, "no", 8, 80,
+            return run_rnsga2(problem, self.Z2, ["no"], 8, 80,
                               [make_engine(0)], params=params)[0]
 
         explicit = AlgorithmParams(mutation_prob=1.0 / problem.n)
@@ -663,7 +706,7 @@ class TestSearchBehavior:
 
     def test_nsga2_covers_dtlz2_front(self):
         problem = get_problem("dtlz2", 2)
-        (fs,) = run_nsga2(problem, np.zeros(2), "no", 100, 50000,
+        (fs,) = run_nsga2(problem, np.zeros(2), ["no"], 100, 50000,
                           [make_engine(11)])
         norms = np.linalg.norm(fs, axis=1)
         assert np.all(norms <= 1.05)
@@ -680,7 +723,7 @@ class TestSearchBehavior:
                                                 max_tol):
         problem = get_problem("dtlz2", 2)
         z = np.full(2, np.sqrt(0.5))
-        (fs,) = ALGORITHMS[name](problem, z, "ba", 100, 10000,
+        (fs,) = ALGORITHMS[name](problem, z, ["ba"], 100, 10000,
                                  [make_engine(1)])
         d = np.linalg.norm(fs - z, axis=1)
         assert d.mean() < mean_tol
@@ -689,7 +732,7 @@ class TestSearchBehavior:
     def test_moead_reaches_front(self):
         problem = get_problem("dtlz2", 2)
         z = np.full(2, np.sqrt(0.5))
-        (fs,) = ALGORITHMS["moead-nums"](problem, z, "ba", 100, 10000,
+        (fs,) = ALGORITHMS["moead-nums"](problem, z, ["ba"], 100, 10000,
                                          [make_engine(2)])
         norms = np.linalg.norm(fs, axis=1)
         assert np.all(norms <= 1.01)

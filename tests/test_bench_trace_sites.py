@@ -100,7 +100,7 @@ def test_moead_trial_operators_are_traced_once_per_trial(monkeypatch):
     tracer.install(tracing.traced_sites(prefnorm))
     try:
         ALGORITHMS["moead-nums"](get_problem("dtlz2", 3), np.full(3, 0.5),
-                                 "ba", mu, budget, [make_engine(3)],
+                                 ["ba"], mu, budget, [make_engine(3)],
                                  AlgorithmParams())
     finally:
         tracer.uninstall()
@@ -118,14 +118,16 @@ def test_moead_trial_operators_are_traced_once_per_trial(monkeypatch):
 
 
 def test_a_cell_updates_and_records_its_runs_as_one_block():
-    # a GA cell's runs share one state update per generation and one
-    # indicator call per checkpoint; moead-nums' runs go one after another
+    # a GA group's runs, of every kind, share one state update per
+    # generation and one indicator call per checkpoint; only its ba runs
+    # feed an archive, and moead-nums' runs go one after another
     tracing = load_tracing()
     tracer = tracing.Tracer()
     runs, generations, checkpoints = 3, 10, [36, 50, 120]
+    kinds = ["pp", "ba"]
     config = prefnorm.harness.validate_config({
         "problems": ["dtlz2:2"], "algorithms": ["nsga2", "moead-nums"],
-        "normalizations": ["ba"], "runs": runs, "budget": 120, "mu": 12,
+        "normalizations": kinds, "runs": runs, "budget": 120, "mu": 12,
         "checkpoints": checkpoints, "pf_size": 100})
     tracer.install(tracing.traced_sites(prefnorm))
     try:
@@ -133,9 +135,10 @@ def test_a_cell_updates_and_records_its_runs_as_one_block():
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
-    blocks = 1 + runs
-    for name in ("normalization.update_state",
-                 "normalization.update_bounded_archive_objs"):
-        assert calls[name] == blocks * generations, name
+    blocks = 1 + len(kinds) * runs
+    assert calls["normalization.update_state"] == blocks * generations
+    assert (calls["normalization.update_bounded_archive_objs"]
+            == (1 + runs) * generations)
+    assert calls["algorithms.runner"] == 2
     assert calls["indicators.igd_plus_c"] == blocks * len(checkpoints)
     assert calls["indicators.bound_errors"] == 3 * blocks * len(checkpoints)

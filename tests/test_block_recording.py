@@ -11,10 +11,11 @@ byte:
   and R on both sides of an :data:`IGD_PAIRS` group boundary;
 * ``e_ideal``, ``e_nadir`` and ``ore`` on (R, m) bounds against one call
   per row;
-* ``update_state`` on a state of R runs against
-  ``conftest.oracle_update_state``, the per-run update with its own
-  bounded archive, over several generations of quantized objectives with
-  duplicate rows, argmax ties, -inf and NaN entries;
+* ``update_state`` on a state of R runs, of one kind or of several kinds
+  in contiguous slices, against ``conftest.oracle_update_state``, the
+  per-run update with its own bounded archive, over several generations of
+  quantized objectives with duplicate rows, argmax ties, -inf and NaN
+  entries;
 * the cell's checkpoint recorder, handed a block of runs or one run at a
   time.
 """
@@ -118,11 +119,43 @@ def generation_block(rng, runs, n, m):
 
 
 def assert_state_equal(block, states):
+    # the block holds archives for its ba runs only, in run order
+    archives = iter(block.arch_objs)
     for r, state in enumerate(states):
-        for name in ("z_lb", "z_ub", "best_min", "arch_objs"):
-            got, want = getattr(block, name)[r], getattr(state, name)
-            assert got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), (r, name)
+        assert block.kinds[r] == state.kind
+        got = {name: getattr(block, name)[r]
+               for name in ("z_lb", "z_ub", "best_min")}
+        if state.kind == "ba":
+            got["arch_objs"] = next(archives)
+        for name, value in got.items():
+            want = getattr(state, name)
+            assert value.shape == want.shape, name
+            assert value.tobytes() == want.tobytes(), (r, name)
+    assert next(archives, None) is None
+
+
+def check_block_update(kinds, seed):
+    """A state of ``kinds`` against one oracle state per run, over five
+    generations of quantized objectives."""
+    rng = np.random.default_rng(seed)
+    runs = len(kinds)
+    m = int(rng.integers(2, 6))
+    mu = int(rng.integers(1, 9))
+    block = NormalizationState(kinds, m)
+    states = [OracleState(kind, m) for kind in kinds]
+    pop = generation_block(rng, runs, mu, m)
+    update_state(block, pop)
+    for r, state in enumerate(states):
+        oracle_update_state(state, pop[r])
+    assert_state_equal(block, states)
+    for _ in range(4):
+        off = generation_block(rng, runs, mu, m)
+        update_state(block, pop, off)
+        for r, state in enumerate(states):
+            oracle_update_state(state, pop[r], off[r])
+        assert_state_equal(block, states)
+        pop = np.concatenate([pop, off], axis=1)[
+            :, rng.permutation(2 * mu)[:mu]]
 
 
 class TestBlockStateUpdate:
@@ -131,24 +164,18 @@ class TestBlockStateUpdate:
     @pytest.mark.parametrize("kind", KINDS)
     def test_block_update_equals_runs(self, kind, runs):
         for trial in range(40):
-            rng = np.random.default_rng([runs, KINDS.index(kind), trial])
-            m = int(rng.integers(2, 6))
-            mu = int(rng.integers(1, 9))
-            block = NormalizationState(kind, m, runs)
-            states = [OracleState(kind, m) for _ in range(runs)]
-            pop = generation_block(rng, runs, mu, m)
-            update_state(block, pop)
-            for r, state in enumerate(states):
-                oracle_update_state(state, pop[r])
-            assert_state_equal(block, states)
-            for _ in range(4):
-                off = generation_block(rng, runs, mu, m)
-                update_state(block, pop, off)
-                for r, state in enumerate(states):
-                    oracle_update_state(state, pop[r], off[r])
-                assert_state_equal(block, states)
-                pop = np.concatenate([pop, off], axis=1)[
-                    :, rng.permutation(2 * mu)[:mu]]
+            check_block_update([kind] * runs,
+                               [runs, KINDS.index(kind), trial])
+
+    @pytest.mark.parametrize("per_kind", [1, 3])
+    @pytest.mark.parametrize("order", [("pp", "bp", "ba", "no"),
+                                       ("ba", "no", "pp")])
+    def test_mixed_kind_update_equals_runs(self, order, per_kind):
+        # each kind's slice of one block follows that kind's rule, row by
+        # row, as a state of its own would
+        kinds = [kind for kind in order for _ in range(per_kind)]
+        for trial in range(40):
+            check_block_update(kinds, [len(order), per_kind, trial])
 
     def test_minus_inf_maximum_goes_to_the_first_survivor(self):
         # row 0 is dominated, and every survivor reads -inf in objective 0,
@@ -163,7 +190,7 @@ class TestBlockStateUpdate:
         assert np.array_equal(got[0], [[-np.inf, 0.0], [-np.inf, 0.0]])
 
     def test_empty_archive_of_each_run(self):
-        state = NormalizationState("ba", 3, 4)
+        state = NormalizationState(["ba"] * 4, 3)
         assert state.arch_objs.shape == (4, 0, 3)
         assert state.z_lb.shape == state.z_ub.shape == (4, 3)
         with pytest.raises(ValueError, match="at least one solution"):
@@ -185,7 +212,8 @@ def recording(generations, checkpoints, roi, one_at_a_time):
         blocks = ([range(r, r + 1) for r in range(runs)] if one_at_a_time
                   else [range(runs)])
         for block in blocks:
-            state = NormalizationState("pp", objs.shape[-1], len(block))
+            state = NormalizationState(["pp"] * len(block),
+                                       objs.shape[-1])
             state.z_lb, state.z_ub = (z_lb[block.start:block.stop],
                                       z_ub[block.start:block.stop])
             recorder(evals, objs[block.start:block.stop], state, block)
@@ -233,10 +261,10 @@ class TestCellRecorder:
         points = rng.random((5, 2))
         roi = RoiReferenceSet(points=points, scaler=random_scaler(rng, 2))
         objs = solution_block(rng, 2, 4, 2, points)
-        state = NormalizationState("no", 2, 2)
+        state = NormalizationState(["no"] * 2, 2)
         records = [[], []]
         recorder = harness._checkpoint_recorder((20, 40), roi, records)
-        one = NormalizationState("no", 2, 1)
+        one = NormalizationState(["no"], 2)
         recorder(20, objs[:1], one, range(1))
         recorder(20, objs, state, range(2))
         recorder(40, objs, state, range(2))
@@ -253,8 +281,9 @@ class TestCellRecorder:
             assert state.z_lb.shape == state.z_ub.shape == (len(runs), 2)
             calls.append((evals, runs))
 
-        ALGORITHMS[name](get_problem("dtlz2", 2), np.full(2, 0.5), "ba", 8,
-                         40, [make_engine(seed) for seed in range(3)],
+        ALGORITHMS[name](get_problem("dtlz2", 2), np.full(2, 0.5),
+                         ["ba"] * 3, 8, 40,
+                         [make_engine(seed) for seed in range(3)],
                          recorder=recorder)
         boundaries = [8, 16, 24, 32, 40]
         if name == "moead-nums":

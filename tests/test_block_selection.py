@@ -48,7 +48,7 @@ def block_select(algorithm, m, mu, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(algorithms, "_run_generational", capture)
-        ALGORITHMS[algorithm](get_problem("dtlz2", m), np.full(m, 0.5), "pp",
+        ALGORITHMS[algorithm](get_problem("dtlz2", m), np.full(m, 0.5), [],
                               mu, mu, [], PARAMS)
     return captured[0]
 
@@ -160,7 +160,7 @@ def test_runs_selected_in_groups_match_one_block(algorithm, monkeypatch):
         engines = [make_engine(seed) for seed in range(5)]
         logs = [[] for _ in engines]
         finals = ALGORITHMS[algorithm](
-            problem, np.full(3, 0.5), "ba", mu, budget, engines, PARAMS,
+            problem, np.full(3, 0.5), ["ba"] * 5, mu, budget, engines, PARAMS,
             lambda evals, fs, state, runs: [logs[run].append(f.tobytes())
                                             for run, f in zip(runs, fs)])
         return ([f.tobytes() for f in finals], logs,

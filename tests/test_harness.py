@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from prefnorm import harness
-from prefnorm.algorithms import ALGORITHMS
 from prefnorm.core import derive_run_seed
 from prefnorm.harness import (DEFAULT_CHECKPOINTS, SUITES, ConfigError,
                               ExperimentConfig, RunTrace, cell_id,
@@ -396,47 +395,48 @@ class TestExecuteCampaign:
         def broken(*args, **kwargs):
             raise ValueError("boom")
 
+        # one group: both kinds of nsga2 fail
         monkeypatch.setitem(harness.ALGORITHMS, "nsga2", broken)
-        config = validate_config(tiny_raw(algorithms=["nsga2"]))
+        config = validate_config(tiny_raw(algorithms=["nsga2"],
+                                          normalizations=["pp", "ba"]))
         with pytest.raises(RuntimeError) as err:
             execute_campaign(config, workers=1)
         message = str(err.value)
-        assert "2 of 2 runs failed" in message
+        assert "4 of 4 runs failed" in message
+        assert "dtlz2:m2:nsga2:pp run 0: boom" in message
         assert "dtlz2:m2:nsga2:ba run 0: boom" in message
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers see the patched registry only "
                                "when forked")
     def test_pooled_failures_are_reported_in_task_order(self, monkeypatch):
-        config = validate_config(tiny_raw(algorithms=["nsga2"],
-                                          normalizations=["pp", "ba"]))
+        config = validate_config(tiny_raw(normalizations=["pp", "ba"]))
 
-        def broken(problem, z, kind, mu, budget, engines, *args):
-            # the first cell fails last, so completion order would list it
-            # after the second
-            if kind == "pp":
-                time.sleep(0.5)
+        def broken(*args):
             raise ValueError("boom")
 
-        monkeypatch.setitem(harness.ALGORITHMS, "nsga2", broken)
+        def slow(*args):
+            # the first group fails last, so completion order would list
+            # it after the second
+            time.sleep(0.5)
+            broken()
+
+        monkeypatch.setitem(harness.ALGORITHMS, "nsga2", slow)
+        monkeypatch.setitem(harness.ALGORITHMS, "rnsga2", broken)
         with pytest.raises(RuntimeError) as err:
             execute_campaign(config, workers=2)
-        assert str(err.value).splitlines() == [
-            "4 of 4 runs failed:",
-            "dtlz2:m2:nsga2:pp run 0: boom",
-            "dtlz2:m2:nsga2:pp run 1: boom",
-            "dtlz2:m2:nsga2:ba run 0: boom",
-            "dtlz2:m2:nsga2:ba run 1: boom",
-        ]
+        assert str(err.value).splitlines() == ["8 of 8 runs failed:"] + [
+            f"dtlz2:m2:{algorithm}:{kind} run {k}: boom"
+            for algorithm in ("nsga2", "rnsga2") for kind in ("pp", "ba")
+            for k in range(2)]
 
     def test_a_failed_cell_logs_each_of_its_runs(self, monkeypatch,
                                                  caplog):
-        # bench/child.py counts failed runs from these records
-        def broken(problem, z, kind, mu, budget, engines, *args):
-            if kind == "pp":
-                raise ValueError("boom")
-            return ALGORITHMS["nsga2"](problem, z, kind, mu, budget, engines,
-                                       *args)
+        # bench/child.py counts failed runs from these records; a group
+        # that raises fails the runs of every kind, each logged with its
+        # own cell id
+        def broken(*args):
+            raise ValueError("boom")
 
         monkeypatch.setitem(harness.ALGORITHMS, "rnsga2", broken)
         config = validate_config(tiny_raw(normalizations=["pp", "ba"],
@@ -445,18 +445,22 @@ class TestExecuteCampaign:
             execute_campaign(config, workers=1)
         failed = [rec.getMessage() for rec in caplog.records
                   if rec.levelname == "ERROR"]
-        assert failed == [f"run failed: dtlz2:m2:rnsga2:pp run {k}: boom"
-                          for k in range(3)]
-        assert str(err.value).splitlines()[0] == "3 of 12 runs failed:"
+        assert failed == [f"run failed: dtlz2:m2:rnsga2:{kind} run {k}: boom"
+                          for kind in ("pp", "ba") for k in range(3)]
+        assert str(err.value).splitlines()[0] == "6 of 12 runs failed:"
 
     def test_pool_reports_cells_and_runs(self, caplog):
+        # the unit of work is a (problem, m, algorithm) group; its traces
+        # come back kind after kind, run after run
         caplog.set_level("INFO", logger="prefnorm.harness")
-        config = validate_config(tiny_raw(runs=3))
+        config = validate_config(tiny_raw(runs=3,
+                                          normalizations=["pp", "ba"]))
         traces = execute_campaign(config, workers=2)
-        assert "running 2 cells (6 runs) on 2 workers" in caplog.messages
-        assert [(t.algorithm, t.run_index) for t in traces] == [
-            (algorithm, k) for algorithm in ("nsga2", "rnsga2")
-            for k in range(3)]
+        assert "running 2 groups (12 runs) on 2 workers" in caplog.messages
+        assert [(t.algorithm, t.normalization, t.run_index)
+                for t in traces] == [
+            (algorithm, kind, k) for algorithm in ("nsga2", "rnsga2")
+            for kind in ("pp", "ba") for k in range(3)]
 
 
 class TestFriedman:

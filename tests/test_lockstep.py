@@ -7,9 +7,11 @@ own through ``conftest.oracle_run_generational``, the one-run loop with the
 oracle operators and the per-run oracle state, fed the runner's own
 ``select`` and recorder.  Equal populations, equal records on each run's
 slice and equal engine states after the run show that no run's draws
-moved.  The lockstep rests on two more properties, checked below: stacked
-SBX and mutation blocks equal the per-run oracle operators, and an
-evaluated stack of blocks equals the blocks evaluated one by one.
+moved.  A block that mixes normalization kinds, as a (problem, m,
+algorithm) group does, equals one block per kind, for all four runners.
+The lockstep rests on two more properties, checked below: stacked SBX and
+mutation blocks equal the per-run oracle operators, and an evaluated stack
+of blocks equals the blocks evaluated one by one.
 """
 import numpy as np
 import pytest
@@ -36,22 +38,23 @@ def recording(logs):
     return recorder
 
 
-def run_cell(algorithm, kind, problem, z, seeds):
-    """Final populations, records and engine states of a cell's runs."""
+def run_cell(algorithm, kinds, problem, z, seeds):
+    """Final populations, records and engine states of a block's runs, run
+    r normalizing by ``kinds[r]``."""
     engines = [make_engine(seed) for seed in seeds]
     logs = [[] for _ in seeds]
     finals = algorithms.ALGORITHMS[algorithm](
-        problem, z, kind, MU, BUDGET, engines, AlgorithmParams(),
+        problem, z, kinds, MU, BUDGET, engines, AlgorithmParams(),
         recording(logs))
     return ([f.tobytes() for f in finals], logs,
             [e.bit_generator.state for e in engines])
 
 
-def one_at_a_time(problem, kind, mu, budget, engines, params, recorder,
+def one_at_a_time(problem, kinds, mu, budget, engines, params, recorder,
                   select):
     return [oracle_run_generational(problem, kind, mu, budget, engine,
                                     params, recorder, select, run)
-            for run, engine in enumerate(engines)]
+            for run, (kind, engine) in enumerate(zip(kinds, engines))]
 
 
 @pytest.mark.parametrize("runs", [1, 3])
@@ -64,12 +67,34 @@ def test_lockstep_matches_runs_one_at_a_time(algorithm, name, m, runs,
     z = default_reference_point(name, m, "balanced")
     for kind in ("pp", "bp", "ba", "no"):
         seeds = [100 * m + 10 * len(kind) + r for r in range(runs)]
-        got = run_cell(algorithm, kind, problem, z, seeds)
+        got = run_cell(algorithm, [kind] * runs, problem, z, seeds)
         with monkeypatch.context() as patch:
             patch.setattr(algorithms, "_run_generational", one_at_a_time)
-            want = run_cell(algorithm, kind, problem, z, seeds)
+            want = run_cell(algorithm, [kind] * runs, problem, z, seeds)
         assert all(len(log) == BUDGET // MU for log in got[1])
         assert got == want, kind
+
+
+@pytest.mark.parametrize("per_kind", [1, 3])
+@pytest.mark.parametrize("order", [("pp", "bp", "ba", "no"),
+                                   ("ba", "no", "pp")])
+@pytest.mark.parametrize("algorithm", sorted(algorithms.ALGORITHMS))
+def test_mixed_kinds_match_per_kind_blocks(algorithm, order, per_kind):
+    # a group's kinds step as one block, each kind's runs a contiguous
+    # slice; every run equals its run in a block of its kind alone
+    problem = get_problem("sdtlz1", 3)
+    z = default_reference_point("sdtlz1", 3, "balanced")
+    kinds = [kind for kind in order for _ in range(per_kind)]
+    seeds = [50 + r for r in range(len(kinds))]
+    got = run_cell(algorithm, kinds, problem, z, seeds)
+    want = ([], [], [])
+    for lo in range(0, len(kinds), per_kind):
+        part = run_cell(algorithm, kinds[lo:lo + per_kind], problem, z,
+                        seeds[lo:lo + per_kind])
+        for whole, piece in zip(want, part):
+            whole.extend(piece)
+    assert all(len(log) == BUDGET // MU for log in got[1])
+    assert got == want
 
 
 @pytest.mark.parametrize("runs", [1, 2, 5])

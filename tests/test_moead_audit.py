@@ -178,7 +178,7 @@ def audited_run(monkeypatch, name, m, kind, mu=12, budget=240):
     audit = MoeadAudit(problem, z, kind, params)
     with monkeypatch.context() as patch:
         audit.install(patch)
-        run_moead_nums(problem, z, kind, mu, budget,
+        run_moead_nums(problem, z, [kind], mu, budget,
                        [make_engine(100 * m + KINDS.index(kind))], params,
                        audit.record)
     generations = budget // mu

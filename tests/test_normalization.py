@@ -13,16 +13,16 @@ from conftest import oracle_unbounded_nadir, random_objs
 
 def test_population_bound_estimates():
     objs = np.array([[1.0, 4.0], [2.0, 1.0], [3.0, 3.0]])
-    state = update_state(NormalizationState("pp", 2, 1), objs[None])
+    state = update_state(NormalizationState(["pp"], 2), objs[None])
     assert np.array_equal(state.z_lb[0], [1.0, 1.0])
     assert np.array_equal(state.z_ub[0], [3.0, 4.0])
     for kind in ("pp", "bp", "ba"):
         with pytest.raises(ValueError):
-            update_state(NormalizationState(kind, 2, 1), np.empty((1, 0, 2)))
+            update_state(NormalizationState([kind], 2), np.empty((1, 0, 2)))
 
 
 def test_best_so_far_only_improves():
-    state = NormalizationState("bp", 2, 1)
+    state = NormalizationState(["bp"], 2)
     update_state(state, np.array([[[2.0, 2.0]]]))
     update_state(state, np.array([[[2.0, 2.0]]]), np.array([[[1.0, 5.0]]]))
     assert np.array_equal(state.best_min[0], [1.0, 2.0])
@@ -116,23 +116,24 @@ class TestBoundedArchive:
 
 def test_init_state_by_kind():
     for kind in KINDS:
-        state = NormalizationState(kind, 3, 1)
-        assert state.kind == kind
+        state = NormalizationState([kind], 3)
+        assert state.kinds == (kind,) and state.runs == 1
+        assert state.slices == {kind: slice(0, 1)}
         assert np.array_equal(state.z_lb, np.zeros((1, 3)))
         assert np.array_equal(state.z_ub, np.ones((1, 3)))
     with pytest.raises(ValueError):
-        NormalizationState("zz", 3, 1)
+        NormalizationState(["zz"], 3)
 
 
 def test_update_state_no_kind_is_identity():
-    state = NormalizationState("no", 2, 1)
+    state = NormalizationState(["no"], 2)
     update_state(state, np.array([[[5.0, 5.0], [9.0, -3.0]]]))
     assert np.array_equal(state.z_lb[0], [0.0, 0.0])
     assert np.array_equal(state.z_ub[0], [1.0, 1.0])
 
 
 def test_update_state_pp_tracks_current_union_only():
-    state = NormalizationState("pp", 2, 1)
+    state = NormalizationState(["pp"], 2)
     update_state(state, np.array([[[0.0, 4.0], [2.0, 2.0]]]))
     assert np.array_equal(state.z_lb[0], [0.0, 2.0])
     assert np.array_equal(state.z_ub[0], [2.0, 4.0])
@@ -143,7 +144,7 @@ def test_update_state_pp_tracks_current_union_only():
 
 
 def test_update_state_bp_lower_bound_never_rises():
-    state = NormalizationState("bp", 2, 1)
+    state = NormalizationState(["bp"], 2)
     update_state(state, np.array([[[0.0, 4.0], [2.0, 2.0]]]))
     lb1 = state.z_lb[0].copy()
     update_state(state, np.array([[[1.0, 3.0]]]))
@@ -153,7 +154,7 @@ def test_update_state_bp_lower_bound_never_rises():
 
 
 def test_update_state_ba_upper_bound_from_archive():
-    state = NormalizationState("ba", 2, 1)
+    state = NormalizationState(["ba"], 2)
     update_state(state, np.array([[[0.0, 1.0], [1.0, 0.0]]]))
     assert np.allclose(state.z_ub[0], [1.0, 1.0])
     # dominated newcomers cannot inflate the archive nadir
@@ -166,7 +167,7 @@ def test_update_state_ba_upper_bound_from_archive():
 
 def test_update_state_ba_golden_three_generations():
     # hand-computed trace: archive and bounds after each generation
-    state = NormalizationState("ba", 2, 1)
+    state = NormalizationState(["ba"], 2)
     update_state(state, np.array([[[1.0, 5.0], [4.0, 2.0], [6.0, 6.0]]]))
     assert np.array_equal(state.z_lb[0], [1.0, 2.0])
     assert np.array_equal(state.z_ub[0], [4.0, 5.0])
@@ -189,7 +190,7 @@ def test_update_state_ba_golden_three_generations():
 
 def test_update_state_offspring_fold_into_union():
     for kind in ("pp", "bp"):
-        state = NormalizationState(kind, 2, 1)
+        state = NormalizationState([kind], 2)
         update_state(state, np.array([[[1.0, 1.0]]]),
                      off_objs=np.array([[[0.0, 2.0]]]))
         assert np.array_equal(state.z_lb[0], [0.0, 1.0])

@@ -166,8 +166,9 @@ def test_every_generation_matches_full_peel(name, m, kind, monkeypatch):
     audit = R2nsga2Audit(MU, DELTA)
     with monkeypatch.context() as patch:
         audit.install(patch)
-        run_r2nsga2(problem, default_reference_point(name, m), kind, MU,
-                    BUDGET, [make_engine(m + 100 * r) for r in range(RUNS)],
+        run_r2nsga2(problem, default_reference_point(name, m),
+                    [kind] * RUNS, MU, BUDGET,
+                    [make_engine(m + 100 * r) for r in range(RUNS)],
                     AlgorithmParams(delta=DELTA),
                     audit.record)
     assert audit.generations == BUDGET // MU
