@@ -13,11 +13,14 @@ population).  The first table shows, per (m, algorithm), the minimum over
 those nine runs in microseconds, so a run slowed by other load on the host
 does not count.
 
-The GA family steps a cell's runs together and selects their survivors as
-one block, so a cell of many runs costs less per offspring than a run on
-its own.  The second table sets, at each m, each GA's one-run figure
-beside the cost per offspring of a 31-run cell (seeds 1-31 in one runner
-call, the minimum of three passes), as "1 run / 31-run cell".
+Every runner takes a cell's runs in one call with one normalization state.
+The GA family steps them together and selects their survivors as one
+block, so a cell of many runs costs less per offspring than a run on its
+own; moead-nums shares its state update and recording, while each run
+keeps its own trial pass.  The second table sets, at each m, each
+algorithm's one-run figure beside the cost per offspring of a 31-run cell
+(seeds 1-31 in one runner call, the minimum of three passes), as "1 run /
+31-run cell".
 
 r2nsga2's per-generation cyclic-dominance warnings are not printed.
 """
@@ -31,7 +34,6 @@ from prefnorm.refpoints import default_reference_point
 
 MU, BUDGET, SEEDS, OBJECTIVES = 100, 5_000, (1, 2, 3), (2, 3, 5, 8)
 REPEATS, CELL_RUNS = 3, 31
-GA = ("nsga2", "rnsga2", "r2nsga2")
 
 
 def us_per_offspring(name: str, m: int, seeds) -> float:
@@ -43,7 +45,7 @@ def us_per_offspring(name: str, m: int, seeds) -> float:
                      ["ba"] * len(seeds), MU, BUDGET,
                      [make_engine(seed) for seed in seeds],
                      AlgorithmParams(),
-                     lambda done, fs, state, runs: evals.append(done))
+                     lambda done, fs, state: evals.append(done))
     offspring = len(seeds) * (evals[-1] - MU)
     return 1e6 * (time.process_time() - start) / offspring
 
@@ -60,7 +62,6 @@ def main():
                 for seed in SEEDS:
                     cost = us_per_offspring(name, m, [seed])
                     best[m, name] = min(cost, best.get((m, name), cost))
-            for name in GA:
                 cost = us_per_offspring(name, m, range(1, CELL_RUNS + 1))
                 cell[m, name] = min(cost, cell.get((m, name), cost))
     print("| m | " + " | ".join(ALGORITHMS) + " |")
@@ -70,12 +71,12 @@ def main():
                                       for name in ALGORITHMS) + " |")
     print()
     print(f"1 run / {CELL_RUNS}-run cell:")
-    print("| m | " + " | ".join(GA) + " |")
-    print("| --- |" + " --- |" * len(GA))
+    print("| m | " + " | ".join(ALGORITHMS) + " |")
+    print("| --- |" + " --- |" * len(ALGORITHMS))
     for m in OBJECTIVES:
         print(f"| {m} | " + " | ".join(f"{best[m, name]:.1f} / "
                                       f"{cell[m, name]:.1f}"
-                                      for name in GA) + " |")
+                                      for name in ALGORITHMS) + " |")
 
 
 if __name__ == "__main__":

@@ -34,8 +34,7 @@ from .problems import Problem
 from .ranking import (_sq_dists, crowding_distance, nondominated_sort,
                       r_domination_matrix, fronts_from_matrix)
 from .variation import (de_rand_1, de_rand_1_draws, polynomial_mutation,
-                        polynomial_mutation_batch, polynomial_mutation_draws,
-                        run_draws, sbx_batch)
+                        polynomial_mutation_batch, run_draws, sbx_batch)
 from .weights import neighborhoods, nums_shift, uniform_simplex_set
 
 AASF_RHO = 1e-6
@@ -45,9 +44,9 @@ AASF_RHO = 1e-6
 SELECT_PAIRS = 2**18
 
 # a runner's observer, called at every generation boundary with (evals,
-# objectives, state, runs): the (R', N, m) objectives and the state of a
-# block that holds the R' runs of the runner's range ``runs``
-Recorder = Callable[[int, np.ndarray, NormalizationState, range], None]
+# objectives, state): the (R, N, m) objectives of all the runner's runs and
+# the state that holds their bounds
+Recorder = Callable[[int, np.ndarray, NormalizationState], None]
 
 
 @dataclass
@@ -218,30 +217,28 @@ def _run_generational(problem: Problem, kinds: Sequence[str], mu: int,
     ``engines[r]`` in its own order, and its R·mu offspring one evaluation.
     One state of R runs, run r normalizing by ``kinds[r]``, takes the
     update, and ``recorder`` sees all R runs in one call.  Then
-    ``select(union_objs, z_lb, z_ub, engines)`` takes the (R, 2·mu, m)
-    union and the (R, m) bounds as one block, or in groups of runs that fit
+    ``select(union_objs, z_lb, z_ub, engines)`` takes the (R, N, m) unions
+    and the (R, m) bounds as one block, or in groups of runs that fit
     :data:`SELECT_PAIRS`, and returns the (R, mu) survivors' positions and
-    their primary and secondary tournament keys (lower wins); a selection
-    that draws takes run r's draws from ``engines[r]``.  Returns each run's
-    final (mu, m) objectives.
+    the (R, N) primary and secondary tournament keys of every member (lower
+    wins; only the survivors' are read); a selection that draws takes run
+    r's draws from ``engines[r]``.  Returns each run's final (mu, m)
+    objectives.
     """
     if mu % 2:
         raise ValueError(f"mu must be even, got {mu}")
     _check_setup(mu, budget, problem.m, kinds, engines)
-    runs = range(len(engines))
     rows = np.arange(len(engines))[:, None]
     xs = _random_population(problem, mu, engines)
     fs = _evaluate(problem, xs)
     evals = mu
     state = NormalizationState(kinds, problem.m)
     update_state(state, fs)
-    # the initial population keys itself through the same selection; every
-    # member survives, so only the selection's reordering is undone
-    order, first, second = _select_groups(select, fs, state, engines)
-    back = np.argsort(order, axis=1)
-    primary, secondary = first[rows, back], second[rows, back]
+    # the initial population keys itself through the same selection, in
+    # which every member survives
+    _, primary, secondary = _select_groups(select, fs, state, engines)
     if recorder:
-        recorder(evals, fs, state, runs)
+        recorder(evals, fs, state)
     while evals + mu <= budget:
         winners = _binary_tournament(primary, secondary, mu, engines)
         child_x = _ga_offspring(xs, winners, problem, params, engines)
@@ -250,10 +247,11 @@ def _run_generational(problem: Problem, kinds: Sequence[str], mu: int,
         update_state(state, fs, child_f)
         ux = np.concatenate([xs, child_x], axis=1)
         uf = np.concatenate([fs, child_f], axis=1)
-        keep, primary, secondary = _select_groups(select, uf, state, engines)
+        keep, first, second = _select_groups(select, uf, state, engines)
         xs, fs = ux[rows, keep], uf[rows, keep]
+        primary, secondary = first[rows, keep], second[rows, keep]
         if recorder:
-            recorder(evals, fs, state, runs)
+            recorder(evals, fs, state)
     return list(fs)
 
 
@@ -289,9 +287,7 @@ def run_nsga2(problem: Problem, z: np.ndarray, kinds: Sequence[str],
         crowd = np.zeros(levels.shape)
         labels = _front_labels(levels)[scored]
         crowd[scored] = -crowding_distance(uf[scored], labels)
-        keep = _truncate(levels, mu, np.where(over, crowd, 0.0))
-        rows = np.arange(len(uf))[:, None]
-        return keep, levels[rows, keep], crowd[rows, keep]
+        return _truncate(levels, mu, np.where(over, crowd, 0.0)), levels, crowd
 
     return _run_generational(problem, kinds, mu, budget, engines,
                              params or AlgorithmParams(), recorder, select)
@@ -311,7 +307,7 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
     objective space, run r clearing with ``engines[r]``; cleared-away
     members re-enter (still by ascending distance) only when the level's
     survivors cannot fill the remaining room, so a level is never skipped
-    over.  Returns the (R, mu) survivors and their levels.
+    over.  Returns the (R, mu) survivors and the (R, N) levels.
     """
     levels = nondominated_sort(uf, mu)
     _, over = _cut(levels, mu)
@@ -324,8 +320,7 @@ def rnsga2_environmental_selection(uf: np.ndarray, dists: np.ndarray,
         _, reserve = epsilon_clear(norm, epsilon, engines[run])
         cleared[run, idx[reserve]] = 1.0
     # survivors first, each group by ascending distance, ties by position
-    keep = _truncate(levels, mu, np.where(over, dists, 0.0), cleared)
-    return keep, levels[np.arange(len(uf))[:, None], keep]
+    return _truncate(levels, mu, np.where(over, dists, 0.0), cleared), levels
 
 
 def run_rnsga2(problem: Problem, z: np.ndarray, kinds: Sequence[str],
@@ -339,9 +334,8 @@ def run_rnsga2(problem: Problem, z: np.ndarray, kinds: Sequence[str],
 
     def select(uf, z_lb, z_ub, engines):
         dist = weighted_ref_distance(uf, z, w, z_lb[:, None], z_ub[:, None])
-        keep, rank = rnsga2_environmental_selection(
-            uf, dist, mu, params.epsilon_clear, z_lb, z_ub, engines)
-        return keep, rank, dist[np.arange(len(uf))[:, None], keep]
+        return (*rnsga2_environmental_selection(
+            uf, dist, mu, params.epsilon_clear, z_lb, z_ub, engines), dist)
 
     return _run_generational(problem, kinds, mu, budget, engines, params,
                              recorder, select)
@@ -366,9 +360,7 @@ def run_r2nsga2(problem: Problem, z: np.ndarray, kinds: Sequence[str],
         crowd = np.zeros(levels.shape)
         labels = _front_labels(levels)[over]
         crowd[over] = -crowding_distance(uf[over], labels)
-        keep = _truncate(levels, mu, crowd)
-        rows = np.arange(len(uf))[:, None]
-        return keep, levels[rows, keep], dist[rows, keep]
+        return _truncate(levels, mu, crowd), levels, dist
 
     return _run_generational(problem, kinds, mu, budget, engines, params,
                              recorder, select)
@@ -397,7 +389,7 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kinds: Sequence[str],
 
     Trials are steady-state: each one may read rows that earlier trials of
     its generation replaced.  Every random number a generation needs is
-    drawn before its first trial, in five engine calls whatever mu: DE
+    drawn before its first trial, in five calls per engine whatever mu: DE
     donor keys, crossover draws, forced crossover genes, mutation masks and
     steps, and replacement visiting orders.  The bounds change only between
     generations, so each incumbent's AASF value under its own weight is
@@ -418,8 +410,13 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kinds: Sequence[str],
     for nothing, is discarded and never counts against the budget.
     Replacement against the cached incumbents stays sequential, so the
     result is the same, byte for byte, as building every trial in turn.
-    The runs of ``engines`` go one after another, run r normalizing by
-    ``kinds[r]``.
+
+    The runs of ``engines`` step generation by generation: the initial
+    population is one (R, mu, n) block and one evaluation, one state of R
+    runs, run r normalizing by ``kinds[r]``, takes one update per
+    generation, and ``recorder`` sees all R runs in one call.  Each run
+    keeps its own weights, neighbourhoods, draws from ``engines[r]``,
+    waves and replacement pass.
     """
     params = params or AlgorithmParams()
     if params.rho <= 0.0:
@@ -432,82 +429,83 @@ def run_moead_nums(problem: Problem, z: np.ndarray, kinds: Sequence[str],
         raise ValueError("a neighbourhood needs at least 4 slots (the target "
                          f"and three DE/rand/1 donors), got {t_size}")
     z = np.asarray(z, dtype=float)
-    return [_moead_nums_run(problem, z, kind, mu, budget, engine, params,
-                            t_size, recorder, range(run, run + 1))
-            for run, (kind, engine) in enumerate(zip(kinds, engines))]
-
-
-def _moead_nums_run(problem: Problem, z: np.ndarray, kind: str, mu: int,
-                    budget: int, engine: np.random.Generator,
-                    params: AlgorithmParams, t_size: int,
-                    recorder: Recorder | None, run: range) -> np.ndarray:
-    """Run ``run`` of :func:`run_moead_nums`, with a state of one run."""
-    weights = uniform_simplex_set(problem.m, mu, engine)
-    weights = nums_shift(weights, z, params.tau)
-    nbs = neighborhoods(weights, t_size)
-    nb_weights = weights[nbs]
+    lower, upper, n = problem.lower, problem.upper, problem.n
+    rate = 1.0 / n if params.mutation_prob is None else params.mutation_prob
     rows = np.arange(mu)
-    own = nbs == rows[:, None]
-    lower, upper = problem.lower, problem.upper
-    xs = _random_population(problem, mu, [engine])[0]
-    fs = problem.evaluate_batch(xs)
+    # (R, mu, m) weights, (R, mu, T) neighbourhoods and their weights
+    weights = np.array([nums_shift(uniform_simplex_set(problem.m, mu, engine),
+                                   z, params.tau) for engine in engines])
+    nbs = np.array([neighborhoods(w, t_size) for w in weights])
+    nb_weights = weights[np.arange(len(engines))[:, None, None], nbs]
+    xs = _random_population(problem, mu, engines)
+    fs = _evaluate(problem, xs)
     evals = mu
-    state = NormalizationState((kind,), problem.m)
-    update_state(state, fs[None])
+    state = NormalizationState(kinds, problem.m)
+    update_state(state, fs)
     if recorder:
-        recorder(evals, fs[None], state, run)
+        recorder(evals, fs, state)
 
-    def build(target, donors, cross, do, u):
-        trial = de_rand_1(target, xs, donors, cross, params.de_f)
+    def build(x, target, donors, cross, do, u):
+        trial = de_rand_1(target, x, donors, cross, params.de_f)
         trial = trial.clip(lower, upper)
         return polynomial_mutation(trial, lower, upper, do, u, params.pm_eta)
 
-    def score(w, f):
-        # AASF under the bounds of the generation the loop below is in
-        return _aasf_of_gap(w, (f - z_lb) / span - zn, params.rho)
+    def score(r, w, f):
+        # run r's AASF under the bounds of the generation the loop is in
+        return _aasf_of_gap(w, (f - z_lb[r]) / span[r] - zn[r], params.rho)
 
     while evals + mu <= budget:
-        slots, cross = de_rand_1_draws(own, problem.n, params.de_cr, engine)
-        donors = np.take_along_axis(nbs, slots, axis=1)
-        do, u = polynomial_mutation_draws(xs.shape, params.mutation_prob,
-                                          engine)
-        order = engine.random(nbs.shape).argsort(axis=1, kind="stable")
-        z_lb = state.z_lb[0]
-        span = np.maximum(state.z_ub[0] - z_lb, EPS_DENOM)
+        draws = [de_rand_1_draws(nb == rows[:, None], n, params.de_cr, engine)
+                 for nb, engine in zip(nbs, engines)]
+        do, u = run_draws(engines, (2, mu, n)).swapaxes(0, 1)
+        do = do < rate
+        orders = run_draws(engines, (mu, t_size)).argsort(axis=-1,
+                                                          kind="stable")
+        z_lb = state.z_lb
+        span = np.maximum(state.z_ub - z_lb, EPS_DENOM)
         zn = (z - z_lb) / span
-        incumbent = score(weights, fs)
-        trials = build(rows, donors.T, cross, do, u)
-        # row i ends up holding trial i's objectives, speculative or rebuilt
-        batch = problem.evaluate_batch(trials)
-        scores = score(nb_weights, batch[:, None])
-        # readers[s, j]: trial j reads slot s, so replacing s makes j stale
-        readers = np.zeros((mu, mu), dtype=bool)
-        readers[donors, rows[:, None]] = True
-        readers[rows, rows] = ~cross.all(axis=1)
-        stale = np.zeros(mu, dtype=bool)
-        for i in range(mu):
-            if stale[i]:
-                wave = i + np.flatnonzero(stale[i:])
-                trials[wave] = build(wave, donors[wave].T, cross[wave],
-                                     do[wave], u[wave])
-                batch[wave] = problem.evaluate_batch(trials[wave])
-                scores[wave] = score(nb_weights[wave], batch[wave][:, None])
-                stale[wave] = False
-            nb = nbs[i]
-            won = moead_nums_replacement(scores[i], incumbent[nb],
-                                         params.max_replace, order[i])
-            if won.size:
-                targets = nb[won]
-                xs[targets] = trials[i]
-                fs[targets] = batch[i]
-                incumbent[targets] = scores[i, won]
-                for slot in targets.tolist():
-                    stale |= readers[slot]
+        # row i of a run ends up holding its trial i's objectives,
+        # speculative or rebuilt
+        batch = np.empty_like(fs)
+        for r, (slots, cross) in enumerate(draws):
+            x, f, trial_f = xs[r], fs[r], batch[r]
+            donors = np.take_along_axis(nbs[r], slots, axis=1)
+            incumbent = score(r, weights[r], f)
+            trials = build(x, rows, donors.T, cross, do[r], u[r])
+            trial_f[:] = problem.evaluate_batch(trials)
+            scores = score(r, nb_weights[r], trial_f[:, None])
+            # readers[s, j]: trial j reads slot s, so replacing s makes j
+            # stale
+            readers = np.zeros((mu, mu), dtype=bool)
+            readers[donors, rows[:, None]] = True
+            readers[rows, rows] = ~cross.all(axis=1)
+            stale = np.zeros(mu, dtype=bool)
+            for i in range(mu):
+                if stale[i]:
+                    wave = i + np.flatnonzero(stale[i:])
+                    trials[wave] = build(x, wave, donors[wave].T,
+                                         cross[wave], do[r, wave],
+                                         u[r, wave])
+                    trial_f[wave] = problem.evaluate_batch(trials[wave])
+                    scores[wave] = score(r, nb_weights[r, wave],
+                                         trial_f[wave][:, None])
+                    stale[wave] = False
+                nb = nbs[r, i]
+                won = moead_nums_replacement(scores[i], incumbent[nb],
+                                             params.max_replace,
+                                             orders[r, i])
+                if won.size:
+                    targets = nb[won]
+                    x[targets] = trials[i]
+                    f[targets] = trial_f[i]
+                    incumbent[targets] = scores[i, won]
+                    for slot in targets.tolist():
+                        stale |= readers[slot]
         evals += mu
-        update_state(state, fs[None], batch[None])
+        update_state(state, fs, batch)
         if recorder:
-            recorder(evals, fs[None], state, run)
-    return fs
+            recorder(evals, fs, state)
+    return list(fs)
 
 
 ALGORITHMS: dict[str, Callable] = {

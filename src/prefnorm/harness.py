@@ -329,24 +329,25 @@ def _checkpoint_recorder(checkpoints: tuple[int, ...], roi: RoiReferenceSet,
     """A group's recorder: one indicator record per run and checkpoint
     passed.
 
-    Run r's records go to ``records[r]``.  A call scores the block of runs
-    it is handed at once, whichever of them has a checkpoint due.
+    Run r's records go to ``records[r]``.  A call that passes a checkpoint
+    scores the block of all the group's runs at once.
     """
     checkpoints = sorted(checkpoints)
-    done = [0] * len(records)  # the checkpoints each run has recorded
+    done = 0  # the checkpoints the block has recorded
 
-    def recorder(evals, objs, state, runs):
+    def recorder(evals, objs, state):
+        nonlocal done
         upto = bisect.bisect_right(checkpoints, evals)
-        if all(done[run] == upto for run in runs):
+        if done == upto:
             return
         z_lb, z_ub = state.z_lb.copy(), state.z_ub.copy()
         values = zip(igd_plus_c(objs, roi).tolist(),
                      e_ideal(z_lb, roi.scaler).tolist(),
                      e_nadir(z_ub, roi.scaler).tolist(),
                      ore(z_lb, z_ub, roi.scaler).tolist(), z_lb, z_ub)
-        for run, (igd, ideal, nadir, spread, lb, ub) in zip(runs, values):
-            for checkpoint in checkpoints[done[run]:upto]:
-                records[run].append({
+        for log, (igd, ideal, nadir, spread, lb, ub) in zip(records, values):
+            for checkpoint in checkpoints[done:upto]:
+                log.append({
                     "checkpoint": checkpoint,
                     "evals": evals,
                     "igd_plus_c": igd,
@@ -356,7 +357,7 @@ def _checkpoint_recorder(checkpoints: tuple[int, ...], roi: RoiReferenceSet,
                     "z_lb": lb,
                     "z_ub": ub,
                 })
-            done[run] = upto
+        done = upto
 
     return recorder
 

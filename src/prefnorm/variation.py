@@ -75,29 +75,13 @@ def _pm_step(x: np.ndarray, u: np.ndarray, lower: np.ndarray,
     return x + delta * span
 
 
-def polynomial_mutation_draws(shape: tuple[int, ...],
-                              mutation_prob: float | None,
-                              engine: np.random.Generator
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Gene masks and step draws of polynomial mutation on ``shape`` genes.
-
-    A gene mutates with probability ``mutation_prob`` (default 1/n, n the
-    last axis).  One engine call: the masks come from the first half of the
-    block and the draws ``u`` from the second.
-    """
-    if mutation_prob is None:
-        mutation_prob = 1.0 / shape[-1]
-    do, u = engine.random((2, *shape))
-    return do < mutation_prob, u
-
-
 def polynomial_mutation(x: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                         do: np.ndarray, u: np.ndarray,
                         eta: float = 20.0) -> np.ndarray:
     """Bounded polynomial mutation of the genes ``do`` marks.
 
-    ``x`` is an (N, n) array or one n-vector, and ``do`` and ``u`` (see
-    :func:`polynomial_mutation_draws`) have its shape.  The bounded
+    ``x`` is an (N, n) array or one n-vector, and the gene mask ``do`` and
+    the step draws ``u`` have its shape.  The bounded
     formulation shrinks the step near a bound, so a gene sitting on a bound
     can only move inward.  Only the mutating genes are computed; every gene
     is clamped to the box afterwards.
@@ -117,8 +101,12 @@ def polynomial_mutation_batch(x: np.ndarray, lower: np.ndarray,
                               eta: float = 20.0,
                               mutation_prob: float | None = None
                               ) -> np.ndarray:
-    """Polynomial mutation over an (R, N, n) block; run r draws what
-    :func:`polynomial_mutation_draws` would draw from ``engines[r]``."""
+    """Polynomial mutation over an (R, N, n) block.
+
+    A gene mutates with probability ``mutation_prob`` (default 1/n).  Run r
+    draws its masks and steps from ``engines[r]`` in one call, the masks
+    from the first half of the block and the steps from the second.
+    """
     x = np.asarray(x, dtype=float)
     n_var = x.shape[-1]
     rate = 1.0 / n_var if mutation_prob is None else mutation_prob

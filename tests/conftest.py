@@ -291,19 +291,19 @@ def oracle_update_state(state, pop_objs, off_objs=None):
 
 
 def oracle_run_generational(problem, kind, mu, budget, engine, params,
-                            recorder, select, run):
-    """Run ``run`` of the NSGA-II loop on its own, with the oracle
-    operators and state.
+                            recorder, select):
+    """One run of the NSGA-II loop on its own, with the oracle operators
+    and state.
 
-    ``select(union_objs, z_lb, z_ub, engines)`` is the runner's selection
-    and ``recorder`` the cell's; both are handed this run as a block of
-    one.
+    ``select(union_objs, z_lb, z_ub, engines)`` is the runner's selection,
+    handed this run as a block of one; ``recorder`` sees the run as a block
+    of one.
     """
     def select_one(uf, state, engine):
-        return (a[0] for a in select(uf[None], state.z_lb[None],
-                                     state.z_ub[None], [engine]))
+        keep, primary, secondary = (a[0] for a in select(
+            uf[None], state.z_lb[None], state.z_ub[None], [engine]))
+        return keep, primary[keep], secondary[keep]
 
-    runs = range(run, run + 1)
     span = problem.upper - problem.lower
     xs = problem.lower + engine.random((mu, problem.n)) * span
     fs = problem.evaluate_batch(xs)
@@ -313,7 +313,7 @@ def oracle_run_generational(problem, kind, mu, budget, engine, params,
     keep, primary, secondary = select_one(fs, state, engine)
     back = np.argsort(keep)
     primary, secondary = primary[back], secondary[back]
-    recorder(evals, fs[None], state.block(), runs)
+    recorder(evals, fs[None], state.block())
     while evals + mu <= budget:
         winners = []
         for a, b in engine.integers(0, mu, size=(mu, 2)):
@@ -333,7 +333,7 @@ def oracle_run_generational(problem, kind, mu, budget, engine, params,
         ux, uf = np.vstack([xs, child_x]), np.vstack([fs, child_f])
         keep, primary, secondary = select_one(uf, state, engine)
         xs, fs = ux[keep], uf[keep]
-        recorder(evals, fs[None], state.block(), runs)
+        recorder(evals, fs[None], state.block())
     return fs
 
 
@@ -408,8 +408,7 @@ def oracle_moead_nums_replacement(trial_f, fs, weights, nb, z, state,
 def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
                           recorder):
     """The MOEA/D-NUMS loop built from the oracle operators and state
-    above; ``recorder`` is a cell's, handed the run as run 0 of a block of
-    one."""
+    above; ``recorder`` sees the run as a block of one."""
     z = np.asarray(z, dtype=float)
     weights = nums_shift(uniform_simplex_set(problem.m, mu, engine), z,
                          params.tau)
@@ -424,7 +423,7 @@ def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
     evals = mu
     state = OracleState(kind, problem.m)
     oracle_update_state(state, fs)
-    recorder(evals, fs[None], state.block(), range(1))
+    recorder(evals, fs[None], state.block())
     while evals + mu <= budget:
         donor_keys = engine.random((mu, t_size))
         cross_draws = engine.random((mu, n))
@@ -452,7 +451,7 @@ def oracle_run_moead_nums(problem, z, kind, mu, budget, engine, params,
                 fs[targets] = trial_f
         evals += mu
         oracle_update_state(state, fs, batch)
-        recorder(evals, fs[None], state.block(), range(1))
+        recorder(evals, fs[None], state.block())
     return fs
 
 

@@ -33,10 +33,11 @@ HALF_W = np.full(2, 0.5)
 
 
 def select_one(uf, dists, mu, epsilon, z_lb, z_ub, engine):
-    """R-NSGA-II's selection on one union, handed over as a block of one."""
-    keep, rank = rnsga2_environmental_selection(
+    """R-NSGA-II's selection on one union, handed over as a block of one:
+    the survivors and their levels."""
+    keep, levels = rnsga2_environmental_selection(
         uf[None], dists[None], mu, epsilon, z_lb[None], z_ub[None], [engine])
-    return keep[0], rank[0]
+    return keep[0], levels[0, keep[0]]
 
 
 def aasf(f, z, w, z_lb, z_ub, rho=AASF_RHO):
@@ -458,8 +459,8 @@ def one_moead_run(problem, z, kind, mu, budget, engine, params, recorder):
 
 def one_run_log(log):
     """A cell's recorder for a cell of one run, logging its only run."""
-    def recorder(evals, fs, state, runs):
-        assert runs == range(1)
+    def recorder(evals, fs, state):
+        assert len(fs) == 1
         log.append((evals, fs[0].tobytes(), state.z_lb[0].tobytes(),
                     state.z_ub[0].tobytes()))
     return recorder
@@ -582,7 +583,7 @@ class TestMoeadBlockDraws:
             marks = []
             run_moead_nums(get_problem("dtlz2", 3), np.full(3, 0.5), [kind],
                            mu, 5 * mu, [engine], AlgorithmParams(),
-                           lambda evals, fs, state, runs:
+                           lambda evals, fs, state:
                            marks.append(engine.calls))
             per_generation[mu] = set(np.diff(marks).tolist())
         assert per_generation == {12: {5}, 100: {5}}
@@ -619,17 +620,16 @@ class TestRunnerContract:
         problem = get_problem("dtlz2", 2)
         records = []
 
-        def recorder(evals, fs, state, runs):
+        def recorder(evals, fs, state):
             records.append((evals, fs.shape, state.z_lb.copy(),
-                            state.z_ub.copy(), runs))
+                            state.z_ub.copy()))
 
         (fs,) = ALGORITHMS[name](problem, self.Z2, ["ba"], 8, 100,
                                  [make_engine(3)], recorder=recorder)
         assert fs.shape == (8, 2)
         evals_seen = [r[0] for r in records]
         assert evals_seen == list(range(8, 97, 8))
-        for _, shape, zl, zu, runs in records:
-            assert runs == range(1)
+        for _, shape, zl, zu in records:
             assert shape == (1, 8, 2)
             assert zl.shape == (1, 2) and zu.shape == (1, 2)
             assert np.all(np.isfinite(zl)) and np.all(np.isfinite(zu))

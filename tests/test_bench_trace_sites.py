@@ -118,9 +118,9 @@ def test_moead_trial_operators_are_traced_once_per_trial(monkeypatch):
 
 
 def test_a_cell_updates_and_records_its_runs_as_one_block():
-    # a GA group's runs, of every kind, share one state update per
-    # generation and one indicator call per checkpoint; only its ba runs
-    # feed an archive, and moead-nums' runs go one after another
+    # a group's runs, of every kind and for every runner, share one state
+    # update per generation and one indicator call per checkpoint; only its
+    # ba runs feed an archive
     tracing = load_tracing()
     tracer = tracing.Tracer()
     runs, generations, checkpoints = 3, 10, [36, 50, 120]
@@ -135,10 +135,10 @@ def test_a_cell_updates_and_records_its_runs_as_one_block():
     finally:
         tracer.uninstall()
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
-    blocks = 1 + len(kinds) * runs
-    assert calls["normalization.update_state"] == blocks * generations
+    groups = 2
+    assert calls["normalization.update_state"] == groups * generations
     assert (calls["normalization.update_bounded_archive_objs"]
-            == (1 + runs) * generations)
-    assert calls["algorithms.runner"] == 2
-    assert calls["indicators.igd_plus_c"] == blocks * len(checkpoints)
-    assert calls["indicators.bound_errors"] == 3 * blocks * len(checkpoints)
+            == groups * generations)
+    assert calls["algorithms.runner"] == groups
+    assert calls["indicators.igd_plus_c"] == groups * len(checkpoints)
+    assert calls["indicators.bound_errors"] == 3 * groups * len(checkpoints)

@@ -16,8 +16,8 @@ byte:
   per-run update with its own bounded archive, over several generations of
   quantized objectives with duplicate rows, argmax ties, -inf and NaN
   entries;
-* the cell's checkpoint recorder, handed a block of runs or one run at a
-  time.
+* the cell's checkpoint recorder, handed the block of all its runs, against
+  each run's indicators computed on their own.
 """
 import numpy as np
 import pytest
@@ -199,8 +199,8 @@ class TestBlockStateUpdate:
             update_state(state, np.empty((4, 0, 3)))
 
 
-def recording(generations, checkpoints, roi, one_at_a_time):
-    """Records of a cell recorder fed R runs per call or one at a time.
+def recording(generations, checkpoints, roi):
+    """Records of a cell recorder fed all R runs per call.
 
     ``generations`` holds (evals, (R, N, m) objectives, (R, m) lower and
     upper bounds) per generation boundary.
@@ -209,20 +209,15 @@ def recording(generations, checkpoints, roi, one_at_a_time):
     records = [[] for _ in range(runs)]
     recorder = harness._checkpoint_recorder(checkpoints, roi, records)
     for evals, objs, z_lb, z_ub in generations:
-        blocks = ([range(r, r + 1) for r in range(runs)] if one_at_a_time
-                  else [range(runs)])
-        for block in blocks:
-            state = NormalizationState(["pp"] * len(block),
-                                       objs.shape[-1])
-            state.z_lb, state.z_ub = (z_lb[block.start:block.stop],
-                                      z_ub[block.start:block.stop])
-            recorder(evals, objs[block.start:block.stop], state, block)
+        state = NormalizationState(["pp"] * runs, objs.shape[-1])
+        state.z_lb, state.z_ub = z_lb, z_ub
+        recorder(evals, objs, state)
     return records
 
 
 class TestCellRecorder:
 
-    def test_block_and_runs_one_at_a_time_record_alike(self):
+    def test_block_records_each_runs_own_values(self):
         rng = np.random.default_rng(5)
         m, runs, n = 3, 4, 10
         points = rng.random((121, m))
@@ -235,60 +230,37 @@ class TestCellRecorder:
                                 z_lb, z_lb + rng.random((runs, m))))
         # 25 and 30 pass at the same boundary; 45 snaps forward to 50
         checkpoints = (20, 25, 30, 45, 50)
-        got = recording(generations, checkpoints, roi, False)
-        want = recording(generations, checkpoints, roi, True)
-        for run_got, run_want in zip(got, want):
-            assert [r["checkpoint"] for r in run_got] == list(checkpoints)
-            assert [r["evals"] for r in run_got] == [20, 30, 30, 50, 50]
-            for a, b in zip(run_got, run_want):
-                assert a.keys() == b.keys()
-                for key in a:
-                    assert np.asarray(a[key]).tobytes() == \
-                        np.asarray(b[key]).tobytes(), key
-        # a record's values are the run's own
-        _, objs, z_lb, z_ub = generations[1]
-        first = got[2][0]
-        for key, want in (("igd_plus_c", igd_plus_c(objs[2], roi)),
-                          ("ore", ore(z_lb[2], z_ub[2], roi.scaler)),
-                          ("z_lb", z_lb[2])):
-            assert np.asarray(first[key]).tobytes() == want.tobytes(), key
-        assert type(first["e_nadir"]) is float
-
-    def test_runs_of_a_block_keep_their_own_checkpoints(self):
-        # run 0 has recorded checkpoint 20 when a block of both runs
-        # arrives at 20, so only run 1 takes a record there
-        rng = np.random.default_rng(6)
-        points = rng.random((5, 2))
-        roi = RoiReferenceSet(points=points, scaler=random_scaler(rng, 2))
-        objs = solution_block(rng, 2, 4, 2, points)
-        state = NormalizationState(["no"] * 2, 2)
-        records = [[], []]
-        recorder = harness._checkpoint_recorder((20, 40), roi, records)
-        one = NormalizationState(["no"], 2)
-        recorder(20, objs[:1], one, range(1))
-        recorder(20, objs, state, range(2))
-        recorder(40, objs, state, range(2))
-        for log in records:
-            assert [(r["checkpoint"], r["evals"]) for r in log] == [
-                (20, 20), (40, 40)]
+        got = recording(generations, checkpoints, roi)
+        blocks = {evals: rest for evals, *rest in generations}
+        for r, log in enumerate(got):
+            assert [rec["checkpoint"] for rec in log] == list(checkpoints)
+            assert [rec["evals"] for rec in log] == [20, 30, 30, 50, 50]
+            # a record's values are the run's own, as one run scores them
+            for rec in log:
+                objs, z_lb, z_ub = blocks[rec["evals"]]
+                want = {"igd_plus_c": igd_plus_c(objs[r], roi),
+                        "e_ideal": e_ideal(z_lb[r], roi.scaler),
+                        "e_nadir": e_nadir(z_ub[r], roi.scaler),
+                        "ore": ore(z_lb[r], z_ub[r], roi.scaler),
+                        "z_lb": z_lb[r], "z_ub": z_ub[r]}
+                assert rec.keys() == {"checkpoint", "evals", *want}
+                for key, value in want.items():
+                    assert np.asarray(rec[key]).tobytes() == \
+                        np.asarray(value).tobytes(), (r, key)
+        assert type(got[2][0]["e_nadir"]) is float
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_runner_hands_the_recorder_its_runs(self, name):
         calls = []
 
-        def recorder(evals, fs, state, runs):
-            assert fs.shape == (len(runs), 8, 2)
-            assert state.z_lb.shape == state.z_ub.shape == (len(runs), 2)
-            calls.append((evals, runs))
+        def recorder(evals, fs, state):
+            assert fs.shape == (3, 8, 2)
+            assert state.z_lb.shape == state.z_ub.shape == (3, 2)
+            calls.append(evals)
 
         ALGORITHMS[name](get_problem("dtlz2", 2), np.full(2, 0.5),
                          ["ba"] * 3, 8, 40,
                          [make_engine(seed) for seed in range(3)],
                          recorder=recorder)
-        boundaries = [8, 16, 24, 32, 40]
-        if name == "moead-nums":
-            # its runs go one after another, each as a block of one
-            assert calls == [(evals, range(r, r + 1)) for r in range(3)
-                             for evals in boundaries]
-        else:
-            assert calls == [(evals, range(3)) for evals in boundaries]
+        # every runner hands all its runs over in one call per boundary
+        assert calls == [8, 16, 24, 32, 40]

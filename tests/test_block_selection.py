@@ -3,8 +3,9 @@
 ``_run_generational`` hands its runner's ``select`` the (R, N, m) unions
 of a cell's R runs and their (R, m) bounds in one call.  Here that closure is taken from each GA
 runner and called on blocks of R in {1, 2, 7} unions.  Each run's slice of
-the result must equal the per-run oracle byte for byte: the survivors,
-their levels, their tournament keys and the run's engine state afterwards.
+the result must equal the per-run oracle byte for byte: the survivors, the
+levels and tournament keys the closure returns for every member, read at
+the survivors, and the run's engine state afterwards.
 
 * nsga2: ``conftest.oracle_nsga2_selection``, ``oracle_sort`` plus
   per-level crowding;
@@ -122,8 +123,9 @@ def test_block_selection_matches_runs_one_at_a_time(algorithm, runs,
             want_keep, want_rank, want_keys, full = oracle(
                 algorithm, uf[r], z_lb[r], z_ub[r], mu, engine)
             assert keep[r].tobytes() == want_keep.tobytes()
-            assert primary[r].tobytes() == want_rank.tobytes()
-            assert secondary[r].tobytes() == want_keys.tobytes()
+            assert primary.shape == secondary.shape == (runs, n)
+            assert primary[r, keep[r]].tobytes() == want_rank.tobytes()
+            assert secondary[r, keep[r]].tobytes() == want_keys.tobytes()
             assert (engines[r].bit_generator.state
                     == engine.bit_generator.state)
             # the levels the peel reaches: the shortest prefix holding mu
@@ -161,8 +163,8 @@ def test_runs_selected_in_groups_match_one_block(algorithm, monkeypatch):
         logs = [[] for _ in engines]
         finals = ALGORITHMS[algorithm](
             problem, np.full(3, 0.5), ["ba"] * 5, mu, budget, engines, PARAMS,
-            lambda evals, fs, state, runs: [logs[run].append(f.tobytes())
-                                            for run, f in zip(runs, fs)])
+            lambda evals, fs, state: [log.append(f.tobytes())
+                                      for log, f in zip(logs, fs)])
         return ([f.tobytes() for f in finals], logs,
                 [e.bit_generator.state for e in engines])
 

@@ -2,13 +2,19 @@
 
 ``_run_generational`` steps R runs at once: one tournament, variation and
 evaluation block per generation, then one state update, one selection and
-one recorder call for all R runs.  The reference runs each engine on its
-own through ``conftest.oracle_run_generational``, the one-run loop with the
-oracle operators and the per-run oracle state, fed the runner's own
-``select`` and recorder.  Equal populations, equal records on each run's
-slice and equal engine states after the run show that no run's draws
-moved.  A block that mixes normalization kinds, as a (problem, m,
-algorithm) group does, equals one block per kind, for all four runners.
+one recorder call for all R runs.  ``run_moead_nums`` steps R runs
+generation by generation: one initial block, then per generation each
+run's own trials, waves and replacement pass, one state update and one
+recorder call.  The reference runs each engine on its own through
+``conftest.oracle_run_generational`` (fed the runner's own ``select``) or
+``conftest.oracle_run_moead_nums``, the one-run loops with the oracle
+operators and the per-run oracle state; each run's recorder calls are then
+stacked into the blocks the cell's recorder sees.  Equal populations, equal
+records on each run's slice and equal engine states after the run show
+that no run's draws moved.  The moead-nums blocks mix normalization kinds
+and use crossover rate 0.5, so trials read their targets and waves occur.
+A block that mixes normalization kinds, as a (problem, m, algorithm) group
+does, also equals one block per kind, for all four runners.
 The lockstep rests on two more properties, checked below: stacked SBX and
 mutation blocks equal the per-run oracle operators, and an evaluated stack
 of blocks equals the blocks evaluated one by one.
@@ -16,25 +22,30 @@ of blocks equals the blocks evaluated one by one.
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from conftest import (oracle_polynomial_mutation_batch,
-                      oracle_run_generational, oracle_sbx)
+                      oracle_run_generational, oracle_run_moead_nums,
+                      oracle_sbx)
 from prefnorm import algorithms
 from prefnorm.algorithms import AlgorithmParams
 from prefnorm.core import make_engine
+from prefnorm.normalization import KINDS
 from prefnorm.problems import get_problem, problem_names
 from prefnorm.refpoints import default_reference_point
 from prefnorm.variation import polynomial_mutation_batch, sbx_batch
 
 MU, BUDGET = 12, 240
+# with crossover rate 0.5 a moead-nums trial often reads its target, so
+# replacements make trials stale and the pass rebuilds them in waves
+PARAMS = AlgorithmParams(de_cr=0.5)
 
 
 def recording(logs):
     """A cell's recorder that logs each run's slice of every block."""
-    def recorder(evals, fs, state, runs):
-        for i, run in enumerate(runs):
-            logs[run].append((evals, fs[i].tobytes(),
-                              state.z_lb[i].tobytes(),
-                              state.z_ub[i].tobytes()))
+    def recorder(evals, fs, state):
+        for log, f, lb, ub in zip(logs, fs, state.z_lb, state.z_ub):
+            log.append((evals, f.tobytes(), lb.tobytes(), ub.tobytes()))
     return recorder
 
 
@@ -44,35 +55,71 @@ def run_cell(algorithm, kinds, problem, z, seeds):
     engines = [make_engine(seed) for seed in seeds]
     logs = [[] for _ in seeds]
     finals = algorithms.ALGORITHMS[algorithm](
-        problem, z, kinds, MU, BUDGET, engines, AlgorithmParams(),
-        recording(logs))
+        problem, z, kinds, MU, BUDGET, engines, PARAMS, recording(logs))
     return ([f.tobytes() for f in finals], logs,
             [e.bit_generator.state for e in engines])
 
 
+def stacked(one_run, kinds, engines, recorder):
+    """``one_run(kind, engine, one_recorder)`` for each run on its own;
+    then the runs' recorder calls, stacked run after run, go to
+    ``recorder``."""
+    calls = [[] for _ in engines]
+    finals = [one_run(kind, engine, lambda evals, fs, state, log=log:
+                      log.append((evals, fs.copy(), state.z_lb.copy(),
+                                  state.z_ub.copy())))
+              for kind, engine, log in zip(kinds, engines, calls)]
+    for boundary in zip(*calls):
+        evals, fs, z_lb, z_ub = zip(*boundary)
+        assert len(set(evals)) == 1
+        recorder(evals[0], np.concatenate(fs), SimpleNamespace(
+            z_lb=np.concatenate(z_lb), z_ub=np.concatenate(z_ub)))
+    return finals
+
+
 def one_at_a_time(problem, kinds, mu, budget, engines, params, recorder,
                   select):
-    return [oracle_run_generational(problem, kind, mu, budget, engine,
-                                    params, recorder, select, run)
-            for run, (kind, engine) in enumerate(zip(kinds, engines))]
+    return stacked(lambda kind, engine, rec: oracle_run_generational(
+        problem, kind, mu, budget, engine, params, rec, select),
+        kinds, engines, recorder)
 
 
-@pytest.mark.parametrize("runs", [1, 3])
+def moead_one_at_a_time(problem, z, kinds, mu, budget, engines, params,
+                        recorder):
+    return stacked(lambda kind, engine, rec: oracle_run_moead_nums(
+        problem, z, kind, mu, budget, engine, params, rec),
+        kinds, engines, recorder)
+
+
+def block_kinds(runs, shift):
+    """``runs`` kinds in contiguous slices, starting ``shift`` kinds on."""
+    return [KINDS[(shift + len(KINDS) * r // runs) % len(KINDS)]
+            for r in range(runs)]
+
+
+@pytest.mark.parametrize("runs", [1, 3, 7])
 @pytest.mark.parametrize("name,m", [("dtlz2", 2), ("sdtlz1", 3),
                                     ("idtlz1", 5)])
-@pytest.mark.parametrize("algorithm", ["nsga2", "rnsga2", "r2nsga2"])
+@pytest.mark.parametrize("algorithm", sorted(algorithms.ALGORITHMS))
 def test_lockstep_matches_runs_one_at_a_time(algorithm, name, m, runs,
                                              monkeypatch):
     problem = get_problem(name, m)
     z = default_reference_point(name, m, "balanced")
-    for kind in ("pp", "bp", "ba", "no"):
+    # GA blocks of one kind; moead-nums blocks that mix kinds once R > 1
+    mixed = algorithm == "moead-nums"
+    for shift, kind in enumerate(KINDS):
+        kinds = block_kinds(runs, shift) if mixed else [kind] * runs
         seeds = [100 * m + 10 * len(kind) + r for r in range(runs)]
-        got = run_cell(algorithm, [kind] * runs, problem, z, seeds)
+        got = run_cell(algorithm, kinds, problem, z, seeds)
         with monkeypatch.context() as patch:
-            patch.setattr(algorithms, "_run_generational", one_at_a_time)
-            want = run_cell(algorithm, [kind] * runs, problem, z, seeds)
+            if mixed:
+                patch.setitem(algorithms.ALGORITHMS, algorithm,
+                              moead_one_at_a_time)
+            else:
+                patch.setattr(algorithms, "_run_generational", one_at_a_time)
+            want = run_cell(algorithm, kinds, problem, z, seeds)
         assert all(len(log) == BUDGET // MU for log in got[1])
-        assert got == want, kind
+        assert got == want, kinds
 
 
 @pytest.mark.parametrize("per_kind", [1, 3])

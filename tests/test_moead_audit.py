@@ -6,9 +6,9 @@ looks up in ``prefnorm.algorithms`` (``neighborhoods``,
 does.  The replacement hook records, in call order, the slots each trial of
 the generation won.  The ``update_state`` hook sees the generation's final
 offspring batch, whose row i holds trial i's objectives, and checks every
-recorded trial against that row in turn; the runs go one after another, so
-the hook and the recorder see blocks of one run.  The audit keeps its own copy of
-the population objectives, changed only by those replacements, and
+recorded trial against that row in turn; each audited call holds one run,
+so the hook and the recorder see blocks of one run.  The audit keeps its
+own copy of the population objectives, changed only by those replacements, and
 re-derives every rule from ``conftest``'s oracles.  The run builds a
 generation's trials in one block and rebuilds its stale trials in waves,
 each wave one block of every trial flagged from the current one on; the
@@ -138,8 +138,8 @@ class MoeadAudit:
         self.archive = survivors[survivors.argmax(axis=0)]
         return self.archive.max(axis=0)
 
-    def record(self, evals, fs, state, runs):
-        assert runs == range(1)
+    def record(self, evals, fs, state):
+        assert len(fs) == 1
         assert fs[0].tobytes() == self.fs.tobytes()
         batch = self.fs if self.batch is None else self.batch
         union = self.fs if self.batch is None else np.vstack([self.fs, batch])

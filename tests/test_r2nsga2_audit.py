@@ -151,10 +151,10 @@ class R2nsga2Audit:
         self.survivors = survivors
         self.keys = (np.array(ranks), np.array(dists))
 
-    def record(self, evals, fs, state, runs):
-        assert runs == range(len(self.survivors))
-        for run in runs:
-            assert fs[run].tobytes() == self.survivors[run].tobytes()
+    def record(self, evals, fs, state):
+        assert len(fs) == len(self.survivors)
+        for f, survivors in zip(fs, self.survivors):
+            assert f.tobytes() == survivors.tobytes()
         self.generations += 1
 
 

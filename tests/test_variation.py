@@ -10,8 +10,7 @@ from conftest import (oracle_de_donor_slots, oracle_de_rand_1,
 from prefnorm.core import make_engine
 from prefnorm.variation import (de_rand_1, de_rand_1_draws,
                                 polynomial_mutation,
-                                polynomial_mutation_batch,
-                                polynomial_mutation_draws, sbx_batch)
+                                polynomial_mutation_batch, sbx_batch)
 
 LOWER2 = np.zeros(2)
 UPPER2 = np.ones(2)
@@ -28,6 +27,15 @@ def one_mutation(x, lower, upper, engine, *args, **kwargs):
     """``polynomial_mutation_batch`` on a block of one run."""
     return polynomial_mutation_batch(x[None], lower, upper, [engine], *args,
                                      **kwargs)[0]
+
+
+def mutation_draws(shape, mutation_prob, engine):
+    """Gene masks and step draws of mutation on ``shape`` genes, drawn in
+    one call as a run draws them (rate 1/n when ``mutation_prob`` is
+    None)."""
+    do, u = engine.random((2, *shape))
+    rate = 1.0 / shape[-1] if mutation_prob is None else mutation_prob
+    return do < rate, u
 
 
 def test_sbx_children_stay_in_bounds():
@@ -126,7 +134,7 @@ def test_polynomial_mutation_default_rate_is_one_over_n():
 
 def test_polynomial_mutation_single_wrapper():
     engine = make_engine(47)
-    do, u = polynomial_mutation_draws((2,), 1.0, engine)
+    do, u = mutation_draws((2,), 1.0, engine)
     out = polynomial_mutation(np.array([0.5, 0.5]), LOWER2, UPPER2, do, u)
     assert out.shape == (2,)
     assert np.all(out != 0.5)
@@ -221,7 +229,7 @@ def test_polynomial_mutation_batch_matches_reference_bytes(case):
 @settings(max_examples=200, deadline=None)
 def test_polynomial_mutation_matches_reference_row_bytes(case):
     x, lower, upper, eta, prob, seed = case
-    do, u = polynomial_mutation_draws(x.shape, prob, make_engine(seed))
+    do, u = mutation_draws(x.shape, prob, make_engine(seed))
     with np.errstate(all="ignore"):
         # each row of a block, as a trial takes it, and the whole block
         for rows in [np.s_[i] for i in range(x.shape[0])] + [np.s_[:]]:
@@ -290,7 +298,7 @@ def test_block_trials_match_row_bytes(mu, n):
     for rate, prob in ((1.0, None), (0.5, 0.5), (0.0, 1.0)):
         slots, cross = de_rand_1_draws(own, n, rate, engine)
         donors = np.take_along_axis(nbs, slots, axis=1)
-        do, u = polynomial_mutation_draws((mu, n), prob, engine)
+        do, u = mutation_draws((mu, n), prob, engine)
         block = de_rand_1(np.arange(mu), xs, donors.T, cross, 0.9)
         mutated = polynomial_mutation(block.clip(lower, upper),
                                       lower, upper, do, u)
